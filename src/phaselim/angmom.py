@@ -12,8 +12,9 @@ Two evaluation routes coexist:
   `coupling_matrix_entry`) via the closed Racah sum with big-integer
   rationals, stable for any quantum numbers that fit in memory;
 * bulk tables (`DephasingTables`, `coupling_blocks`) that build all transfer
-  coefficients for one particle number at once by diagonalizing the small
-  tridiagonal total-spin matrices, which is what sweeps over N use.
+  coefficients for one particle number at once, with one stacked eigensolve
+  of the small tridiagonal total-spin matrices per flip count and one matrix
+  product per coupling block, which is what sweeps over N use.
 
 Both routes are cross-checked against each other and against brute-force
 tensor-product oracles in the test suite.
@@ -25,10 +26,12 @@ import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lgamma, sqrt
+from math import comb, factorial, sqrt
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
-from scipy.linalg.lapack import dstev
+from scipy.special import gammaln, xlogy
 
 __all__ = [
     "HalfInt",
@@ -234,7 +237,15 @@ def dephasing_weight(n: int, k: int, eta: float) -> float:
         raise ValueError(f"dephasing parameter eta={eta} outside [0, 1]")
     if not 0 <= k <= n:
         raise ValueError(f"flip count k={k} outside 0..{n}")
-    return comb(n, k) * ((1.0 - eta) / 2.0) ** k * ((1.0 + eta) / 2.0) ** (n - k)
+    return float(_flip_probabilities(n, k, eta))
+
+
+def _flip_probabilities(n: int, k, eta: float):
+    """`dephasing_weight` for one or an array of flip counts k, in log space
+    so that it stays finite at large n; xlogy keeps 0 log 0 = 0, so eta = 1
+    gives exactly 1 at k = 0 and 0 elsewhere."""
+    return np.exp(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+                  + xlogy(k, (1.0 - eta) / 2.0) + xlogy(n - k, (1.0 + eta) / 2.0))
 
 
 def coupling_matrix_entry(n: int, j, m, m2, eta: float) -> float:
@@ -274,116 +285,99 @@ def multiplicity_dimension(n: int, j) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _stretched_column(n: int, k: int, tm: int, tmts: np.ndarray) -> np.ndarray:
-    """Decomposition of |n/2, m> over |k/2, mt> x |(n-k)/2, m-mt>.
-
-    This maximal-spin column has the closed binomial-product form
-    sqrt(C(k, (k-2mt)/2) C(n-k, (n-k-2(m-mt))/2) / C(n, (n-2m)/2)),
-    evaluated in log space to stay finite at large n.
-    """
-    ln_den = lgamma(n + 1) - lgamma((n - tm) / 2 + 1) - lgamma((n + tm) / 2 + 1)
-    a = (k - tmts) / 2.0
-    b = ((n - k) - (tm - tmts)) / 2.0
-    ln1 = lgamma(k + 1) - np.vectorize(lgamma)(a + 1) - np.vectorize(lgamma)(k - a + 1)
-    ln2 = (lgamma(n - k + 1) - np.vectorize(lgamma)(b + 1)
-           - np.vectorize(lgamma)(n - k - b + 1))
-    return np.exp(0.5 * (ln1 + ln2 - ln_den))
-
-
 class DephasingTables:
     """All transfer coefficients C(k; j, m) for one particle number.
 
     For fixed (k, m) the coupled vectors |j, m> over the flipped/unflipped
     split are the eigenvectors of a small tridiagonal total-spin matrix whose
-    eigenvalues j(j+1) are known, so one LAPACK tridiagonal solve per (k, m)
-    yields every j at once.  Only k <= n/2 and m >= 0 are solved; the rest
-    follow from exact sign symmetries.  Construction is single-threaded;
-    afterwards the object is read-only and safe to share across threads.
+    eigenvalues j(j+1) are known, and one eigensolve yields every j at once.
+    Only k <= n/2 and m >= 0 are solved, all m of one k in a single stacked
+    eigensolve; the rest follow from exact sign symmetries.  The table is
+    read-only once built, so it is safe to share across threads and callers.
     """
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("need at least one particle")
         self.n = n
-        self._n_j = n // 2 + 1
-        # _c[k][j_index, m_index]; j_index = (2j - n%2)/2, m_index = (2m + n)/2
-        self._c = {}
-        for k in range(0, n // 2 + 1):
-            self._c[k] = self._build_k(k)
+        # _c[k, j_index, m_index]; j_index = (2j - n%2)/2, m_index = (2m + n)/2
+        self._c = np.zeros((n // 2 + 1, n // 2 + 1, n + 1))
+        for k in range(n // 2 + 1):
+            self._build_k(k)
+        self._c.setflags(write=False)
 
-    def _build_k(self, k: int) -> np.ndarray:
+    def _build_k(self, k: int) -> None:
+        """Fill _c[k] from one stacked eigensolve over every m >= 0.
+
+        Row r of the stack is 2m = tm[r]; position i is the flipped group's
+        2mt = 2i - k, so the top mt is always last.  Positions with no valid
+        unflipped partner (tmb > n - k) are padded with decoupled diagonal
+        entries above (n/2)(n/2+1): their eigenpairs sort last and are dropped.
+        """
         n = self.n
-        ja2, jb2 = k, n - k
-        ja, jb = ja2 / 2.0, jb2 / 2.0
-        mat = np.zeros((self._n_j, n + 1))
-        for tm in range(n % 2, n + 1, 2):
-            lo = max(-ja2, tm - jb2)
-            hi = min(ja2, tm + jb2)
-            tmts = np.arange(lo, hi + 1, 2)
-            mt = tmts / 2.0
-            mb = (tm - tmts) / 2.0
-            tj_min = max(abs(tm), abs(ja2 - jb2))
-            tjs = np.arange(tj_min, n + 1, 2)
-            if len(tmts) == 1:
-                vecs = np.ones((1, 1))
-                u = np.ones(1)
-            else:
-                diag = ja * (ja + 1) + jb * (jb + 1) + 2.0 * mt * mb
-                off = np.sqrt((ja * (ja + 1) - mt[:-1] * (mt[:-1] + 1))
-                              * (jb * (jb + 1) - mb[:-1] * (mb[:-1] - 1)))
-                _, vecs, info = dstev(diag, off)
-                if info != 0:
-                    raise RuntimeError(f"tridiagonal solve failed (n={n}, k={k}, m={tm/2})")
-                # Condon-Shortley: component at the top mt is positive
-                sign = np.sign(vecs[-1, :])
-                sign[sign == 0.0] = 1.0
-                vecs = vecs * sign
-                u = _stretched_column(n, k, tm, tmts)
-            flip = np.where(((k - tmts) // 2) % 2 == 0, 1.0, -1.0)
-            coeffs = vecs.T @ (flip * u)
-            jidx = (tjs - n % 2) // 2
-            mat[jidx, (tm + n) // 2] = coeffs
-            if tm != 0:
-                # C(j, -m) = (-1)^(n/2 - j) (-1)^k C(j, m)
-                s = np.where(((n - tjs) // 2 + k) % 2 == 0, 1.0, -1.0)
-                mat[jidx, (n - tm) // 2] = s * coeffs
-        return mat
+        tm = np.arange(n % 2, n + 1, 2)[:, None]
+        tmt = np.arange(-k, k + 1, 2)[None, :]
+        tmb = tm - tmt
+        valid = tmb <= n - k
+        # J^2 over |k/2, mt> x |(n-k)/2, mb>, in doubled quantum numbers: the
+        # diagonal ja(ja+1) + jb(jb+1) + 2 mt mb, and the ladder terms that
+        # couple mt to mt + 1
+        diag = (k * (k + 2) + (n - k) * (n - k + 2) + 2 * tmt * tmb) / 4.0
+        ladder = (k - tmt) * (k + tmt + 2) * (n - k + tmb) * (n - k - tmb + 2)
+        h = np.zeros((len(tm), k + 1, k + 1))
+        i = np.arange(k + 1)
+        h[:, i, i] = np.where(valid, diag, (n + 2) * (n + 4) / 4.0)
+        # eigh reads the lower triangle only
+        h[:, i[1:], i[:-1]] = np.sqrt(np.where(valid, ladder, 0)[:, :-1]) / 4.0
+        vecs = np.linalg.eigh(h)[1]
+        # Condon-Shortley: component at the top mt is positive
+        vecs *= np.where(vecs[:, -1:, :] < 0.0, -1.0, 1.0)
+        # stretched column |n/2, m> over |k/2, mt> x |(n-k)/2, m-mt>: the
+        # closed binomial-product form sqrt(C(k, a) C(n-k, b) / C(n, (n-2m)/2))
+        lf = gammaln(np.arange(n + 1) + 1.0)
+        a = (k - tmt) // 2
+        b = np.where(valid, (n - k - tmb) // 2, 0)
+        ln_u = (lf[k] - lf[a] - lf[k - a] + lf[n - k] - lf[b] - lf[n - k - b]
+                - lf[n] + lf[(n - tm) // 2] + lf[(n + tm) // 2])
+        # weighted by the flip parity (-1)^(k/2 - mt)
+        u = np.where(valid, np.where(a % 2 == 0, 1.0, -1.0) * np.exp(0.5 * ln_u), 0)
+        coeffs = np.einsum("ric,ri->rc", vecs, u)
+        # row r keeps its n_valid eigenpairs, j ascending up to n/2
+        n_valid = valid.sum(axis=1, keepdims=True)
+        jidx = n // 2 - n_valid + 1 + i
+        keep = i < n_valid
+        mcol = np.broadcast_to((tm + n) // 2, jidx.shape)
+        self._c[k, jidx[keep], mcol[keep]] = coeffs[keep]
+        # C(j, -m) = (-1)^(n/2 - j) (-1)^k C(j, m)
+        mirror = keep & (tm > 0)
+        sign = np.where((n // 2 - jidx + k) % 2 == 0, 1.0, -1.0)
+        self._c[k, jidx[mirror], n - mcol[mirror]] = (sign * coeffs)[mirror]
 
     def transfer(self, k: int, tj: int, tm: int) -> float:
         """C(k; j, m) with doubled arguments; applies the k -> n-k symmetry."""
         n = self.n
         kk = min(k, n - k)
-        val = self._c[kk][(tj - n % 2) // 2, (tm + n) // 2]
+        val = self._c[kk, (tj - n % 2) // 2, (tm + n) // 2]
         if k != kk:
             # C(n-k; j, m) = (-1)^(n/2-j) (-1)^(n/2-m) C(k; j, m)
             if (((n - tj) // 2) + ((n - tm) // 2)) % 2:
                 val = -val
         return float(val)
 
-    def transfer_row(self, k: int, tj: int) -> np.ndarray:
-        """C(k; j, m) for all m = -j..j, in ascending m order."""
-        n = self.n
-        kk = min(k, n - k)
-        jidx = (tj - n % 2) // 2
-        tms = np.arange(-tj, tj + 1, 2)
-        row = self._c[kk][jidx, (tms + n) // 2].copy()
-        if k != kk:
-            sj = 1.0 if ((n - tj) // 2) % 2 == 0 else -1.0
-            sm = np.where(((n - tms) // 2) % 2 == 0, 1.0, -1.0)
-            row *= sj * sm
-        return row
-
     def coupling_block(self, tj: int, eta: float) -> np.ndarray:
-        """Spin-j coupling matrix A_j(eta) over m, m' = -j..j (ascending)."""
+        """Spin-j coupling matrix A_j(eta) over m, m' = -j..j (ascending).
+
+        A_j = R^T diag(w) R, where row k of R holds C(k; j, m) for every flip
+        count with |n/2 - k| <= j and w holds the flip probabilities.
+        """
         n = self.n
-        dim = tj + 1
-        block = np.zeros((dim, dim))
-        for k in range((n - tj + 1) // 2, (n + tj) // 2 + 1):
-            if abs(n - 2 * k) > tj:
-                continue
-            row = self.transfer_row(k, tj)
-            block += dephasing_weight(n, k, eta) * np.outer(row, row)
-        return block
+        ks = np.arange((n - tj) // 2, (n + tj) // 2 + 1)[:, None]
+        tms = np.arange(-tj, tj + 1, 2)
+        kk = np.minimum(ks, n - ks)
+        r = self._c[kk, (tj - n % 2) // 2, (tms + n) // 2]
+        # C(n-k; j, m) = (-1)^(n/2-j) (-1)^(n/2-m) C(k; j, m)
+        r = np.where((ks > kk) & (((n - tj) // 2 + (n - tms) // 2) % 2 == 1), -r, r)
+        return r.T @ (_flip_probabilities(n, ks, eta) * r)
 
 
 @lru_cache(maxsize=4)
@@ -393,10 +387,14 @@ def dephasing_tables(n: int) -> DephasingTables:
 
 
 @lru_cache(maxsize=4)
-def coupling_blocks(n: int, eta: float) -> dict:
+def coupling_blocks(n: int, eta: float) -> Mapping[int, np.ndarray]:
     """All spin-j coupling matrices of the local-dephasing channel for n
-    particles, keyed by doubled j.  Memoized per (n, eta)."""
+    particles, keyed by doubled j.  Memoized per (n, eta), so the mapping
+    and its arrays are read-only."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"dephasing parameter eta={eta} outside [0, 1]")
     tables = dephasing_tables(n)
-    return {tj: tables.coupling_block(tj, eta) for tj in allowed_twice_j(n)}
+    blocks = {tj: tables.coupling_block(tj, eta) for tj in allowed_twice_j(n)}
+    for block in blocks.values():
+        block.setflags(write=False)
+    return MappingProxyType(blocks)

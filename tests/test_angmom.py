@@ -1,19 +1,75 @@
 """Angular-momentum kernel tests: exact coupling coefficients against dense
 two-spin diagonalization, transfer coefficients against the full
-tensor-product channel, and the bulk-table fast path against the exact path.
+tensor-product channel, and the bulk-table fast path against the exact path
+and against a per-(k, m) LAPACK tridiagonal reference.
 """
 
 import math
-from math import comb
+from fractions import Fraction
+from math import comb, lgamma
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dstev
 
 from phaselim import oracles
 from phaselim.angmom import (CgKey, HalfInt, allowed_twice_j, clebsch_gordan,
-                             coupling_matrix_entry, dephasing_tables,
-                             dephasing_weight, multiplicity_dimension,
-                             transfer_coefficient)
+                             coupling_blocks, coupling_matrix_entry,
+                             dephasing_tables, dephasing_weight,
+                             multiplicity_dimension, transfer_coefficient)
+
+
+def _stretched_column(n, k, tm, tmts):
+    """Decomposition of |n/2, m> over |k/2, mt> x |(n-k)/2, m-mt>, in the
+    closed binomial-product form, evaluated in log space."""
+    ln_den = lgamma(n + 1) - lgamma((n - tm) / 2 + 1) - lgamma((n + tm) / 2 + 1)
+    a = (k - tmts) / 2.0
+    b = ((n - k) - (tm - tmts)) / 2.0
+    ln1 = lgamma(k + 1) - np.vectorize(lgamma)(a + 1) - np.vectorize(lgamma)(k - a + 1)
+    ln2 = (lgamma(n - k + 1) - np.vectorize(lgamma)(b + 1)
+           - np.vectorize(lgamma)(n - k - b + 1))
+    return np.exp(0.5 * (ln1 + ln2 - ln_den))
+
+
+def _dstev_half_table(n):
+    """Reference half table C(k; j, m) for k <= n/2, indexed like the bulk
+    table: one `dstev` tridiagonal eigensolve per (k, m >= 0)."""
+    table = np.zeros((n // 2 + 1, n // 2 + 1, n + 1))
+    for k in range(n // 2 + 1):
+        ja2, jb2 = k, n - k
+        ja, jb = ja2 / 2.0, jb2 / 2.0
+        mat = table[k]
+        for tm in range(n % 2, n + 1, 2):
+            lo = max(-ja2, tm - jb2)
+            hi = min(ja2, tm + jb2)
+            tmts = np.arange(lo, hi + 1, 2)
+            mt = tmts / 2.0
+            mb = (tm - tmts) / 2.0
+            tj_min = max(abs(tm), abs(ja2 - jb2))
+            tjs = np.arange(tj_min, n + 1, 2)
+            if len(tmts) == 1:
+                vecs = np.ones((1, 1))
+                u = np.ones(1)
+            else:
+                diag = ja * (ja + 1) + jb * (jb + 1) + 2.0 * mt * mb
+                off = np.sqrt((ja * (ja + 1) - mt[:-1] * (mt[:-1] + 1))
+                              * (jb * (jb + 1) - mb[:-1] * (mb[:-1] - 1)))
+                _, vecs, info = dstev(diag, off)
+                assert info == 0, (n, k, tm)
+                # Condon-Shortley: component at the top mt is positive
+                sign = np.sign(vecs[-1, :])
+                sign[sign == 0.0] = 1.0
+                vecs = vecs * sign
+                u = _stretched_column(n, k, tm, tmts)
+            flip = np.where(((k - tmts) // 2) % 2 == 0, 1.0, -1.0)
+            coeffs = vecs.T @ (flip * u)
+            jidx = (tjs - n % 2) // 2
+            mat[jidx, (tm + n) // 2] = coeffs
+            if tm != 0:
+                # C(j, -m) = (-1)^(n/2 - j) (-1)^k C(j, m)
+                s = np.where(((n - tjs) // 2 + k) % 2 == 0, 1.0, -1.0)
+                mat[jidx, (n - tm) // 2] = s * coeffs
+    return table
 
 
 class TestHalfInt:
@@ -132,6 +188,12 @@ class TestTransferCoefficient:
                     exact = transfer_coefficient(n, k, HalfInt(tj), HalfInt(tm))
                     assert fast == pytest.approx(exact, abs=2e-13), (n, k, tj, tm)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 51, 120, 200])
+    def test_tables_match_dstev_reference(self, n):
+        # one stacked eigensolve per k against one tridiagonal solve per (k, m)
+        got = dephasing_tables(n)._c
+        assert np.max(np.abs(got - _dstev_half_table(n))) < 2e-12
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
     def test_completeness_over_spin(self, n):
         # the flip-transfer coefficients expand a unit vector over the coupled
@@ -157,17 +219,86 @@ class TestDephasingWeight:
         want = comb(4, 2) * 0.15 ** 2 * 0.85 ** 2
         assert dephasing_weight(4, 2, 0.7) == pytest.approx(want, rel=1e-14)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 63, 128, 200])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 63, 128, 200, 1100])
     @pytest.mark.parametrize("eta", [0.0, 0.3, 0.7, 1.0])
     def test_normalization(self, n, eta):
         total = sum(dephasing_weight(n, k, eta) for k in range(n + 1))
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [0, 1, 10, 550, 700])
+    def test_large_n_matches_exact_rational(self, k):
+        # binom(1100, 550) overflows a float; the log-space form stays finite.
+        # Its log terms reach ~7e3, so its relative error can reach ~1e-12.
+        n, eta = 1100, Fraction(0.7)
+        want = comb(n, k) * ((1 - eta) / 2) ** k * ((1 + eta) / 2) ** (n - k)
+        got = dephasing_weight(n, k, 0.7)
+        assert math.isfinite(got) and got > 0.0
+        assert got == pytest.approx(float(want), rel=1e-11)
+
+    def test_exact_at_parameter_edges(self):
+        # no 0 log 0 = nan at k = 0 or k = n
+        n = 1100
+        assert dephasing_weight(n, 0, 1.0) == 1.0
+        assert dephasing_weight(n, n, 1.0) == 0.0
+        assert dephasing_weight(n, 1, 1.0) == 0.0
+        assert dephasing_weight(n, 0, 0.0) == pytest.approx(2.0 ** -n, rel=1e-12)
+        # 0.15^1100 ~ 1e-906 is below the float range: zero, not nan
+        assert dephasing_weight(n, n, 0.7) == 0.0
+        assert dephasing_weight(n, n, 0.0) == pytest.approx(2.0 ** -n, rel=1e-12)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             dephasing_weight(3, 1, 1.2)
         with pytest.raises(ValueError):
             dephasing_weight(3, 5, 0.5)
+
+
+class TestBulkTableInvariants:
+    """Identities that hold at every N, checked where no exact reference is
+    cheap: N = 200."""
+
+    N = 200
+
+    def test_squares_sum_to_one_over_spin(self):
+        # every (k, m) column of the half table is a unit vector over j; the
+        # k -> n-k half differs only by signs
+        total = np.sum(dephasing_tables(self.N)._c ** 2, axis=1)
+        assert np.max(np.abs(total - 1.0)) < 2e-12
+
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.7])
+    def test_trace_preservation_and_positivity(self, eta):
+        n = self.N
+        diagonal = np.zeros(n + 1)
+        for tj, block in coupling_blocks(n, eta).items():
+            tms = np.arange(-tj, tj + 1, 2)
+            diagonal[(tms + n) // 2] += np.diag(block)
+            assert np.min(np.linalg.eigvalsh(block)) > -1e-12, tj
+        # sum over j >= |m| of A_j[m, m] = 1 for every m
+        assert np.max(np.abs(diagonal - 1.0)) < 2e-12
+
+    def test_noiseless_keeps_only_the_top_block(self):
+        n = self.N
+        blocks = coupling_blocks(n, 1.0)
+        assert np.max(np.abs(blocks[n] - 1.0)) < 2e-12
+        for tj in allowed_twice_j(n - 2):
+            assert not np.any(blocks[tj]), tj
+
+
+class TestCachedResultsAreReadOnly:
+    def test_coupling_blocks_cannot_be_overwritten(self):
+        before = coupling_blocks(3, 0.7)[3].copy()
+        with pytest.raises(ValueError):
+            coupling_blocks(3, 0.7)[3][0, 0] = 99.0
+        with pytest.raises(TypeError):
+            coupling_blocks(3, 0.7)[3] = np.zeros((4, 4))
+        np.testing.assert_array_equal(coupling_blocks(3, 0.7)[3], before)
+
+    def test_table_cannot_be_overwritten(self):
+        tables = dephasing_tables(3)
+        before = tables.transfer(1, 3, 1)
+        with pytest.raises(ValueError):
+            tables._c[0, 0, 0] = 99.0
+        assert dephasing_tables(3).transfer(1, 3, 1) == before
 
 
 class TestCouplingMatrixEntry:
@@ -188,7 +319,7 @@ class TestCouplingMatrixEntry:
     @pytest.mark.parametrize("eta", [0.3, 0.7])
     def test_blocks_match_tensor_product_kraus_oracle(self, n, eta):
         # assemble each spin-j block from per-entry coupling coefficients and
-        # compare with the full 2^n channel, entrywise
+        # compare with the full 2^n channel, entrywise; the bulk blocks too
         state = oracles.random_state(n, seed=10 * n + int(10 * eta))
         brute = oracles.brute_dephasing_blocks(state, eta)
         c = state.amplitudes
@@ -198,8 +329,9 @@ class TestCouplingMatrixEntry:
             coupling = np.array([[coupling_matrix_entry(
                 n, HalfInt(tj), HalfInt(tm), HalfInt(tm2), eta)
                 for tm2 in tms] for tm in tms])
-            got = coupling * np.outer(c[idx], c[idx].conj())
-            assert np.max(np.abs(got - want)) < 1e-12
+            for weight in (coupling, coupling_blocks(n, eta)[tj]):
+                got = weight * np.outer(c[idx], c[idx].conj())
+                assert np.max(np.abs(got - want)) < 1e-12
 
     def test_two_qubit_value_from_oracle(self):
         state = oracles.random_state(2, seed=3)
