@@ -29,7 +29,7 @@ from scipy.linalg import eigh_tridiagonal
 from .angmom import coupling_blocks
 from .qcore import (CollectiveDephasing, LocalDephasing, Loss, NoiseFree,
                     NoiseModel, SymmetricPureState, channel_blocks,
-                    compose_collective, _loss_amplitude)
+                    compose_collective, _loss_table)
 from .qfi_opt import IterationConfig, maximize_qfi_over_states
 
 __all__ = [
@@ -135,13 +135,8 @@ def _m_offdiagonal(n: int, noise: NoiseModel) -> np.ndarray:
             rows = (tms[:-1] + n) // 2
             off[rows] += np.diagonal(block, offset=1)
     elif isinstance(noise, Loss):
-        for l0 in range(n + 1):
-            for l1 in range(n - l0 + 1):
-                b = _loss_amplitude(n, l0, l1, noise.eta)
-                if b.size < 2:
-                    continue
-                ns = np.arange(l0, n - l1)
-                off[ns] += b[:-1] * b[1:]
+        _, _, b = _loss_table(n, noise.eta)
+        off[:] = np.einsum("si,si->i", b[:, :-1], b[:, 1:])
     elif isinstance(noise, CollectiveDephasing):
         off[:] = math.exp(-noise.gamma / 2.0)
     else:

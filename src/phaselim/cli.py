@@ -111,11 +111,6 @@ def _asymptote_for(noise: NoiseModel, method: str,
     raise ValueError(f"unsupported noise model {noise!r}")
 
 
-def _noise_free_qfi_exact(n: int) -> float:
-    # the optimizer reproduces this; the closed value keeps sweeps cheap
-    return float(n * n)
-
-
 def _sweep_row(cfg: SweepConfig, n: int, method: str,
                warm: Dict[str, "qcore.SymmetricPureState"]) -> PrecisionRecord:
     """One (N, method) row; `warm` carries the previous optimum per method."""

@@ -281,21 +281,28 @@ class ChannelBlock:
         return np.outer(self.amplitude, self.amplitude)
 
 
-def _loss_amplitude(n: int, l0: int, l1: int, eta: float) -> np.ndarray:
-    """Damping amplitudes B^n_{l0 l1} = sqrt(binom(n,l0) binom(N-n,l1)
-    eta^(N-l0-l1) (1-eta)^(l0+l1)) for n = l0..N-l1, in log space."""
-    ns = np.arange(l0, n - l1 + 1)
-    expo = 0.0
-    if n - l0 - l1 > 0:
-        expo += (n - l0 - l1) * (math.log(eta) if eta > 0.0 else -math.inf)
-    if l0 + l1 > 0:
-        expo += (l0 + l1) * (math.log1p(-eta) if eta < 1.0 else -math.inf)
-    if expo == -math.inf:
-        return np.zeros(len(ns))
+def _loss_table(n: int, eta: float):
+    """Damping amplitudes of every loss pattern as one zero-padded table.
+
+    Returns (l0, l1, B): row s holds B^i_{l0 l1} = sqrt(binom(i,l0)
+    binom(N-i,l1) eta^(N-l0-l1) (1-eta)^(l0+l1)) over the input index
+    i = 0..N, zero outside l0 <= i <= N-l1; the S = (N+1)(N+2)/2 patterns run
+    over l0 + l1 <= N.  Built in log space, exact at eta in {0, 1}.
+    """
+    from scipy.special import xlogy
+    l0, l1 = np.triu_indices(n + 1)
+    l1 = l1 - l0
     lg = _lgamma_table(n + 2)
-    lb = (lg[ns + 1] - lg[l0 + 1] - lg[ns - l0 + 1]
-          + lg[n - ns + 1] - lg[l1 + 1] - lg[n - ns - l1 + 1])
-    return np.exp(0.5 * (lb + expo))
+    # lbin[k, i] = log binom(i, k) for k, i = 0..N; -inf where k > i
+    lbin = np.full((n + 1, n + 1), -np.inf)
+    i, k = np.tril_indices(n + 1)
+    lbin[k, i] = lg[i + 1] - lg[k + 1] - lg[i - k + 1]
+    expo = xlogy(n - l0 - l1, eta) + xlogy(l0 + l1, 1.0 - eta)
+    # log binom(N - i, l1) is row l1 of lbin read backwards
+    table = lbin[l0] + lbin[l1, ::-1]
+    table += expo[:, None]
+    table *= 0.5
+    return l0, l1, np.exp(table, out=table)
 
 
 def collective_weight(twice_j: int, gamma: float) -> np.ndarray:
@@ -322,16 +329,15 @@ def channel_blocks(noise: NoiseModel, n: int) -> List[ChannelBlock]:
                                        weight=w))
         return blocks
     if isinstance(noise, Loss):
+        # rows of the loss table; patterns that receive no weight are dropped
+        l0s, l1s, table = _loss_table(n, noise.eta)
         blocks = []
-        for l0 in range(n + 1):
-            for l1 in range(n + 1 - l0):
-                amp = _loss_amplitude(n, l0, l1, noise.eta)
-                if not np.any(amp):
-                    continue
-                ns = np.arange(l0, n - l1 + 1)
-                m = ns - (n + l0 - l1) / 2.0
-                blocks.append(ChannelBlock(("loss", l0, l1), ns, m,
-                                           amplitude=amp))
+        for s in np.flatnonzero(table.any(axis=1)).tolist():
+            l0, l1 = int(l0s[s]), int(l1s[s])
+            win = slice(l0, n - l1 + 1)
+            blocks.append(ChannelBlock(("loss", l0, l1), full_idx[win],
+                                       full_m[win] - (l0 - l1) / 2.0,
+                                       amplitude=table[s, win]))
         return blocks
     if isinstance(noise, CollectiveDephasing):
         return [ChannelBlock(("j", n), full_idx, full_m,
@@ -396,16 +402,14 @@ def apply_loss(state: SymmetricPureState, eta: float) -> SectorMixture:
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta={eta} outside [0, 1]")
     n = state.n_particles
-    c = state.amplitudes
+    l0s, l1s, table = _loss_table(n, eta)
+    v = table * state.amplitudes
+    p = np.einsum("si,si->s", v, v.conj()).real
     comps = []
-    for l0 in range(n + 1):
-        for l1 in range(n + 1 - l0):
-            b = _loss_amplitude(n, l0, l1, eta)
-            v = b * c[l0:n - l1 + 1]
-            p = float(np.vdot(v, v).real)
-            if p <= 0.0:
-                continue
-            comps.append(LossComponent(l0, l1, p, v / math.sqrt(p)))
+    for s in np.flatnonzero(p > 0.0):
+        l0, l1 = int(l0s[s]), int(l1s[s])
+        comps.append(LossComponent(l0, l1, float(p[s]),
+                                   v[s, l0:n - l1 + 1] / math.sqrt(p[s])))
     return SectorMixture(n, eta, comps)
 
 

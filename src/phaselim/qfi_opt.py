@@ -24,14 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.optimize import minimize
 
-from .qcore import (AngularBlockMatrix, ChannelBlock, Loss, NoiseModel,
-                    SymmetricPureState, channel_blocks, sine_profile_state)
+from .qcore import (EIG_SUPPORT_RTOL, AngularBlockMatrix, ChannelBlock, Loss,
+                    NoiseModel, SymmetricPureState, channel_blocks,
+                    sine_profile_state)
 
 __all__ = [
     "IterationConfig",
@@ -42,8 +42,8 @@ __all__ = [
     "cr_bound",
 ]
 
-EIG_SUPPORT_RTOL = 1e-12
 WEIGHT_FLOOR = 1e-280   # branches with numerically zero weight are skipped
+RANK_ONE_CHUNK = 1024   # rank-one branches per pass of the batched step
 
 
 @dataclass(frozen=True)
@@ -133,52 +133,34 @@ def channel_adjoint_apply(noise: NoiseModel, n: int, operand) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# compiled channel: dense blocks + rank-one branches batched by window size
+# compiled channel: dense blocks + all rank-one branches as one padded table
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _RankOneGroup:
-    """Rank-one branches whose index windows are contiguous runs of equal
-    length: rows of `amplitude` damp the sliding windows of the input at
-    `offsets`, and every branch shares one generator grid `m`."""
-
-    dim: int
-    offsets: np.ndarray      # (S,)
-    amplitude: np.ndarray    # (S, dim)
-    m: np.ndarray            # (dim,)
-
-
 class _CompiledChannel:
+    """Dense blocks as given; rank-one branches stacked into `damping`, the
+    squared amplitudes zero-padded over the full input grid `m`."""
+
     def __init__(self, n: int, blocks: Sequence[ChannelBlock]):
         self.n = n
-        self.dense: List[ChannelBlock] = []
-        self.rank_one: List[ChannelBlock] = []
-        for blk in blocks:
-            if blk.weight is None:
-                self.rank_one.append(blk)
-            else:
-                self.dense.append(blk)
-        self.groups: List[_RankOneGroup] = []
-        by_dim: Dict[int, List[ChannelBlock]] = {}
-        for blk in self.rank_one:
-            idx = blk.indices
-            if len(idx) > 1 and not np.all(np.diff(idx) == 1):
-                raise ValueError("rank-one channel branches must span "
-                                 "contiguous index windows")
-            by_dim.setdefault(len(idx), []).append(blk)
-        for dim, blks in sorted(by_dim.items()):
-            base_m = blks[0].m - (blks[0].m[0] if dim else 0.0)
-            for blk in blks:
-                if not np.allclose(blk.m - blk.m[0], base_m):
-                    raise ValueError("rank-one branches of equal width must "
-                                     "share the generator spacing")
-            self.groups.append(_RankOneGroup(
-                dim=dim,
-                offsets=np.array([int(b.indices[0]) for b in blks]),
-                amplitude=np.vstack([b.amplitude for b in blks]),
-                m=blks[0].m - float(np.mean(blks[0].m)),
-            ))
+        self.m = np.arange(n + 1) - n / 2.0
+        self.dense = [blk for blk in blocks if blk.weight is not None]
+        rank_one = [blk for blk in blocks if blk.weight is None]
+        self.damping = np.zeros((len(rank_one), n + 1))
+        if not rank_one:
+            return
+        lens = [len(blk.indices) for blk in rank_one]
+        rows = np.repeat(np.arange(len(rank_one)), lens)
+        cols = np.concatenate([blk.indices for blk in rank_one])
+        # a branch's generator may differ from the full grid by a constant,
+        # which leaves its QFI and its Heisenberg-picture operator unchanged
+        shift = np.concatenate([blk.m for blk in rank_one]) - self.m[cols]
+        base = np.repeat(shift[np.cumsum(lens) - lens], lens)
+        if not np.allclose(shift, base, rtol=0.0, atol=1e-12):
+            raise ValueError("rank-one branches must carry the input-grid "
+                             "generator up to a constant shift")
+        self.damping[rows, cols] = np.concatenate(
+            [blk.amplitude for blk in rank_one]) ** 2
 
 
 def _step_dense_real(blk: ChannelBlock, cb: np.ndarray, a_out: np.ndarray) -> float:
@@ -199,11 +181,10 @@ def _step_dense_real(blk: ChannelBlock, cb: np.ndarray, a_out: np.ndarray) -> fl
     return f
 
 
-def _step_dense_complex(weight: np.ndarray, m: np.ndarray, indices: np.ndarray,
-                        cb: np.ndarray, a_out: np.ndarray) -> float:
-    sigma = weight * np.outer(cb, cb.conj())
+def _step_dense_complex(blk: ChannelBlock, cb: np.ndarray, a_out: np.ndarray) -> float:
+    sigma = blk.weight * np.outer(cb, cb.conj())
     lam, vec = np.linalg.eigh(sigma)
-    dm = m[:, None] - m[None, :]
+    dm = blk.m[:, None] - blk.m[None, :]
     drho = 1j * dm * sigma
     dp = vec.conj().T @ drho @ vec
     denom = lam[:, None] + lam[None, :]
@@ -212,71 +193,52 @@ def _step_dense_complex(weight: np.ndarray, m: np.ndarray, indices: np.ndarray,
     le = np.where(mask, 2.0 * dp / np.where(mask, denom, 1.0), 0.0)
     f = float(np.sum(denom * np.abs(le) ** 2).real) / 2.0
     lmat = vec @ le @ vec.conj().T
-    y = lmat @ lmat + 2j * (m[:, None] * lmat - lmat * m[None, :])
-    a_out[np.ix_(indices, indices)] += weight * y
+    y = lmat @ lmat + 2j * (blk.m[:, None] * lmat - lmat * blk.m[None, :])
+    a_out[np.ix_(blk.indices, blk.indices)] += blk.weight * y
     return f
 
 
-def _step_group_real(group: _RankOneGroup, c: np.ndarray, a_out: np.ndarray) -> float:
-    """All rank-one branches of one window size at once.
+def _step_rank_one(damping: np.ndarray, m: np.ndarray, c: np.ndarray,
+                   a_out: np.ndarray) -> float:
+    """All rank-one branches at once, real or complex c.
 
-    Each branch output is pure, so the SLD is analytic; the branch weight
-    vector folds into the outer products, and the Heisenberg-picture
-    contributions are accumulated window by window.
+    Branch s (damping row d = b*b) outputs the pure state psi = b c / sqrt(p),
+    so its SLD is 2i(|a><psi| - |psi><a|) with a = (m - mbar) psi, and it
+    adds 4 p |a|^2 to F.  Its Heisenberg-picture term is, with P = b psi,
+    Q = b a and R = b (m - mbar) a, 4(3 Q Q^H + |a|^2 P P^H - R P^H - P R^H);
+    centring m on each branch mean mbar costs nothing, because a constant
+    shift of the generator cancels.  Stacking the rows turns the sums over
+    branches into two GEMMs.  Rows go in chunks of RANK_ONE_CHUNK to bound
+    the temporaries.
     """
-    d = group.dim
-    if d < 2:
-        return 0.0  # single-point windows carry no phase information
-    m = group.m
-    windows = sliding_window_view(c, d)[group.offsets]     # (S, d)
-    v = group.amplitude * windows
-    p = np.einsum("si,si->s", v, v)
-    live = p > WEIGHT_FLOOR
-    if not np.any(live):
-        return 0.0
-    v = v[live]
-    b = group.amplitude[live]
-    offs = group.offsets[live]
-    p = p[live]
-    psi = v / np.sqrt(p)[:, None]
-    prob = psi * psi
-    mbar = prob @ m
-    a = (m[None, :] - mbar[:, None]) * psi
-    na2 = np.einsum("si,si->s", a, a)
-    f = float(4.0 * np.sum(p * na2))
-    # fold the damping vector into each factor, then assemble
-    bh_a = b * a
-    bh_psi = b * psi
-    bh_ma = b * (m[None, :] * a)
-    bh_mpsi = b * (m[None, :] * psi)
-    contrib = 4.0 * (np.einsum("si,sj->sij", bh_a, bh_a)
-                     + na2[:, None, None] * np.einsum("si,sj->sij", bh_psi, bh_psi)
-                     - np.einsum("si,sj->sij", bh_ma, bh_psi)
-                     - np.einsum("si,sj->sij", bh_psi, bh_ma)
-                     + np.einsum("si,sj->sij", bh_mpsi, bh_a)
-                     + np.einsum("si,sj->sij", bh_a, bh_mpsi))
-    for s, off in enumerate(offs):
-        a_out[off:off + d, off:off + d] += contrib[s]
+    f = 0.0
+    c2 = (c * c.conj()).real
+    for lo in range(0, len(damping), RANK_ONE_CHUNK):
+        d = damping[lo:lo + RANK_ONE_CHUNK]
+        w = d * c2
+        p = w.sum(axis=1)
+        live = p > WEIGHT_FLOOR
+        if not live.all():
+            d, w, p = d[live], w[live], p[live]
+        w /= p[:, None]                         # |psi|^2
+        mc = m - (w @ m)[:, None]
+        na2 = np.einsum("si,si->s", w, mc * mc)
+        f += 4.0 * float(p @ na2)
+        pb = d * c / np.sqrt(p)[:, None]        # P
+        q = mc * pb                             # Q
+        z = (pb * (0.5 * na2)[:, None] - mc * q).T @ pb.conj()
+        a_out += 4.0 * (3.0 * (q.T @ q.conj()) + z + z.conj().T)
     return f
 
 
 def _iteration_step(channel: _CompiledChannel, c: np.ndarray):
     """Return (F(c), A(c)); A is real symmetric for real c, else Hermitian."""
-    n = channel.n
-    if np.iscomplexobj(c):
-        a_out = np.zeros((n + 1, n + 1), dtype=complex)
-        f = 0.0
-        for blk in channel.dense + channel.rank_one:
-            f += _step_dense_complex(blk.dense_weight(), blk.m, blk.indices,
-                                     c[blk.indices], a_out)
-        return f, a_out
-    a_out = np.zeros((n + 1, n + 1))
+    a_out = np.zeros((channel.n + 1, channel.n + 1), dtype=c.dtype)
+    step = _step_dense_complex if np.iscomplexobj(c) else _step_dense_real
     f = 0.0
     for blk in channel.dense:
-        f += _step_dense_real(blk, c[blk.indices], a_out)
-    for group in channel.groups:
-        f += _step_group_real(group, c, a_out)
-    return f, a_out
+        f += step(blk, c[blk.indices], a_out)
+    return f + _step_rank_one(channel.damping, channel.m, c, a_out), a_out
 
 
 def _fix_phase(c: np.ndarray) -> np.ndarray:

@@ -3,11 +3,14 @@ oracles, plus the structural invariants (trace, positivity, semigroup,
 residuals, bounds)."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from phaselim import oracles
+from phaselim.bayes import covariant_m_matrix
 from phaselim.qcore import (AngularBlockMatrix, CollectiveDephasing,
                             LocalDephasing, Loss, NoiseFree,
                             SymmetricPureState, apply_collective_dephasing,
@@ -15,11 +18,29 @@ from phaselim.qcore import (AngularBlockMatrix, CollectiveDephasing,
                             compose_collective, fidelity_qfi_check,
                             generator_commutator, lift_pure, noon_state,
                             product_plus_state, qfi, qfi_loss, resample_state,
-                            sine_profile_state, sld, state_qfi)
+                            sine_profile_state, sld, state_qfi, _loss_table)
 
 
 def plus_state() -> SymmetricPureState:
     return SymmetricPureState(1, [1 / math.sqrt(2)] * 2)
+
+
+def _loss_amplitude(n, l0, l1, eta):
+    """Reference damping amplitudes of one loss pattern, B^i_{l0 l1} =
+    sqrt(binom(i,l0) binom(N-i,l1) eta^(N-l0-l1) (1-eta)^(l0+l1)) for
+    i = l0..N-l1, in log space: the per-pattern builder the table replaced."""
+    ns = np.arange(l0, n - l1 + 1)
+    expo = 0.0
+    if n - l0 - l1 > 0:
+        expo += (n - l0 - l1) * (math.log(eta) if eta > 0.0 else -math.inf)
+    if l0 + l1 > 0:
+        expo += (l0 + l1) * (math.log1p(-eta) if eta < 1.0 else -math.inf)
+    if expo == -math.inf:
+        return np.zeros(len(ns))
+    lg = gammaln(np.arange(n + 2, dtype=float))
+    lb = (lg[ns + 1] - lg[l0 + 1] - lg[ns - l0 + 1]
+          + lg[n - ns + 1] - lg[l1 + 1] - lg[n - ns - l1 + 1])
+    return np.exp(0.5 * (lb + expo))
 
 
 class TestStates:
@@ -402,3 +423,79 @@ class TestChannelBlocks:
             for blk in blocks:
                 diag[blk.indices] += np.diag(blk.dense_weight())
             assert np.allclose(diag, 1.0, atol=1e-12)
+
+
+class TestLossTable:
+    @pytest.mark.parametrize("n", [1, 2, 3, 25, 120])
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.7, 1.0])
+    def test_matches_per_pattern_reference(self, n, eta):
+        l0s, l1s, table = _loss_table(n, eta)
+        assert table.shape == ((n + 1) * (n + 2) // 2, n + 1)
+        keys = [(l0, l1) for l0 in range(n + 1) for l1 in range(n + 1 - l0)]
+        assert list(zip(l0s.tolist(), l1s.tolist())) == keys
+        for row, (l0, l1) in zip(table, keys):
+            np.testing.assert_allclose(row[l0:n - l1 + 1],
+                                       _loss_amplitude(n, l0, l1, eta),
+                                       rtol=1e-13, atol=0.0)
+            assert not np.any(row[:l0]) and not np.any(row[n - l1 + 1:])
+
+    @pytest.mark.parametrize("eta", [0.3, 0.7])
+    def test_squares_match_exact_rationals(self, eta):
+        # B^2 against binom(i,l0) binom(N-i,l1) eta^a (1-eta)^b in exact
+        # rational arithmetic, on every 53rd pattern at N = 120
+        n = 120
+        l0s, l1s, table = _loss_table(n, eta)
+        q = Fraction(eta)
+        for s in range(0, len(table), 53):
+            l0, l1 = int(l0s[s]), int(l1s[s])
+            for i in range(l0, n - l1 + 1):
+                exact = (math.comb(i, l0) * math.comb(n - i, l1)
+                         * q ** (n - l0 - l1) * (1 - q) ** (l0 + l1))
+                assert table[s, i] ** 2 == pytest.approx(float(exact), rel=5e-13)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.7, 1.0])
+    def test_trace_preserving_at_n200(self, eta):
+        # sum over loss patterns of B[s, i]^2 is one for every input index i
+        _, _, table = _loss_table(200, eta)
+        assert np.all(np.isfinite(table))
+        assert np.max(np.abs(np.sum(table ** 2, axis=0) - 1.0)) < 1e-12
+
+    def test_exact_at_the_edges(self):
+        n = 9
+        l0s, l1s, table = _loss_table(n, 1.0)
+        assert np.array_equal(table[0], np.ones(n + 1))   # (0, 0): no loss
+        assert not np.any(table[1:])
+        l0s, l1s, table = _loss_table(n, 0.0)
+        for row, l0, l1 in zip(table, l0s, l1s):
+            expected = np.zeros(n + 1)
+            if l0 + l1 == n:                                # everything lost
+                expected[l0] = 1.0
+            assert np.array_equal(row, expected)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 30])
+    def test_channel_blocks_are_table_rows(self, n):
+        eta = 0.6
+        blocks = channel_blocks(Loss(eta), n)
+        keys = [(l0, l1) for l0 in range(n + 1) for l1 in range(n + 1 - l0)]
+        assert [blk.key[1:] for blk in blocks] == keys
+        _, _, table = _loss_table(n, eta)
+        for blk, row in zip(blocks, table):
+            l0, l1 = blk.key[1:]
+            assert np.array_equal(blk.indices, np.arange(l0, n - l1 + 1))
+            assert np.array_equal(blk.m, blk.indices - (n + l0 - l1) / 2.0)
+            assert np.array_equal(blk.amplitude, row[l0:n - l1 + 1])
+
+    def test_zero_weight_patterns_dropped(self):
+        assert [blk.key for blk in channel_blocks(Loss(1.0), 4)] == [("loss", 0, 0)]
+        assert len(channel_blocks(Loss(0.0), 4)) == 5
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 30, 61])
+    @pytest.mark.parametrize("eta", [0.0, 0.4, 1.0])
+    def test_m_matrix_offdiagonal_matches_pattern_sum(self, n, eta):
+        off = np.zeros(n)
+        for l0 in range(n + 1):
+            for l1 in range(n + 1 - l0):
+                b = _loss_amplitude(n, l0, l1, eta)
+                off[l0:n - l1] += b[:-1] * b[1:]
+        got = np.diagonal(covariant_m_matrix(n, Loss(eta)), offset=1)
+        assert np.max(np.abs(got - off)) < 1e-13

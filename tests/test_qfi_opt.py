@@ -6,14 +6,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from phaselim import oracles
-from phaselim.qcore import (AngularBlockMatrix, CollectiveDephasing,
-                            LocalDephasing, Loss, NoiseFree,
-                            SymmetricPureState, apply_dephasing, apply_loss,
-                            channel_blocks, noon_state,
-                            product_plus_state, state_qfi)
-from phaselim.qfi_opt import (IterationConfig, channel_adjoint_apply, cr_bound,
+from phaselim import oracles, qfi_opt
+from phaselim.qcore import (AngularBlockMatrix, ChannelBlock,
+                            CollectiveDephasing, LocalDephasing, Loss,
+                            NoiseFree, SymmetricPureState, apply_dephasing,
+                            apply_loss, channel_blocks, noon_state,
+                            product_plus_state, qfi_loss, state_qfi)
+from phaselim.qfi_opt import (IterationConfig, _CompiledChannel,
+                              _iteration_step, channel_adjoint_apply, cr_bound,
                               maximize_qfi_over_states, qfi_iterate)
 
 
@@ -262,3 +264,77 @@ class TestEngineOnExplicitBlocks:
         with pytest.raises(ValueError):
             qfi_iterate(4, NoiseFree(),
                         IterationConfig(initial_state=noon_state(5)))
+
+
+def _random_amplitudes(n, seed, complex_):
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(n + 1)
+    if complex_:
+        c = c + 1j * rng.standard_normal(n + 1)
+    return c / np.linalg.norm(c)
+
+
+def _as_dense(blocks):
+    """The same channel with every rank-one branch given as a dense weight,
+    so that the optimizer step runs the eigendecomposition kernels."""
+    return [ChannelBlock(blk.key, blk.indices, blk.m, weight=blk.dense_weight())
+            for blk in blocks]
+
+
+class TestRankOneKernel:
+    """The batched rank-one step against the dense SLD kernels, its row
+    chunking, and the duality and QFI identities it must satisfy."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 30])
+    @pytest.mark.parametrize("noise", [Loss(0.0), Loss(0.3), Loss(0.7),
+                                       Loss(1.0), NoiseFree()])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_matches_dense_kernels(self, n, noise, complex_):
+        c = _random_amplitudes(n, n, complex_)
+        blocks = channel_blocks(noise, n)
+        f, a = _iteration_step(_CompiledChannel(n, blocks), c)
+        f_ref, a_ref = _iteration_step(_CompiledChannel(n, _as_dense(blocks)), c)
+        assert a.dtype == a_ref.dtype
+        assert f == pytest.approx(f_ref, rel=1e-12, abs=1e-300)
+        assert np.max(np.abs(a - a_ref)) <= 1e-12 * max(np.max(np.abs(a_ref)), 1e-300)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_chunked_equals_unchunked(self, monkeypatch, complex_):
+        n = 60
+        c = _random_amplitudes(n, 4, complex_)
+        channel = _CompiledChannel(n, channel_blocks(Loss(0.7), n))
+        monkeypatch.setattr(qfi_opt, "RANK_ONE_CHUNK", len(channel.damping))
+        f_ref, a_ref = _iteration_step(channel, c)
+        monkeypatch.setattr(qfi_opt, "RANK_ONE_CHUNK", 7)
+        f, a = _iteration_step(channel, c)
+        assert f == pytest.approx(f_ref, rel=1e-13)
+        assert np.max(np.abs(a - a_ref)) <= 1e-13 * np.max(np.abs(a_ref))
+
+    def test_generator_off_the_input_grid_rejected(self):
+        blk = ChannelBlock(("x",), np.arange(3), np.array([0.0, 1.0, 3.0]),
+                           amplitude=np.ones(3))
+        with pytest.raises(ValueError):
+            _CompiledChannel(2, [blk])
+
+    def test_shifted_generator_accepted(self):
+        n = 4
+        c = _random_amplitudes(n, 1, False)
+        blk = channel_blocks(NoiseFree(), n)[0]
+        shifted = ChannelBlock(blk.key, blk.indices, blk.m + 2.5,
+                               amplitude=blk.amplitude)
+        f, a = _iteration_step(_CompiledChannel(n, [blk]), c)
+        f_s, a_s = _iteration_step(_CompiledChannel(n, [shifted]), c)
+        assert f_s == pytest.approx(f, rel=1e-14)
+        assert np.allclose(a_s, a, rtol=0.0, atol=1e-13 * np.max(np.abs(a)))
+
+    # WEIGHT_FLOOR drops branches of weight below 1e-280, so F may differ by
+    # that much in absolute terms when eta sits next to 0 or 1
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(n=st.integers(1, 40), eta=st.floats(0.0, 1.0),
+           complex_=st.booleans(), seed=st.integers(0, 2 ** 16))
+    def test_duality_and_qfi_identity(self, n, eta, complex_, seed):
+        c = _random_amplitudes(n, seed, complex_)
+        f, a = _iteration_step(_CompiledChannel(n, channel_blocks(Loss(eta), n)), c)
+        assert np.vdot(c, a @ c).real == pytest.approx(-f, rel=1e-11, abs=1e-250)
+        f_forward = qfi_loss(apply_loss(SymmetricPureState(n, c), eta))
+        assert f == pytest.approx(f_forward, rel=1e-11, abs=1e-250)
