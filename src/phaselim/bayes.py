@@ -26,10 +26,8 @@ from typing import List, Mapping, Optional, Tuple, Union
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .angmom import coupling_blocks
-from .qcore import (CollectiveDephasing, LocalDephasing, Loss, NoiseFree,
-                    NoiseModel, SymmetricPureState, channel_blocks,
-                    compose_collective, _loss_table)
+from .qcore import (NoiseModel, SymmetricPureState, channel_blocks,
+                    compose_collective)
 from .qfi_opt import IterationConfig, maximize_qfi_over_states
 
 __all__ = [
@@ -124,23 +122,13 @@ class IndefiniteBound:
 
 
 def _m_offdiagonal(n: int, noise: NoiseModel) -> np.ndarray:
-    """Super-diagonal of the covariant cost matrix M (length N+1 - 1)."""
-    off = np.zeros(n)
-    if isinstance(noise, NoiseFree):
-        off[:] = 1.0
-    elif isinstance(noise, LocalDephasing):
-        # sum over every spin sector that supports both m and m+1
-        for tj, block in coupling_blocks(n, noise.eta).items():
-            tms = np.arange(-tj, tj + 1, 2)
-            rows = (tms[:-1] + n) // 2
-            off[rows] += np.diagonal(block, offset=1)
-    elif isinstance(noise, Loss):
-        _, _, b = _loss_table(n, noise.eta)
-        off[:] = np.einsum("si,si->i", b[:, :-1], b[:, 1:])
-    elif isinstance(noise, CollectiveDephasing):
-        off[:] = math.exp(-noise.gamma / 2.0)
-    else:
-        raise ValueError(f"unsupported noise model: {noise!r}")
+    """Super-diagonal of the covariant cost matrix M (length N+1 - 1): the
+    summed superdiagonals of the channel's block weights."""
+    channel = channel_blocks(noise, n)
+    b = channel.amplitudes
+    off = np.einsum("si,si->i", b[:, :-1], b[:, 1:])
+    for blk in channel.blocks:
+        off[blk.indices[:-1]] += np.diagonal(blk.weight, offset=1)
     return off
 
 

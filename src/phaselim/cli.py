@@ -73,6 +73,10 @@ class SweepConfig:
             raise ValueError("bayes-gauss requires --prior-width")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if self.n_step < 1:
+            raise ValueError("n_step must be >= 1")
+        if self.prior_width is not None and self.prior_width <= 0.0:
+            raise ValueError("prior width must be positive")
 
     def n_grid(self) -> List[int]:
         if self.grid == "linear":

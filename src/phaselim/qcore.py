@@ -4,29 +4,33 @@ An N-qubit permutation-symmetric pure state is a vector of N+1 amplitudes in
 the mode-occupation basis |n, N-n>, equivalently the total-spin basis
 |N/2, m = n - N/2>.  Every noise model handled here commutes with the phase
 encoding U_phi = exp(+i H phi), H = sum sigma_z/2, and acts on a symmetric
-input as a family of blocks
+input as a family of output blocks
 
     sigma_b = W_b * (c c^dagger restricted to the block's indices)
 
 (elementwise product), where W_b is a real symmetric positive semidefinite
-multiplier:
+multiplier.  `channel_blocks` returns them as one `Channel` in two parts:
 
-* no noise          -- one block, W = all-ones (pure output);
-* local dephasing   -- one block per total spin j, W = the spin-j coupling
-                       matrix built from transfer coefficients;
-* photon loss       -- one block per loss pattern (l0, l1), W = b b^T with
-                       binomial amplitude damping b (pure branch);
-* collective dephasing -- one block, W_{m,m'} = exp(-Gamma (m-m')^2 / 2).
+* dense blocks (key, indices, W):
+  - local dephasing -- one block per total spin j, W = the spin-j coupling
+    matrix built from transfer coefficients;
+  - collective dephasing -- one block, W_{m,m'} = exp(-Gamma (m-m')^2 / 2);
+* one table of rank-one amplitudes over the full input grid, one row b per
+  pure output branch, keyed by the loss pattern (l0, l1); the branch has
+  W = b b^T on the window l0 <= n <= N - l1 where b is nonzero:
+  - photon loss -- one row per loss pattern, b = binomial amplitude damping;
+  - no noise    -- one all-ones row (0, 0).
 
 The phase generator acts diagonally within each block, so derivatives,
-symmetric logarithmic derivatives and the QFI all stay blockwise.
+symmetric logarithmic derivatives and the QFI all stay blockwise.  One SLD
+kernel serves `sld`/`qfi`, `state_qfi` and the optimizer's dense step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Union
 
 import numpy as np
@@ -36,6 +40,8 @@ from .angmom import coupling_blocks
 __all__ = [
     "SymmetricPureState",
     "AngularBlockMatrix",
+    "Channel",
+    "ChannelBlock",
     "SectorMixture",
     "LossComponent",
     "NoiseFree",
@@ -46,6 +52,7 @@ __all__ = [
     "noon_state",
     "product_plus_state",
     "sine_profile_state",
+    "resample_state",
     "apply_dephasing",
     "apply_loss",
     "apply_collective_dephasing",
@@ -54,13 +61,16 @@ __all__ = [
     "sld",
     "qfi",
     "qfi_loss",
+    "state_qfi",
     "fidelity_qfi_check",
     "channel_blocks",
-    "ChannelBlock",
+    "compose_collective",
 ]
 
 EIG_SUPPORT_RTOL = 1e-12     # SLD support cutoff relative to largest eigenvalue
 PSD_ATOL = 1e-8              # tolerated negative eigenvalue before raising
+WEIGHT_FLOOR = 1e-280        # rank-one branches with numerically zero weight are skipped
+RANK_ONE_CHUNK = 1024        # rank-one branches per pass of the batched step
 
 
 def m_grid(twice_j: int) -> np.ndarray:
@@ -162,10 +172,6 @@ class AngularBlockMatrix:
     def trace(self) -> float:
         return float(sum(np.trace(b).real for b in self.blocks.values()))
 
-    def copy(self) -> "AngularBlockMatrix":
-        return AngularBlockMatrix(self.n_particles,
-                                  {tj: b.copy() for tj, b in self.blocks.items()})
-
     def hermiticity_defect(self) -> float:
         return max((np.max(np.abs(b - b.conj().T)) if b.size else 0.0)
                    for b in self.blocks.values())
@@ -262,23 +268,59 @@ NoiseModel = Union[NoiseFree, LocalDephasing, Loss, CollectiveDephasing]
 
 @dataclass
 class ChannelBlock:
-    """One output block of a phase-covariant channel on symmetric inputs.
-
-    `indices` selects input amplitudes, `m` holds the generator eigenvalues.
-    Dense blocks carry the PSD multiplier `weight`; rank-one blocks carry the
-    damping vector `amplitude` instead (weight = outer(amplitude, amplitude)).
-    """
+    """One dense output block of a phase-covariant channel on symmetric inputs:
+    `indices` selects input amplitudes, `m` holds the generator eigenvalues
+    and `weight` the PSD multiplier W."""
 
     key: tuple
     indices: np.ndarray
     m: np.ndarray
-    weight: Optional[np.ndarray] = None
-    amplitude: Optional[np.ndarray] = None
+    weight: np.ndarray
 
-    def dense_weight(self) -> np.ndarray:
-        if self.weight is not None:
-            return self.weight
-        return np.outer(self.amplitude, self.amplitude)
+
+@dataclass
+class Channel:
+    """A phase-covariant channel on N-particle symmetric inputs: dense blocks
+    plus one table of rank-one branches.
+
+    Row r of `amplitudes` is the damping vector b of loss pattern
+    (l0[r], l1[r]) over the full input grid, zero outside l0 <= n <= N - l1;
+    the branch outputs the pure state b c / |b c| with weight |b c|^2.
+    `len()` counts blocks plus rows.
+    """
+
+    n: int
+    blocks: List[ChannelBlock]
+    l0: np.ndarray
+    l1: np.ndarray
+    amplitudes: np.ndarray
+
+    @classmethod
+    def dense(cls, n: int, blocks: List[ChannelBlock]) -> "Channel":
+        """A channel of dense blocks only."""
+        none = np.zeros(0, dtype=int)
+        return cls(n, blocks, none, none, np.zeros((0, n + 1)))
+
+    def __len__(self) -> int:
+        return len(self.blocks) + len(self.amplitudes)
+
+    @cached_property
+    def damping(self) -> np.ndarray:
+        """Squared amplitudes b*b, which the rank-one QFI step reads."""
+        return self.amplitudes ** 2
+
+    def dense_blocks(self) -> List[ChannelBlock]:
+        """Every block in dense form: the dense blocks, then each row as the
+        block W = b b^T over its window, keyed (l0, l1)."""
+        full_idx = np.arange(self.n + 1)
+        full_m = full_idx - self.n / 2.0
+        out = list(self.blocks)
+        for l0, l1, b in zip(self.l0.tolist(), self.l1.tolist(), self.amplitudes):
+            win = slice(l0, self.n - l1 + 1)
+            out.append(ChannelBlock((l0, l1), full_idx[win],
+                                    full_m[win] - (l0 - l1) / 2.0,
+                                    np.outer(b[win], b[win])))
+        return out
 
 
 def _loss_table(n: int, eta: float):
@@ -312,51 +354,42 @@ def collective_weight(twice_j: int, gamma: float) -> np.ndarray:
     return np.exp(-gamma * dm * dm / 2.0)
 
 
-def channel_blocks(noise: NoiseModel, n: int) -> List[ChannelBlock]:
-    """Block decomposition of the channel for N particles."""
-    full_idx = np.arange(n + 1)
-    full_m = full_idx - n / 2.0
+def channel_blocks(noise: NoiseModel, n: int) -> Channel:
+    """The channel for N particles as dense blocks plus rank-one rows."""
     if isinstance(noise, NoiseFree):
-        return [ChannelBlock(("j", n), full_idx, full_m,
-                             amplitude=np.ones(n + 1))]
+        zero = np.zeros(1, dtype=int)
+        return Channel(n, [], zero, zero, np.ones((1, n + 1)))
+    if isinstance(noise, Loss):
+        # rows of the loss table; patterns that receive no weight are dropped
+        l0, l1, table = _loss_table(n, noise.eta)
+        live = table.any(axis=1)
+        return Channel(n, [], l0[live], l1[live], table[live])
     if isinstance(noise, LocalDephasing):
         blocks = []
         for tj, w in coupling_blocks(n, noise.eta).items():
-            if not np.any(w):
-                continue
-            tms = np.arange(-tj, tj + 1, 2)
-            blocks.append(ChannelBlock(("j", tj), (tms + n) // 2, tms / 2.0,
-                                       weight=w))
-        return blocks
-    if isinstance(noise, Loss):
-        # rows of the loss table; patterns that receive no weight are dropped
-        l0s, l1s, table = _loss_table(n, noise.eta)
-        blocks = []
-        for s in np.flatnonzero(table.any(axis=1)).tolist():
-            l0, l1 = int(l0s[s]), int(l1s[s])
-            win = slice(l0, n - l1 + 1)
-            blocks.append(ChannelBlock(("loss", l0, l1), full_idx[win],
-                                       full_m[win] - (l0 - l1) / 2.0,
-                                       amplitude=table[s, win]))
-        return blocks
+            if np.any(w):
+                tms = np.arange(-tj, tj + 1, 2)
+                blocks.append(ChannelBlock(("j", tj), (tms + n) // 2, tms / 2.0, w))
+        return Channel.dense(n, blocks)
     if isinstance(noise, CollectiveDephasing):
-        return [ChannelBlock(("j", n), full_idx, full_m,
-                             weight=collective_weight(n, noise.gamma))]
-    raise TypeError(f"unsupported noise model: {noise!r}")
+        full_idx = np.arange(n + 1)
+        return Channel.dense(n, [ChannelBlock(("j", n), full_idx, full_idx - n / 2.0,
+                                              collective_weight(n, noise.gamma))])
+    raise ValueError(f"unsupported noise model: {noise!r}")
 
 
-def compose_collective(blocks: List[ChannelBlock], gamma: float) -> List[ChannelBlock]:
+def compose_collective(blocks: Channel, gamma: float) -> Channel:
     """Follow a channel by collective dephasing of strength gamma (the two
-    commute; the Gaussian factor multiplies every block elementwise)."""
+    commute; the Gaussian factor multiplies every block elementwise, so each
+    rank-one row becomes a dense block over its window)."""
     if gamma == 0.0:
         return blocks
     out = []
-    for blk in blocks:
+    for blk in blocks.dense_blocks():
         dm = blk.m[:, None] - blk.m[None, :]
         damp = np.exp(-gamma * dm * dm / 2.0)
-        out.append(ChannelBlock(blk.key, blk.indices, blk.m,
-                                weight=blk.dense_weight() * damp))
-    return out
+        out.append(ChannelBlock(blk.key, blk.indices, blk.m, blk.weight * damp))
+    return Channel.dense(blocks.n, out)
 
 
 # ---------------------------------------------------------------------------
@@ -378,19 +411,12 @@ def apply_dephasing(state: SymmetricPureState, eta: float) -> AngularBlockMatrix
     spin-j coupling matrix; blocks that receive no weight (eta = 1) are
     dropped.  The result has unit trace and is positive semidefinite.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta={eta} outside [0, 1]")
-    n = state.n_particles
     c = state.amplitudes
     out = {}
-    for tj, w in coupling_blocks(n, eta).items():
-        if not np.any(w):
-            continue
-        tms = np.arange(-tj, tj + 1, 2)
-        idx = (tms + n) // 2
-        cb = c[idx]
-        out[tj] = w * np.outer(cb, cb.conj())
-    return AngularBlockMatrix(n, out)
+    for blk in channel_blocks(LocalDephasing(eta), state.n_particles).blocks:
+        cb = c[blk.indices]
+        out[blk.key[1]] = blk.weight * np.outer(cb, cb.conj())
+    return AngularBlockMatrix(state.n_particles, out)
 
 
 def apply_loss(state: SymmetricPureState, eta: float) -> SectorMixture:
@@ -399,17 +425,15 @@ def apply_loss(state: SymmetricPureState, eta: float) -> SectorMixture:
     Each loss pattern (l0, l1) yields one normalized pure component with
     weight p_{l0 l1}; patterns with zero weight are dropped.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta={eta} outside [0, 1]")
     n = state.n_particles
-    l0s, l1s, table = _loss_table(n, eta)
-    v = table * state.amplitudes
+    channel = channel_blocks(Loss(eta), n)
+    v = channel.amplitudes * state.amplitudes
     p = np.einsum("si,si->s", v, v.conj()).real
     comps = []
-    for s in np.flatnonzero(p > 0.0):
-        l0, l1 = int(l0s[s]), int(l1s[s])
-        comps.append(LossComponent(l0, l1, float(p[s]),
-                                   v[s, l0:n - l1 + 1] / math.sqrt(p[s])))
+    for r in np.flatnonzero(p > 0.0):
+        l0, l1 = int(channel.l0[r]), int(channel.l1[r])
+        comps.append(LossComponent(l0, l1, float(p[r]),
+                                   v[r, l0:n - l1 + 1] / math.sqrt(p[r])))
     return SectorMixture(n, eta, comps)
 
 
@@ -440,25 +464,32 @@ def generator_commutator(rho: AngularBlockMatrix) -> AngularBlockMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _sld_block(rho_b: np.ndarray, drho_b: np.ndarray):
-    """SLD of one block via its eigenbasis; returns (L, qfi_contribution).
+def _sld_kernel(rho_b: np.ndarray, k: np.ndarray):
+    """SLD of one Hermitian block in the convention drho = i k, L = i lmat.
 
-    Matrix elements between eigenvectors whose eigenvalue sum falls below
-    EIG_SUPPORT_RTOL * lambda_max are set to zero (null-space convention).
+    Returns (tr(rho L^2), lmat, eigenvalues of rho_b); lmat is real
+    antisymmetric for real input.  Matrix elements between eigenvectors whose
+    eigenvalue sum falls below EIG_SUPPORT_RTOL * lambda_max are set to zero
+    (null-space convention).
     """
+    lam, vec = np.linalg.eigh(rho_b)
+    kp = vec.conj().T @ k @ vec
+    denom = lam[:, None] + lam[None, :]
+    cut = EIG_SUPPORT_RTOL * max(float(lam[-1]), np.finfo(float).tiny)
+    mask = denom > cut
+    lt = np.where(mask, 2.0 * kp / np.where(mask, denom, 1.0), 0.0)
+    f = float(np.sum(denom * lt * lt.conj()).real) / 2.0
+    return f, vec @ lt @ vec.conj().T, lam
+
+
+def _sld_block(rho_b: np.ndarray, drho_b: np.ndarray):
+    """SLD of one block of a given state; returns (L, qfi_contribution)."""
     herm = (rho_b + rho_b.conj().T) / 2.0
-    lam, vec = np.linalg.eigh(herm)
-    lam_max = float(lam[-1]) if lam.size else 0.0
-    if lam.size and float(lam[0]) < -PSD_ATOL * max(lam_max, 1.0):
+    f, lmat, lam = _sld_kernel(herm, -1j * drho_b)
+    if float(lam[0]) < -PSD_ATOL * max(float(lam[-1]), 1.0):
         raise ValueError(
             f"block is not positive semidefinite: min eigenvalue {lam[0]:.3e}")
-    d = vec.conj().T @ drho_b @ vec
-    denom = lam[:, None] + lam[None, :]
-    cut = EIG_SUPPORT_RTOL * max(lam_max, np.finfo(float).tiny)
-    mask = denom > cut
-    l_eig = np.where(mask, 2.0 * d / np.where(mask, denom, 1.0), 0.0)
-    f = float(np.sum(denom * np.abs(l_eig) ** 2).real) / 2.0
-    return vec @ l_eig @ vec.conj().T, f
+    return 1j * lmat, f
 
 
 def sld(rho: AngularBlockMatrix, drho: AngularBlockMatrix) -> AngularBlockMatrix:
@@ -483,23 +514,71 @@ def qfi(rho: AngularBlockMatrix, drho: AngularBlockMatrix) -> float:
     return total
 
 
+def _rank_one_qfi(damping: np.ndarray, c: np.ndarray,
+                  a_out: Optional[np.ndarray]) -> float:
+    """QFI of all rank-one branches at once, real or complex c.
+
+    Branch s (damping row d = b*b) outputs the pure state psi = b c / sqrt(p),
+    so its SLD is 2i(|a><psi| - |psi><a|) with a = (m - mbar) psi, and it
+    adds 4 p |a|^2 to F.  Its Heisenberg-picture term is, with P = b psi,
+    Q = b a and R = b (m - mbar) a, 4(3 Q Q^H + |a|^2 P P^H - R P^H - P R^H);
+    centring m on each branch mean mbar costs nothing, because a constant
+    shift of the generator cancels.  Stacking the rows turns the sums over
+    branches into two GEMMs.  Rows go in chunks of RANK_ONE_CHUNK to bound
+    the temporaries.
+    """
+    n = damping.shape[1] - 1
+    m = np.arange(n + 1) - n / 2.0
+    f = 0.0
+    c2 = (c * c.conj()).real
+    for lo in range(0, len(damping), RANK_ONE_CHUNK):
+        d = damping[lo:lo + RANK_ONE_CHUNK]
+        w = d * c2
+        p = w.sum(axis=1)
+        live = p > WEIGHT_FLOOR
+        if not live.all():
+            d, w, p = d[live], w[live], p[live]
+        w /= p[:, None]                         # |psi|^2
+        mc = m - (w @ m)[:, None]
+        na2 = np.einsum("si,si->s", w, mc * mc)
+        f += 4.0 * float(p @ na2)
+        if a_out is None:
+            continue
+        pb = d * c / np.sqrt(p)[:, None]        # P
+        q = mc * pb                             # Q
+        z = (pb * (0.5 * na2)[:, None] - mc * q).T @ pb.conj()
+        a_out += 4.0 * (3.0 * (q.T @ q.conj()) + z + z.conj().T)
+    return f
+
+
+def _channel_qfi(channel: Channel, c: np.ndarray,
+                 a_out: Optional[np.ndarray] = None) -> float:
+    """QFI of the channel output for input amplitudes c, real or complex.
+
+    With `a_out`, also add into it the Heisenberg-picture operator
+    A = channel_adjoint(L^2 - 2i [H, L]), for which <c|A|c> = -F; A is real
+    symmetric for real c, else Hermitian.
+    """
+    f = 0.0
+    for blk in channel.blocks:
+        cb = c[blk.indices]
+        sigma = blk.weight * np.outer(cb, cb.conj())
+        dm = blk.m[:, None] - blk.m[None, :]
+        f_b, lmat, _ = _sld_kernel(sigma, dm * sigma)
+        f += f_b
+        if a_out is not None:
+            y = -(lmat @ lmat)                  # L^2
+            y -= 2.0 * (blk.m[:, None] * lmat - lmat * blk.m[None, :])
+            a_out[np.ix_(blk.indices, blk.indices)] += blk.weight * y
+    return f + _rank_one_qfi(channel.damping, c, a_out)
+
+
 def state_qfi(state: SymmetricPureState, noise: NoiseModel) -> float:
     """QFI of a fixed input state after the given channel, at the working
     point of the phase orbit."""
-    if isinstance(noise, NoiseFree):
-        m = state.m_values
-        prob = np.abs(state.amplitudes) ** 2
-        mbar = float(np.sum(m * prob))
-        return 4.0 * float(np.sum((m - mbar) ** 2 * prob))
-    if isinstance(noise, LocalDephasing):
-        rho = apply_dephasing(state, noise.eta)
-        return qfi(rho, generator_commutator(rho))
-    if isinstance(noise, Loss):
-        return qfi_loss(apply_loss(state, noise.eta))
-    if isinstance(noise, CollectiveDephasing):
-        rho = apply_collective_dephasing(lift_pure(state), noise.gamma)
-        return qfi(rho, generator_commutator(rho))
-    raise TypeError(f"unsupported noise model: {noise!r}")
+    c = state.amplitudes
+    return _channel_qfi(channel_blocks(noise, state.n_particles),
+                        c.real if state.is_real() else c)
 
 
 def qfi_loss(mix: SectorMixture) -> float:
@@ -521,16 +600,6 @@ def qfi_loss(mix: SectorMixture) -> float:
 # ---------------------------------------------------------------------------
 # finite-difference cross-check via fidelity
 # ---------------------------------------------------------------------------
-
-
-def _output_dense_blocks(state: SymmetricPureState, noise: NoiseModel):
-    """Channel output as a list of dense Hermitian blocks with their m grids."""
-    c = state.amplitudes
-    out = []
-    for blk in channel_blocks(noise, state.n_particles):
-        cb = c[blk.indices]
-        out.append((blk.m, blk.dense_weight() * np.outer(cb, cb.conj())))
-    return out
 
 
 def _phase_shift(block: np.ndarray, m: np.ndarray, phi: float) -> np.ndarray:
@@ -555,8 +624,10 @@ def fidelity_qfi_check(state: SymmetricPureState, noise: NoiseModel,
     O(delta^2) relative."""
     if delta == 0.0:
         raise ValueError("delta must be nonzero")
-    blocks = _output_dense_blocks(state, noise)
+    c = state.amplitudes
     root_fid = 0.0
-    for m, b in blocks:
-        root_fid += _root_fidelity(b, _phase_shift(b, m, delta))
+    for blk in channel_blocks(noise, state.n_particles).dense_blocks():
+        cb = c[blk.indices]
+        b = blk.weight * np.outer(cb, cb.conj())
+        root_fid += _root_fidelity(b, _phase_shift(b, blk.m, delta))
     return 8.0 * (1.0 - root_fid) / delta ** 2

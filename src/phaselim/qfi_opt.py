@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .qcore import (EIG_SUPPORT_RTOL, AngularBlockMatrix, ChannelBlock, Loss,
-                    NoiseModel, SymmetricPureState, channel_blocks,
-                    sine_profile_state)
+from .qcore import (AngularBlockMatrix, Channel, NoiseModel, SymmetricPureState,
+                    _channel_qfi, channel_blocks, sine_profile_state)
 
 __all__ = [
     "IterationConfig",
@@ -41,9 +40,6 @@ __all__ = [
     "maximize_qfi_over_states",
     "cr_bound",
 ]
-
-WEIGHT_FLOOR = 1e-280   # branches with numerically zero weight are skipped
-RANK_ONE_CHUNK = 1024   # rank-one branches per pass of the batched step
 
 
 @dataclass(frozen=True)
@@ -89,156 +85,49 @@ class OptimizationTrace:
 # ---------------------------------------------------------------------------
 
 
-def _adjoint_from_blocks(blocks: Sequence[ChannelBlock], n: int, fetch) -> np.ndarray:
+def channel_adjoint_apply(noise: NoiseModel, n: int, operand) -> np.ndarray:
+    """Apply the channel in the Heisenberg picture, mapping an observable on
+    the output space back to a Hermitian matrix on the (N+1)-dimensional
+    symmetric input space.
+
+    `operand` gives one matrix per output block of `channel_blocks(noise, n)`:
+    either a dict keyed like the blocks (("j", 2j) for a dense spin block,
+    (l0, l1) for a rank-one row), or an AngularBlockMatrix, whose 2j block
+    serves every output block of dimension 2j+1.  For loss the latter is the
+    observable blind to the loss pattern.
+    """
+    if isinstance(operand, AngularBlockMatrix):
+        table, key_of = operand.blocks, lambda blk: len(blk.indices) - 1
+    elif isinstance(operand, dict):
+        table, key_of = operand, lambda blk: blk.key
+    else:
+        raise ValueError("expected an AngularBlockMatrix or a dict operand")
     out = np.zeros((n + 1, n + 1))
-    for blk in blocks:
-        a = np.asarray(fetch(blk.key))
+    for blk in channel_blocks(noise, n).dense_blocks():
+        key = key_of(blk)
+        if key not in table:
+            raise ValueError(f"operand lacks the block {key!r}")
+        a = np.asarray(table[key])
         dim = len(blk.indices)
         if a.shape != (dim, dim):
             raise ValueError(f"operand block {blk.key} has shape {a.shape}, "
                              f"expected {(dim, dim)}")
-        contrib = blk.dense_weight() * a
+        contrib = blk.weight * a
         if np.iscomplexobj(contrib) and not np.iscomplexobj(out):
             out = out.astype(complex)
         out[np.ix_(blk.indices, blk.indices)] += contrib
     return out
 
 
-def channel_adjoint_apply(noise: NoiseModel, n: int, operand) -> np.ndarray:
-    """Apply the channel in the Heisenberg picture, mapping an observable on
-    the output space back to a Hermitian matrix on the (N+1)-dimensional
-    symmetric input space.
-
-    `operand` is an AngularBlockMatrix for the spin-block channels (no noise,
-    local or collective dephasing) and a dict keyed by (l0, l1) for loss.
-    """
-    blocks = channel_blocks(noise, n)
-    if isinstance(noise, Loss):
-        if not isinstance(operand, dict):
-            raise ValueError("loss channel expects a dict keyed by (l0, l1)")
-        missing = [blk.key[1:] for blk in blocks if blk.key[1:] not in operand]
-        if missing:
-            raise ValueError(f"operand is missing loss sectors {missing[:4]} ...")
-        return _adjoint_from_blocks(blocks, n, lambda key: operand[key[1:]])
-    if not isinstance(operand, AngularBlockMatrix):
-        raise ValueError("expected an AngularBlockMatrix operand")
-
-    def fetch(key):
-        tj = key[1]
-        if tj not in operand.blocks:
-            raise ValueError(f"operand lacks the 2j={tj} block")
-        return operand.blocks[tj]
-
-    return _adjoint_from_blocks(blocks, n, fetch)
-
-
 # ---------------------------------------------------------------------------
-# compiled channel: dense blocks + all rank-one branches as one padded table
+# the loop
 # ---------------------------------------------------------------------------
 
 
-class _CompiledChannel:
-    """Dense blocks as given; rank-one branches stacked into `damping`, the
-    squared amplitudes zero-padded over the full input grid `m`."""
-
-    def __init__(self, n: int, blocks: Sequence[ChannelBlock]):
-        self.n = n
-        self.m = np.arange(n + 1) - n / 2.0
-        self.dense = [blk for blk in blocks if blk.weight is not None]
-        rank_one = [blk for blk in blocks if blk.weight is None]
-        self.damping = np.zeros((len(rank_one), n + 1))
-        if not rank_one:
-            return
-        lens = [len(blk.indices) for blk in rank_one]
-        rows = np.repeat(np.arange(len(rank_one)), lens)
-        cols = np.concatenate([blk.indices for blk in rank_one])
-        # a branch's generator may differ from the full grid by a constant,
-        # which leaves its QFI and its Heisenberg-picture operator unchanged
-        shift = np.concatenate([blk.m for blk in rank_one]) - self.m[cols]
-        base = np.repeat(shift[np.cumsum(lens) - lens], lens)
-        if not np.allclose(shift, base, rtol=0.0, atol=1e-12):
-            raise ValueError("rank-one branches must carry the input-grid "
-                             "generator up to a constant shift")
-        self.damping[rows, cols] = np.concatenate(
-            [blk.amplitude for blk in rank_one]) ** 2
-
-
-def _step_dense_real(blk: ChannelBlock, cb: np.ndarray, a_out: np.ndarray) -> float:
-    sigma = blk.weight * np.outer(cb, cb)
-    lam, vec = np.linalg.eigh(sigma)
-    dm = blk.m[:, None] - blk.m[None, :]
-    k = dm * sigma                              # drho = i k, k real antisymmetric
-    kp = vec.T @ k @ vec
-    denom = lam[:, None] + lam[None, :]
-    cut = EIG_SUPPORT_RTOL * max(float(lam[-1]), np.finfo(float).tiny)
-    mask = denom > cut
-    lt = np.where(mask, 2.0 * kp / np.where(mask, denom, 1.0), 0.0)
-    f = float(np.sum(denom * lt * lt)) / 2.0    # tr(rho L^2)
-    lmat = vec @ lt @ vec.T                     # L = i lmat
-    y = -(lmat @ lmat)                          # L^2
-    y -= 2.0 * (blk.m[:, None] * lmat - lmat * blk.m[None, :])
-    a_out[np.ix_(blk.indices, blk.indices)] += blk.weight * y
-    return f
-
-
-def _step_dense_complex(blk: ChannelBlock, cb: np.ndarray, a_out: np.ndarray) -> float:
-    sigma = blk.weight * np.outer(cb, cb.conj())
-    lam, vec = np.linalg.eigh(sigma)
-    dm = blk.m[:, None] - blk.m[None, :]
-    drho = 1j * dm * sigma
-    dp = vec.conj().T @ drho @ vec
-    denom = lam[:, None] + lam[None, :]
-    cut = EIG_SUPPORT_RTOL * max(float(lam[-1]), np.finfo(float).tiny)
-    mask = denom > cut
-    le = np.where(mask, 2.0 * dp / np.where(mask, denom, 1.0), 0.0)
-    f = float(np.sum(denom * np.abs(le) ** 2).real) / 2.0
-    lmat = vec @ le @ vec.conj().T
-    y = lmat @ lmat + 2j * (blk.m[:, None] * lmat - lmat * blk.m[None, :])
-    a_out[np.ix_(blk.indices, blk.indices)] += blk.weight * y
-    return f
-
-
-def _step_rank_one(damping: np.ndarray, m: np.ndarray, c: np.ndarray,
-                   a_out: np.ndarray) -> float:
-    """All rank-one branches at once, real or complex c.
-
-    Branch s (damping row d = b*b) outputs the pure state psi = b c / sqrt(p),
-    so its SLD is 2i(|a><psi| - |psi><a|) with a = (m - mbar) psi, and it
-    adds 4 p |a|^2 to F.  Its Heisenberg-picture term is, with P = b psi,
-    Q = b a and R = b (m - mbar) a, 4(3 Q Q^H + |a|^2 P P^H - R P^H - P R^H);
-    centring m on each branch mean mbar costs nothing, because a constant
-    shift of the generator cancels.  Stacking the rows turns the sums over
-    branches into two GEMMs.  Rows go in chunks of RANK_ONE_CHUNK to bound
-    the temporaries.
-    """
-    f = 0.0
-    c2 = (c * c.conj()).real
-    for lo in range(0, len(damping), RANK_ONE_CHUNK):
-        d = damping[lo:lo + RANK_ONE_CHUNK]
-        w = d * c2
-        p = w.sum(axis=1)
-        live = p > WEIGHT_FLOOR
-        if not live.all():
-            d, w, p = d[live], w[live], p[live]
-        w /= p[:, None]                         # |psi|^2
-        mc = m - (w @ m)[:, None]
-        na2 = np.einsum("si,si->s", w, mc * mc)
-        f += 4.0 * float(p @ na2)
-        pb = d * c / np.sqrt(p)[:, None]        # P
-        q = mc * pb                             # Q
-        z = (pb * (0.5 * na2)[:, None] - mc * q).T @ pb.conj()
-        a_out += 4.0 * (3.0 * (q.T @ q.conj()) + z + z.conj().T)
-    return f
-
-
-def _iteration_step(channel: _CompiledChannel, c: np.ndarray):
+def _iteration_step(channel: Channel, c: np.ndarray):
     """Return (F(c), A(c)); A is real symmetric for real c, else Hermitian."""
     a_out = np.zeros((channel.n + 1, channel.n + 1), dtype=c.dtype)
-    step = _step_dense_complex if np.iscomplexobj(c) else _step_dense_real
-    f = 0.0
-    for blk in channel.dense:
-        f += step(blk, c[blk.indices], a_out)
-    return f + _step_rank_one(channel.damping, channel.m, c, a_out), a_out
+    return _channel_qfi(channel, c, a_out), a_out
 
 
 def _fix_phase(c: np.ndarray) -> np.ndarray:
@@ -252,7 +141,7 @@ def _fix_phase(c: np.ndarray) -> np.ndarray:
     return -c if pivot < 0 else c
 
 
-def _polish_lbfgs(channel: _CompiledChannel, c0: np.ndarray, max_evals: int = 500):
+def _polish_lbfgs(channel: Channel, c0: np.ndarray, max_evals: int = 500):
     """Quasi-Newton refinement of the QFI over the state sphere."""
     n = channel.n
     is_complex = np.iscomplexobj(c0)
@@ -278,7 +167,7 @@ def _polish_lbfgs(channel: _CompiledChannel, c0: np.ndarray, max_evals: int = 50
     return f, _fix_phase(c)
 
 
-def _run_single(channel: _CompiledChannel, c0: np.ndarray, cfg: IterationConfig):
+def _run_single(channel: Channel, c0: np.ndarray, cfg: IterationConfig):
     c = c0.copy()
     history: List[float] = []
     best_f, best_c = -np.inf, c
@@ -311,15 +200,17 @@ def _run_single(channel: _CompiledChannel, c0: np.ndarray, cfg: IterationConfig)
     return best_f, _fix_phase(best_c), history, converged
 
 
-def maximize_qfi_over_states(n: int, blocks: Sequence[ChannelBlock],
+def maximize_qfi_over_states(n: int, blocks: Channel,
                              cfg: Optional[IterationConfig] = None) -> OptimizationTrace:
-    """Run the optimization loop on an explicit channel-block decomposition.
+    """Run the optimization loop on an explicit channel (from `channel_blocks`,
+    possibly composed with `compose_collective`).
 
     This is the engine behind `qfi_iterate`; the Bayesian module reuses it
     with prior-averaged channels.
     """
     cfg = cfg or IterationConfig()
-    channel = _CompiledChannel(n, blocks)
+    if blocks.n != n:
+        raise ValueError(f"channel is for N={blocks.n}, not N={n}")
     if cfg.initial_state is not None:
         if cfg.initial_state.n_particles != n:
             raise ValueError("initial state has the wrong particle number")
@@ -340,7 +231,7 @@ def maximize_qfi_over_states(n: int, blocks: Sequence[ChannelBlock],
             else:
                 c0 = c0 + cfg.perturbation_scale * rng.standard_normal(n + 1)
         c0 = c0 / np.linalg.norm(c0)
-        f, c, history, converged = _run_single(channel, c0, cfg)
+        f, c, history, converged = _run_single(blocks, c0, cfg)
         restart_qfis.append(f)
         if best is None or f > best[0]:
             best = (f, c, history, converged)

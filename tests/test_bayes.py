@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 from phaselim import oracles
+from phaselim.angmom import coupling_blocks
 from phaselim.bayes import (FlatPrior, GaussianPrior,
                             ParticleNumberMixture, bayesian_cr_bound,
                             covariant_cost, covariant_m_matrix,
                             gaussian_prior_cost, indefinite_bayes_bound,
                             mixture_qfi)
 from phaselim.qcore import (CollectiveDephasing, LocalDephasing, Loss,
-                            NoiseFree, resample_state)
+                            NoiseFree, resample_state, _loss_table)
 from phaselim.qfi_opt import IterationConfig, qfi_iterate
 
 
@@ -22,7 +23,38 @@ def analytic_noise_free_cost_sq(n: int) -> float:
     return 2.0 - 2.0 * math.cos(math.pi / (n + 2))
 
 
+def _m_offdiagonal_per_noise(n, noise):
+    """Reference: the superdiagonal of M built per noise model, as it was
+    before M read the channel's blocks."""
+    off = np.zeros(n)
+    if isinstance(noise, NoiseFree):
+        off[:] = 1.0
+    elif isinstance(noise, LocalDephasing):
+        # sum over every spin sector that supports both m and m+1
+        for tj, block in coupling_blocks(n, noise.eta).items():
+            tms = np.arange(-tj, tj + 1, 2)
+            rows = (tms[:-1] + n) // 2
+            off[rows] += np.diagonal(block, offset=1)
+    elif isinstance(noise, Loss):
+        _, _, b = _loss_table(n, noise.eta)
+        off[:] = np.einsum("si,si->i", b[:, :-1], b[:, 1:])
+    else:
+        off[:] = math.exp(-noise.gamma / 2.0)
+    return off
+
+
 class TestCovariantMatrix:
+    @pytest.mark.parametrize("n", [1, 2, 7, 30, 61])
+    @pytest.mark.parametrize("eta", [0.0, 0.4, 1.0])
+    def test_superdiagonal_matches_per_noise_reference(self, n, eta):
+        for noise in (NoiseFree(), LocalDephasing(eta), Loss(eta)):
+            got = np.diagonal(covariant_m_matrix(n, noise), offset=1)
+            assert np.array_equal(got, _m_offdiagonal_per_noise(n, noise))
+        noise = CollectiveDephasing(eta)
+        got = np.diagonal(covariant_m_matrix(n, noise), offset=1)
+        np.testing.assert_allclose(got, _m_offdiagonal_per_noise(n, noise),
+                                   rtol=1e-15, atol=0.0)
+
     def test_noise_free_single_qubit(self):
         assert np.array_equal(covariant_m_matrix(1, NoiseFree()),
                               np.array([[0.0, 1.0], [1.0, 0.0]]))

@@ -35,6 +35,14 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             SweepConfig(n_min=1, n_max=5, noise=NoiseFree(),
                         methods=("bayes-gauss",))  # needs prior width
+        for width in (0.0, -0.5):
+            with pytest.raises(ValueError):
+                SweepConfig(n_min=1, n_max=5, noise=NoiseFree(),
+                            methods=("bayes-gauss",), prior_width=width)
+        for step in (0, -1):
+            with pytest.raises(ValueError):
+                SweepConfig(n_min=1, n_max=5, noise=NoiseFree(),
+                            methods=("qfi-opt",), n_step=step)
 
     def test_geometric_grid_is_increasing_and_bounded(self):
         cfg = SweepConfig(n_min=1, n_max=100, noise=NoiseFree(),
@@ -229,6 +237,20 @@ class TestExitCodes:
         assert cli.main(["scan", "--n-max", "4", "--method", "bogus"]) == 1
         assert cli.main(["scan", "--n-max", "4", "--noise", "dephasing"]) == 1
         assert cli.main(["scan", "--n-max", "4", "--method", "bayes-gauss"]) == 1
+
+    @pytest.mark.parametrize("width", ["0", "-0.5"])
+    def test_nonpositive_prior_width_rejected(self, width, capsys):
+        assert cli.main(["scan", "--n-max", "40", "--method", "bayes-gauss",
+                         "--prior-width", width]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "prior width" in err
+
+    @pytest.mark.parametrize("step", ["0", "-1"])
+    def test_nonpositive_n_step_rejected(self, step, capsys):
+        assert cli.main(["scan", "--n-max", "4", "--method", "bayes-flat",
+                         "--n-step", step]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "n_step" in err
 
     def test_unwritable_output_fails_before_compute(self):
         assert cli.main(["scan", "--n-max", "3", "--method", "bayes-flat",

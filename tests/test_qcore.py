@@ -305,6 +305,41 @@ class TestQfi:
             oracles.brute_dephasing_qfi(s, eta), rel=1e-10)
 
 
+class TestStateQfiEdges:
+    """Defined values at the parameter edges eta in {0, 1}, gamma = 0 and
+    N = 1, on random real and complex states."""
+
+    @staticmethod
+    def states():
+        for n in (1, 2, 7, 30, 60):
+            for seed in range(3):
+                rng = np.random.default_rng(seed)
+                c = rng.standard_normal(n + 1)
+                yield SymmetricPureState(n, c, normalize=True)
+                yield SymmetricPureState(n, c + 1j * rng.standard_normal(n + 1),
+                                         normalize=True)
+
+    def test_total_loss_is_exactly_zero(self):
+        for s in self.states():
+            assert state_qfi(s, Loss(0.0)) == 0.0
+
+    def test_full_dephasing_is_at_rounding_level(self):
+        for s in self.states():
+            assert abs(state_qfi(s, LocalDephasing(0.0))) <= 1e-20
+
+    def test_noiseless_limits_match_noise_free(self):
+        for s in self.states():
+            f0 = state_qfi(s, NoiseFree())
+            assert state_qfi(s, Loss(1.0)) == pytest.approx(f0, rel=1e-14)
+            assert state_qfi(s, CollectiveDephasing(0.0)) == pytest.approx(f0, rel=1e-14)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.7, 1.0])
+    def test_single_qubit_plus_state_closed_forms(self, eta):
+        assert state_qfi(plus_state(), LocalDephasing(eta)) == pytest.approx(
+            eta * eta, abs=1e-14)
+        assert state_qfi(plus_state(), Loss(eta)) == pytest.approx(eta, abs=1e-14)
+
+
 class TestQfiLoss:
     def test_lossless_reduces_to_noise_free(self):
         for n in (2, 5):
@@ -403,26 +438,50 @@ class TestChannelBlocks:
     def test_block_counts(self):
         assert len(channel_blocks(NoiseFree(), 6)) == 1
         deph = channel_blocks(LocalDephasing(0.5), 6)
-        assert {b.key[1] for b in deph} == {0, 2, 4, 6}
+        assert {b.key[1] for b in deph.blocks} == {0, 2, 4, 6}
         loss = channel_blocks(Loss(0.5), 3)
         assert len(loss) == 10  # all (l0, l1) with l0 + l1 <= 3
 
     def test_compose_collective_multiplies_gaussian(self):
-        blocks = channel_blocks(LocalDephasing(0.6), 4)
-        composed = compose_collective(blocks, 0.3)
-        for raw, out in zip(blocks, composed):
+        channel = channel_blocks(LocalDephasing(0.6), 4)
+        composed = compose_collective(channel, 0.3)
+        assert len(composed.blocks) == len(channel.blocks)
+        for raw, out in zip(channel.blocks, composed.blocks):
             m = raw.m
             damp = np.exp(-0.3 * (m[:, None] - m[None, :]) ** 2 / 2)
-            assert np.allclose(out.weight, raw.dense_weight() * damp)
+            assert np.allclose(out.weight, raw.weight * damp)
+
+    def test_compose_collective_turns_rows_into_window_blocks(self):
+        n, gamma = 5, 0.3
+        channel = channel_blocks(Loss(0.6), n)
+        composed = compose_collective(channel, gamma)
+        assert len(composed.amplitudes) == 0
+        assert len(composed) == len(channel)
+        for l0, l1, b, out in zip(channel.l0, channel.l1, channel.amplitudes,
+                                  composed.blocks):
+            idx = np.arange(l0, n - l1 + 1)
+            m = idx - (n + l0 - l1) / 2.0
+            damp = np.exp(-gamma * (m[:, None] - m[None, :]) ** 2 / 2)
+            assert out.key == (l0, l1)
+            assert np.array_equal(out.indices, idx)
+            assert np.array_equal(out.m, m)
+            assert np.array_equal(out.weight, np.outer(b[idx], b[idx]) * damp)
 
     def test_trace_preserving_on_states(self):
-        # sum over blocks of the diagonal weights is one for every input index
-        for noise in (LocalDephasing(0.44), Loss(0.63)):
-            blocks = channel_blocks(noise, 7)
-            diag = np.zeros(8)
-            for blk in blocks:
-                diag[blk.indices] += np.diag(blk.dense_weight())
-            assert np.allclose(diag, 1.0, atol=1e-12)
+        # for every input index, the diagonal weights of the dense blocks plus
+        # the squared rank-one amplitudes sum to one; every weight is PSD
+        for n in (1, 7, 60):
+            for channel in (channel_blocks(NoiseFree(), n),
+                            channel_blocks(LocalDephasing(0.44), n),
+                            channel_blocks(Loss(0.63), n),
+                            channel_blocks(CollectiveDephasing(0.3), n),
+                            compose_collective(channel_blocks(Loss(0.63), n), 0.25)):
+                diag = np.sum(channel.amplitudes ** 2, axis=0)
+                for blk in channel.blocks:
+                    diag[blk.indices] += np.diag(blk.weight)
+                    lam = np.linalg.eigvalsh(blk.weight)
+                    assert lam[0] >= -1e-12 * max(lam[-1], 1.0)
+                assert np.max(np.abs(diag - 1.0)) < 1e-12
 
 
 class TestLossTable:
@@ -475,18 +534,23 @@ class TestLossTable:
     @pytest.mark.parametrize("n", [1, 2, 7, 30])
     def test_channel_blocks_are_table_rows(self, n):
         eta = 0.6
-        blocks = channel_blocks(Loss(eta), n)
+        channel = channel_blocks(Loss(eta), n)
         keys = [(l0, l1) for l0 in range(n + 1) for l1 in range(n + 1 - l0)]
-        assert [blk.key[1:] for blk in blocks] == keys
+        assert list(zip(channel.l0.tolist(), channel.l1.tolist())) == keys
+        assert channel.blocks == []
         _, _, table = _loss_table(n, eta)
-        for blk, row in zip(blocks, table):
-            l0, l1 = blk.key[1:]
+        assert np.array_equal(channel.amplitudes, table)
+        for blk, row in zip(channel.dense_blocks(), table):
+            l0, l1 = blk.key
             assert np.array_equal(blk.indices, np.arange(l0, n - l1 + 1))
             assert np.array_equal(blk.m, blk.indices - (n + l0 - l1) / 2.0)
-            assert np.array_equal(blk.amplitude, row[l0:n - l1 + 1])
+            win = row[l0:n - l1 + 1]
+            assert np.array_equal(blk.weight, np.outer(win, win))
 
     def test_zero_weight_patterns_dropped(self):
-        assert [blk.key for blk in channel_blocks(Loss(1.0), 4)] == [("loss", 0, 0)]
+        channel = channel_blocks(Loss(1.0), 4)
+        assert list(zip(channel.l0, channel.l1)) == [(0, 0)]
+        assert np.array_equal(channel.amplitudes, np.ones((1, 5)))
         assert len(channel_blocks(Loss(0.0), 4)) == 5
 
     @pytest.mark.parametrize("n", [1, 2, 7, 30, 61])
