@@ -395,6 +395,10 @@ def coupling_blocks(n: int, eta: float) -> Mapping[int, np.ndarray]:
         raise ValueError(f"dephasing parameter eta={eta} outside [0, 1]")
     tables = dephasing_tables(n)
     blocks = {tj: tables.coupling_block(tj, eta) for tj in allowed_twice_j(n)}
+    if eta == 0.0:
+        # full dephasing keeps no coherence between different m; the product
+        # R^T diag(w) R leaves ~1e-17 rounding there instead of exact zeros
+        blocks = {tj: np.diag(np.diagonal(b)) for tj, b in blocks.items()}
     for block in blocks.values():
         block.setflags(write=False)
     return MappingProxyType(blocks)

@@ -38,6 +38,16 @@ METHODS = ("qfi-opt", "bayes-flat", "bayes-gauss")
 CSV_HEADER = "n,method,qfi,cr_bound,bayes_cost,asymptote,converged,wall_time_s"
 
 
+def _check_n_range(n_min: int, n_max: int, n_step: int) -> None:
+    """Validate a linear particle-number grid n_min..n_max by n_step."""
+    if n_min < 1:
+        raise ValueError("n_min must be >= 1")
+    if n_max < n_min:
+        raise ValueError("n_max must be >= n_min")
+    if n_step < 1:
+        raise ValueError("n_step must be >= 1")
+
+
 @dataclass
 class SweepConfig:
     n_min: int
@@ -56,10 +66,7 @@ class SweepConfig:
     max_iters: int = 3000
 
     def __post_init__(self):
-        if self.n_min < 1:
-            raise ValueError("n_min must be >= 1")
-        if self.n_max < self.n_min:
-            raise ValueError("n_max must be >= n_min")
+        _check_n_range(self.n_min, self.n_max, self.n_step)
         if not self.methods:
             raise ValueError("at least one method is required")
         for m in self.methods:
@@ -73,8 +80,6 @@ class SweepConfig:
             raise ValueError("bayes-gauss requires --prior-width")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if self.n_step < 1:
-            raise ValueError("n_step must be >= 1")
         if self.prior_width is not None and self.prior_width <= 0.0:
             raise ValueError("prior width must be positive")
 
@@ -122,7 +127,9 @@ def _sweep_row(cfg: SweepConfig, n: int, method: str,
     rec = PrecisionRecord(n=n, method=method)
     # tail-certified loop accuracy (rel_tol) is ample for sweep columns;
     # the quasi-Newton polish is reserved for the prior-averaged rows whose
-    # cost formula amplifies QFI errors near the 1 - delta0^2 F = 0 edge
+    # cost formula amplifies QFI errors near the 1 - delta0^2 F = 0 edge; it
+    # stops once the residual |(A + F) c| / F is <= qfi_opt.STATIONARITY_RTOL,
+    # else when its evaluation budget runs out
     warm_state = warm.get(method)
     if warm_state is not None and warm_state.n_particles != n:
         warm_state = qcore.resample_state(warm_state, n)
@@ -511,6 +518,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0
 
         if args.command == "asymptote":
+            _check_n_range(args.n_min, args.n_max, args.n_step)
             noise = _noise_from_args(args)
             method = "bayes-gauss" if (args.kind == "bayes"
                                        and args.prior_width) else (

@@ -8,16 +8,22 @@ derivative and the SLD L, assemble the Heisenberg-picture operator
 evaluated in the derivative convention under which that expression is the
 variational partner of the QFI, so that <psi|A|psi> = -F(psi) and replacing
 the state by the eigenvector of A with the smallest eigenvalue cannot
-decrease F.  Convergence is declared when the geometric-tail estimate of the
-remaining QFI change (or the raw per-step change) drops below `rel_tol`; the
-best iterate is tracked throughout, so a non-converged run still returns the
-best state seen.
+decrease F.  Each step takes that one eigenpair from a single LAPACK
+?syevr/?heevr call.  Convergence is declared when the geometric-tail
+estimate of the remaining QFI change (or the raw per-step change) drops
+below `rel_tol`; the best iterate is tracked throughout, so a non-converged
+run still returns the best state seen.
 
 The map's contraction rate approaches one on flat landscapes (narrow
 collective dephasing is the worst case), so an optional quasi-Newton polish
-follows the loop: it drives the same objective to stationarity using the
-gradient 2(A + F) c that the loop already provides, converging the QFI to
-machine accuracy in a few dozen extra channel evaluations.
+follows the loop: L-BFGS on the state sphere with the gradient 2(A + F) c
+that the loop already provides.  The distance from stationarity is the
+residual r = |(A + F) c| / F, zero exactly at a fixed point of the loop; the
+F error is of order r^2.  The polish is skipped when the loop's best state
+already has r <= STATIONARITY_RTOL, stops at the first evaluation with
+r <= STATIONARITY_RTOL and otherwise runs until `polish_max_evals` L-BFGS
+iterations are spent or the line search fails; it returns the best state it
+evaluated.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 from scipy.optimize import minimize
 
 from .qcore import (AngularBlockMatrix, Channel, NoiseModel, SymmetricPureState,
@@ -39,7 +46,18 @@ __all__ = [
     "qfi_iterate",
     "maximize_qfi_over_states",
     "cr_bound",
+    "STATIONARITY_RTOL",
 ]
+
+# Target of the residual r = |(A + F) c| / F at which the polish stops.  The
+# F error is ~r^2, so 1e-7 leaves F within ~1e-13 of the stationary value;
+# the loop alone rarely gets below ~1e-5 and L-BFGS stalls at ~1e-8.
+STATIONARITY_RTOL = 1e-7
+
+# L-BFGS memory of the polish.  Narrow priors exhaust `polish_max_evals` far
+# from the target; with scipy's default of 10 pairs their final F swung by
+# ~2e-7 relative with the last bits of the start, with 30 it came out higher.
+_LBFGS_MEMORY = 30
 
 
 @dataclass(frozen=True)
@@ -71,6 +89,9 @@ class OptimizationTrace:
     `qfi_values` records the loop iterates of the best restart (at most
     `max_iters` entries); `qfi` is the best value found, including the
     polish stage, so it can exceed the last trace entry slightly.
+    `residual` is |(A + F) c| / F at the returned state (nan when F = 0) and
+    `polish_evals` the number of channel evaluations the best restart's
+    polish spent (0 when it was skipped).
     """
 
     qfi_values: np.ndarray
@@ -78,6 +99,8 @@ class OptimizationTrace:
     final_state: SymmetricPureState
     qfi: float
     restart_qfis: List[float] = field(default_factory=list)
+    residual: float = math.nan
+    polish_evals: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +153,23 @@ def _iteration_step(channel: Channel, c: np.ndarray):
     return _channel_qfi(channel, c, a_out), a_out
 
 
+def _residual(f: float, a: np.ndarray, c: np.ndarray) -> float:
+    """Distance from stationarity |(A + F) c| / F of a unit vector c."""
+    return float(np.linalg.norm(a @ c + f * c)) / f if f > 0.0 else math.nan
+
+
+def _lowest_eigenpair(a: np.ndarray):
+    """Smallest eigenvalue and its eigenvector of a real symmetric or
+    Hermitian matrix, from one ?syevr/?heevr call that computes that pair
+    alone; the lower triangle is read, as numpy.linalg.eigh does."""
+    name = "heevr" if np.iscomplexobj(a) else "syevr"
+    evr, = get_lapack_funcs((name,), (a,))
+    w, z, _, _, info = evr(a, range="I", il=1, iu=1, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"?{name} failed with info = {info}")
+    return float(w[0]), z[:, 0]
+
+
 def _fix_phase(c: np.ndarray) -> np.ndarray:
     """Make the first non-negligible amplitude real and positive."""
     idx = int(np.argmax(np.abs(c) > 1e-8))
@@ -141,17 +181,33 @@ def _fix_phase(c: np.ndarray) -> np.ndarray:
     return -c if pivot < 0 else c
 
 
+class _Stationary(Exception):
+    """Raised by the polish objective to end the minimization."""
+
+
 def _polish_lbfgs(channel: Channel, c0: np.ndarray, max_evals: int = 500):
-    """Quasi-Newton refinement of the QFI over the state sphere."""
+    """Quasi-Newton refinement of the QFI over the state sphere.
+
+    Returns (F, c, residual, evaluations) of the best state evaluated; stops
+    at the first evaluation whose residual is <= STATIONARITY_RTOL.
+    """
     n = channel.n
     is_complex = np.iscomplexobj(c0)
+    best_f, best_c, best_r, evals = -np.inf, c0, math.nan, 0
 
     def objective(x):
+        nonlocal best_f, best_c, best_r, evals
+        evals += 1
         c = (x[:n + 1] + 1j * x[n + 1:]) if is_complex else x
         nrm = np.linalg.norm(c)
         c = c / nrm
         f, a = _iteration_step(channel, c)
         gc = 2.0 * (a @ c) + 2.0 * f * c       # gradient of -F on the sphere
+        r = float(np.linalg.norm(gc)) / (2.0 * f) if f > 0.0 else math.nan
+        if f > best_f:
+            best_f, best_c, best_r = f, c, r
+        if r <= STATIONARITY_RTOL:
+            raise _Stationary
         if is_complex:
             g = np.concatenate([gc.real, gc.imag]) / nrm
         else:
@@ -159,24 +215,25 @@ def _polish_lbfgs(channel: Channel, c0: np.ndarray, max_evals: int = 500):
         return -f, g
 
     x0 = np.concatenate([c0.real, c0.imag]) if is_complex else c0
-    res = minimize(objective, x0, jac=True, method="L-BFGS-B",
-                   options={"maxiter": max_evals, "ftol": 1e-17, "gtol": 1e-12})
-    c = (res.x[:n + 1] + 1j * res.x[n + 1:]) if is_complex else res.x
-    c = c / np.linalg.norm(c)
-    f, _ = _iteration_step(channel, c)
-    return f, _fix_phase(c)
+    try:
+        minimize(objective, x0, jac=True, method="L-BFGS-B",
+                 options={"maxiter": max_evals, "maxcor": _LBFGS_MEMORY,
+                          "ftol": 1e-17, "gtol": 1e-12})
+    except _Stationary:
+        pass
+    return best_f, _fix_phase(best_c), best_r, evals
 
 
 def _run_single(channel: Channel, c0: np.ndarray, cfg: IterationConfig):
     c = c0.copy()
     history: List[float] = []
-    best_f, best_c = -np.inf, c
+    best_f, best_c, best_a = -np.inf, c, None
     converged = False
     for _ in range(cfg.max_iters):
         f, a = _iteration_step(channel, c)
         history.append(f)
         if f > best_f:
-            best_f, best_c = f, c
+            best_f, best_c, best_a = f, c, a
         if len(history) >= 2 and f == 0.0 and history[-2] == 0.0:
             converged = True  # phase-blind channel: nothing to optimize
             break
@@ -191,13 +248,15 @@ def _run_single(channel: Channel, c0: np.ndarray, cfg: IterationConfig):
                 if d1 * rate / (1.0 - rate) <= cfg.rel_tol * f:
                     converged = True
                     break
-        lam, vec = np.linalg.eigh(a)
-        c = _fix_phase(vec[:, 0])
-    if cfg.polish and best_f > 0.0:
-        f_pol, c_pol = _polish_lbfgs(channel, best_c, cfg.polish_max_evals)
+        c = _fix_phase(_lowest_eigenpair(a)[1])
+    best_r = _residual(best_f, best_a, best_c)
+    polish_evals = 0
+    if cfg.polish and best_f > 0.0 and best_r > STATIONARITY_RTOL:
+        f_pol, c_pol, r_pol, polish_evals = _polish_lbfgs(
+            channel, best_c, cfg.polish_max_evals)
         if f_pol >= best_f:
-            best_f, best_c = f_pol, c_pol
-    return best_f, _fix_phase(best_c), history, converged
+            best_f, best_c, best_r = f_pol, c_pol, r_pol
+    return best_f, _fix_phase(best_c), history, converged, best_r, polish_evals
 
 
 def maximize_qfi_over_states(n: int, blocks: Channel,
@@ -231,14 +290,15 @@ def maximize_qfi_over_states(n: int, blocks: Channel,
             else:
                 c0 = c0 + cfg.perturbation_scale * rng.standard_normal(n + 1)
         c0 = c0 / np.linalg.norm(c0)
-        f, c, history, converged = _run_single(blocks, c0, cfg)
-        restart_qfis.append(f)
-        if best is None or f > best[0]:
-            best = (f, c, history, converged)
-    f, c, history, converged = best
+        run = _run_single(blocks, c0, cfg)
+        restart_qfis.append(run[0])
+        if best is None or run[0] > best[0]:
+            best = run
+    f, c, history, converged, residual, polish_evals = best
     state = SymmetricPureState(n, c, normalize=True)
     return OptimizationTrace(qfi_values=np.asarray(history), converged=converged,
-                             final_state=state, qfi=f, restart_qfis=restart_qfis)
+                             final_state=state, qfi=f, restart_qfis=restart_qfis,
+                             residual=residual, polish_evals=polish_evals)
 
 
 def qfi_iterate(n: int, noise: NoiseModel,

@@ -276,6 +276,11 @@ class TestBulkTableInvariants:
         # sum over j >= |m| of A_j[m, m] = 1 for every m
         assert np.max(np.abs(diagonal - 1.0)) < 2e-12
 
+    def test_full_dephasing_blocks_are_exactly_diagonal(self):
+        for n in (1, 2, 7, self.N):
+            for tj, block in coupling_blocks(n, 0.0).items():
+                assert not np.any(block - np.diag(np.diagonal(block))), (n, tj)
+
     def test_noiseless_keeps_only_the_top_block(self):
         n = self.N
         blocks = coupling_blocks(n, 1.0)

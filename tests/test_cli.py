@@ -266,6 +266,16 @@ class TestExitCodes:
         assert float(rows[-1]["asymptote"]) == pytest.approx(
             math.sqrt(0.3 / (0.7 * 5)))
 
+    @pytest.mark.parametrize("args,message", [
+        (["--n-step", "0"], "n_step"), (["--n-step", "-1"], "n_step"),
+        (["--n-min", "5", "--n-max", "3"], "n_max must be >= n_min"),
+        (["--n-min", "0"], "n_min")])
+    def test_asymptote_rejects_a_bad_grid(self, args, message, capsys):
+        argv = ["asymptote", "--noise", "loss", "--eta", "0.7", "--n-max", "4"]
+        assert cli.main(argv + args) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and message in err
+
     def test_console_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "phaselim.cli", "scan", "--n-max", "3",

@@ -327,6 +327,15 @@ class TestStateQfiEdges:
         for s in self.states():
             assert abs(state_qfi(s, LocalDephasing(0.0))) <= 1e-20
 
+    def test_full_dephasing_is_exactly_zero(self):
+        rng = np.random.default_rng(3)
+        for n in range(1, 7):
+            for _ in range(5):
+                c = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+                for amps in (c.real, c):
+                    s = SymmetricPureState(n, amps, normalize=True)
+                    assert state_qfi(s, LocalDephasing(0.0)) == 0.0
+
     def test_noiseless_limits_match_noise_free(self):
         for s in self.states():
             f0 = state_qfi(s, NoiseFree())

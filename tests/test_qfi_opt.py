@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phaselim import oracles, qcore
+from phaselim import cli, oracles, qcore
 from phaselim.qcore import (EIG_SUPPORT_RTOL, AngularBlockMatrix, Channel,
                             CollectiveDephasing, LocalDephasing, Loss,
                             NoiseFree, SymmetricPureState, apply_dephasing,
                             apply_loss, channel_blocks, compose_collective,
                             noon_state, product_plus_state, qfi_loss,
                             state_qfi)
-from phaselim.qfi_opt import (IterationConfig, _iteration_step,
+from phaselim.qfi_opt import (STATIONARITY_RTOL, IterationConfig,
+                              _iteration_step, _lowest_eigenpair,
                               channel_adjoint_apply, cr_bound,
                               maximize_qfi_over_states, qfi_iterate)
 
@@ -289,6 +290,118 @@ class TestEngineOnExplicitBlocks:
             maximize_qfi_over_states(4, channel_blocks(NoiseFree(), 5))
 
 
+def _random_hermitian(dim, rng, complex_):
+    x = rng.standard_normal((dim, dim))
+    if complex_:
+        x = x + 1j * rng.standard_normal((dim, dim))
+    return x + x.conj().T
+
+
+class TestLowestEigenpair:
+    """The one-pair LAPACK solve against the full numpy.linalg.eigh."""
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("dim", [1, 2, 26, 51, 201])
+    def test_matches_eigh(self, dim, complex_):
+        a = _random_hermitian(dim, np.random.default_rng(dim), complex_)
+        lam, vec = _lowest_eigenpair(a)
+        ref_lam, ref_vec = np.linalg.eigh(a)
+        scale = np.max(np.abs(ref_lam))
+        assert vec.shape == (dim,) and np.iscomplexobj(vec) == complex_
+        assert lam == pytest.approx(ref_lam[0], abs=1e-13 * scale)
+        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-13)
+        assert abs(np.vdot(ref_vec[:, 0], vec)) == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.norm(a @ vec - lam * vec) <= 1e-12 * scale
+
+    def test_one_by_one(self):
+        lam, vec = _lowest_eigenpair(np.array([[2.5]]))
+        assert lam == 2.5 and abs(vec[0]) == 1.0
+        lam, vec = _lowest_eigenpair(np.array([[-1.0 + 0j]]))
+        assert lam == -1.0 and abs(vec[0]) == 1.0
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_degenerate_lowest_eigenvalue(self, complex_):
+        dim, mult = 12, 3
+        rng = np.random.default_rng(5)
+        q, _ = np.linalg.qr(_random_hermitian(dim, rng, complex_))
+        spectrum = np.concatenate([np.full(mult, -2.0), np.linspace(0.5, 3.0, dim - mult)])
+        a = (q * spectrum) @ q.conj().T
+        a = (a + a.conj().T) / 2.0
+        lam, vec = _lowest_eigenpair(a)
+        assert lam == pytest.approx(np.linalg.eigh(a)[0][0], abs=1e-13)
+        # the vector lies in the lowest eigenspace, spanned by q's first columns
+        inside = q[:, :mult].conj().T @ vec
+        assert np.linalg.norm(inside) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestStationarityStop:
+    """The polish ends once |(A + F) c| / F <= STATIONARITY_RTOL."""
+
+    @staticmethod
+    def _plateau_channel(n, delta0=0.5):
+        return compose_collective(channel_blocks(CollectiveDephasing(0.02), n),
+                                  delta0 ** 2)
+
+    def test_wide_prior_reaches_the_target(self):
+        n = 60
+        channel = self._plateau_channel(n)
+        cfg = IterationConfig(rel_tol=1e-9, max_iters=3000)
+        trace = maximize_qfi_over_states(n, channel, cfg)
+        assert 0 < trace.polish_evals < cfg.polish_max_evals
+        # seen: 11; run on past the target, L-BFGS spends ~48 evaluations
+        # before its line search fails
+        assert trace.polish_evals <= 25
+        assert trace.residual <= STATIONARITY_RTOL
+        assert trace.qfi >= trace.qfi_values.max()
+        # the certificate describes the returned state
+        c = trace.final_state.amplitudes.real
+        f, a = _iteration_step(channel, c)
+        assert f == pytest.approx(trace.qfi, rel=1e-13)
+        assert np.linalg.norm(a @ c + f * c) / f == pytest.approx(
+            trace.residual, rel=1e-3)
+
+    def test_unpolished_run_reports_loop_residual(self):
+        n = 30
+        channel = self._plateau_channel(n)
+        trace = maximize_qfi_over_states(
+            n, channel, IterationConfig(rel_tol=1e-9, polish=False))
+        assert trace.polish_evals == 0
+        c = trace.final_state.amplitudes.real
+        f, a = _iteration_step(channel, c)
+        assert np.linalg.norm(a @ c + f * c) / f == pytest.approx(
+            trace.residual, rel=1e-3)
+
+    def test_polish_budget_still_caps(self):
+        n = 60
+        trace = maximize_qfi_over_states(
+            n, self._plateau_channel(n, 0.1),
+            IterationConfig(rel_tol=1e-9, max_iters=50, polish_max_evals=5))
+        # line searches may add evaluations past the 5-iteration cap (seen: 7)
+        assert 0 < trace.polish_evals <= 30
+        assert trace.residual > STATIONARITY_RTOL
+
+    def test_phase_blind_channel_has_no_residual(self):
+        trace = qfi_iterate(3, LocalDephasing(0.0))
+        assert trace.qfi == 0.0 and trace.polish_evals == 0
+        assert math.isnan(trace.residual)
+
+    # F of the README plateau scan (collective 0.02, delta0 0.5, N = 10..200
+    # by 10, warm-started) before the stationarity stop was introduced; the
+    # stop may only end the polish early where the state is already
+    # stationary, which costs F no more than ~1e-13 relative
+    PLATEAU_QFI_BEFORE = {10: 3.1508224995784535, 100: 3.6915718549732066,
+                          200: 3.7005015877570018}
+
+    def test_plateau_scan_keeps_its_qfi(self):
+        cfg = cli.SweepConfig(n_min=10, n_max=200, n_step=10,
+                              noise=CollectiveDephasing(0.02),
+                              methods=("bayes-gauss",), prior_width=0.5,
+                              timings=False)
+        got = {r.n: r.qfi for r in cli.run_sweep(cfg)}
+        for n, before in self.PLATEAU_QFI_BEFORE.items():
+            assert got[n] >= before * (1.0 - 1e-12), n
+
+
 def _random_amplitudes(n, seed, complex_):
     rng = np.random.default_rng(seed)
     c = rng.standard_normal(n + 1)
@@ -408,9 +521,9 @@ class TestRankOneKernel:
 
     # WEIGHT_FLOOR drops branches of weight below 1e-280, so F may differ by
     # that much in absolute terms when eta sits next to 0 or 1.  The dephasing
-    # coupling tables carry ~1e-17 absolute rounding in their coherences, so
-    # below eta ~ 1e-10 its F (<= 1e-20 at eta = 0, see TestStateQfiEdges)
-    # is rounding and the duality holds only to that absolute level
+    # coupling tables carry ~1e-17 absolute rounding in their coherences for
+    # 0 < eta, so below eta ~ 1e-10 its F is rounding and the duality holds
+    # only to that absolute level (at eta = 0 itself F is exactly 0)
     @settings(max_examples=150, deadline=None, database=None)
     @given(n=st.integers(1, 40), kind=st.sampled_from(
                ["none", "dephasing", "loss", "collective", "prior"]),
