@@ -6,12 +6,13 @@ the mode-occupation basis |n, N-n>, equivalently the total-spin basis
 encoding U_phi = exp(+i H phi), H = sum sigma_z/2, and acts on a symmetric
 input as a family of output blocks
 
-    sigma_b = W_b * (c c^dagger restricted to the block's indices)
+    sigma_b = W_b * (c c^dagger restricted to the block's input window)
 
 (elementwise product), where W_b is a real symmetric positive semidefinite
 multiplier.  `channel_blocks` returns them as one `Channel` in two parts:
 
-* dense blocks (key, indices, W):
+* dense blocks (key, first input index, m, W), each over a contiguous
+  window of the input grid:
   - local dephasing -- one block per total spin j, W = the spin-j coupling
     matrix built from transfer coefficients;
   - collective dephasing -- one block, W_{m,m'} = exp(-Gamma (m-m')^2 / 2);
@@ -23,7 +24,12 @@ multiplier.  `channel_blocks` returns them as one `Channel` in two parts:
 
 The phase generator acts diagonally within each block, so derivatives,
 symmetric logarithmic derivatives and the QFI all stay blockwise.  One SLD
-kernel serves `sld`/`qfi`, `state_qfi` and the optimizer's dense step.
+kernel, which works in the block's eigenbasis, serves `sld`/`qfi`,
+`state_qfi` and the optimizer's dense step.  `sld`/`qfi` rotate an
+arbitrary derivative into it; the dense step builds the derivative
+dm o sigma there directly as X Lam - Lam X with X = V^H diag(m) V, which
+takes one GEMM and keeps the rounding of each entry proportional to its
+eigenvalue gap (see `_channel_qfi`).
 """
 
 from __future__ import annotations
@@ -269,13 +275,21 @@ NoiseModel = Union[NoiseFree, LocalDephasing, Loss, CollectiveDephasing]
 @dataclass
 class ChannelBlock:
     """One dense output block of a phase-covariant channel on symmetric inputs:
-    `indices` selects input amplitudes, `m` holds the generator eigenvalues
-    and `weight` the PSD multiplier W."""
+    it reads the contiguous input window start .. start + len(m) - 1, `m`
+    holds the generator eigenvalues and `weight` the PSD multiplier W."""
 
     key: tuple
-    indices: np.ndarray
+    start: int
     m: np.ndarray
     weight: np.ndarray
+
+    @property
+    def window(self) -> slice:
+        return slice(self.start, self.start + len(self.m))
+
+    @property
+    def indices(self) -> np.ndarray:
+        return np.arange(self.start, self.start + len(self.m))
 
 
 @dataclass
@@ -312,13 +326,11 @@ class Channel:
     def dense_blocks(self) -> List[ChannelBlock]:
         """Every block in dense form: the dense blocks, then each row as the
         block W = b b^T over its window, keyed (l0, l1)."""
-        full_idx = np.arange(self.n + 1)
-        full_m = full_idx - self.n / 2.0
+        full_m = np.arange(self.n + 1) - self.n / 2.0
         out = list(self.blocks)
         for l0, l1, b in zip(self.l0.tolist(), self.l1.tolist(), self.amplitudes):
             win = slice(l0, self.n - l1 + 1)
-            out.append(ChannelBlock((l0, l1), full_idx[win],
-                                    full_m[win] - (l0 - l1) / 2.0,
+            out.append(ChannelBlock((l0, l1), l0, full_m[win] - (l0 - l1) / 2.0,
                                     np.outer(b[win], b[win])))
         return out
 
@@ -348,10 +360,13 @@ def _loss_table(n: int, eta: float):
 
 
 def collective_weight(twice_j: int, gamma: float) -> np.ndarray:
-    """Gaussian phase-kick multiplier exp(-Gamma (m-m')^2 / 2) on a j-block."""
-    m = m_grid(twice_j)
-    dm = m[:, None] - m[None, :]
-    return np.exp(-gamma * dm * dm / 2.0)
+    """Gaussian phase-kick multiplier exp(-Gamma (m-m')^2 / 2) on a j-block.
+
+    On the unit-spaced m grid m - m' is the exact integer i - j, so the
+    matrix gathers the 2j+1 values exp(-Gamma k^2 / 2) by k = |i - j|."""
+    i = np.arange(twice_j + 1)
+    g = np.exp(-gamma * i * i / 2.0)
+    return g[np.abs(i[:, None] - i)]
 
 
 def channel_blocks(noise: NoiseModel, n: int) -> Channel:
@@ -368,12 +383,10 @@ def channel_blocks(noise: NoiseModel, n: int) -> Channel:
         blocks = []
         for tj, w in coupling_blocks(n, noise.eta).items():
             if np.any(w):
-                tms = np.arange(-tj, tj + 1, 2)
-                blocks.append(ChannelBlock(("j", tj), (tms + n) // 2, tms / 2.0, w))
+                blocks.append(ChannelBlock(("j", tj), (n - tj) // 2, m_grid(tj), w))
         return Channel.dense(n, blocks)
     if isinstance(noise, CollectiveDephasing):
-        full_idx = np.arange(n + 1)
-        return Channel.dense(n, [ChannelBlock(("j", n), full_idx, full_idx - n / 2.0,
+        return Channel.dense(n, [ChannelBlock(("j", n), 0, m_grid(n),
                                               collective_weight(n, noise.gamma))])
     raise ValueError(f"unsupported noise model: {noise!r}")
 
@@ -381,15 +394,16 @@ def channel_blocks(noise: NoiseModel, n: int) -> Channel:
 def compose_collective(blocks: Channel, gamma: float) -> Channel:
     """Follow a channel by collective dephasing of strength gamma (the two
     commute; the Gaussian factor multiplies every block elementwise, so each
-    rank-one row becomes a dense block over its window)."""
+    rank-one row becomes a dense block over its window).  Every block's m
+    grid has unit spacing, so its factor is the leading corner of one
+    `collective_weight` table."""
     if gamma == 0.0:
         return blocks
-    out = []
-    for blk in blocks.dense_blocks():
-        dm = blk.m[:, None] - blk.m[None, :]
-        damp = np.exp(-gamma * dm * dm / 2.0)
-        out.append(ChannelBlock(blk.key, blk.indices, blk.m, blk.weight * damp))
-    return Channel.dense(blocks.n, out)
+    kick = collective_weight(blocks.n, gamma)
+    return Channel.dense(blocks.n, [
+        ChannelBlock(blk.key, blk.start, blk.m,
+                     blk.weight * kick[:len(blk.m), :len(blk.m)])
+        for blk in blocks.dense_blocks()])
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +428,7 @@ def apply_dephasing(state: SymmetricPureState, eta: float) -> AngularBlockMatrix
     c = state.amplitudes
     out = {}
     for blk in channel_blocks(LocalDephasing(eta), state.n_particles).blocks:
-        cb = c[blk.indices]
+        cb = c[blk.window]
         out[blk.key[1]] = blk.weight * np.outer(cb, cb.conj())
     return AngularBlockMatrix(state.n_particles, out)
 
@@ -464,32 +478,31 @@ def generator_commutator(rho: AngularBlockMatrix) -> AngularBlockMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _sld_kernel(rho_b: np.ndarray, k: np.ndarray):
-    """SLD of one Hermitian block in the convention drho = i k, L = i lmat.
+def _sld_kernel(lam: np.ndarray, kp: np.ndarray):
+    """SLD of one Hermitian block in its eigenbasis, in the convention
+    drho = i k, L = i lmat.
 
-    Returns (tr(rho L^2), lmat, eigenvalues of rho_b); lmat is real
-    antisymmetric for real input.  Matrix elements between eigenvectors whose
-    eigenvalue sum falls below EIG_SUPPORT_RTOL * lambda_max are set to zero
-    (null-space convention).
+    `lam` holds the block's eigenvalues (ascending) and kp = V^H k V the
+    derivative in that basis.  Returns (tr(rho L^2), lt) with lmat =
+    V lt V^H; both are real antisymmetric for real input.  Matrix elements
+    between eigenvectors whose eigenvalue sum falls below
+    EIG_SUPPORT_RTOL * lambda_max are set to zero (null-space convention).
     """
-    lam, vec = np.linalg.eigh(rho_b)
-    kp = vec.conj().T @ k @ vec
     denom = lam[:, None] + lam[None, :]
     cut = EIG_SUPPORT_RTOL * max(float(lam[-1]), np.finfo(float).tiny)
     mask = denom > cut
     lt = np.where(mask, 2.0 * kp / np.where(mask, denom, 1.0), 0.0)
-    f = float(np.sum(denom * lt * lt.conj()).real) / 2.0
-    return f, vec @ lt @ vec.conj().T, lam
+    return float(np.sum(denom * lt * lt.conj()).real) / 2.0, lt
 
 
 def _sld_block(rho_b: np.ndarray, drho_b: np.ndarray):
     """SLD of one block of a given state; returns (L, qfi_contribution)."""
-    herm = (rho_b + rho_b.conj().T) / 2.0
-    f, lmat, lam = _sld_kernel(herm, -1j * drho_b)
+    lam, vec = np.linalg.eigh((rho_b + rho_b.conj().T) / 2.0)
     if float(lam[0]) < -PSD_ATOL * max(float(lam[-1]), 1.0):
         raise ValueError(
             f"block is not positive semidefinite: min eigenvalue {lam[0]:.3e}")
-    return 1j * lmat, f
+    f, lt = _sld_kernel(lam, vec.conj().T @ (-1j * drho_b) @ vec)
+    return 1j * (vec @ lt @ vec.conj().T), f
 
 
 def sld(rho: AngularBlockMatrix, drho: AngularBlockMatrix) -> AngularBlockMatrix:
@@ -558,18 +571,28 @@ def _channel_qfi(channel: Channel, c: np.ndarray,
     With `a_out`, also add into it the Heisenberg-picture operator
     A = channel_adjoint(L^2 - 2i [H, L]), for which <c|A|c> = -F; A is real
     symmetric for real c, else Hermitian.
+
+    A dense block's derivative is k = dm o sigma = M sigma - sigma M with
+    M = diag(m), so in sigma's eigenbasis it is kp = X Lam - Lam X with
+    X = V^H M V: one GEMM instead of rotating k with two.  The rounding of
+    each entry X_ij (lam_j - lam_i) scales with |lam_j - lam_i|, whereas a
+    rotated k carries ~eps |k| in every entry, which swamps the pairs of
+    small eigenvalues and held the see-saw's residual near 2e-7 under
+    dephasing.  L^2 = lmat lmat^H (a SYRK for real c).
     """
     f = 0.0
     for blk in channel.blocks:
-        cb = c[blk.indices]
-        sigma = blk.weight * np.outer(cb, cb.conj())
-        dm = blk.m[:, None] - blk.m[None, :]
-        f_b, lmat, _ = _sld_kernel(sigma, dm * sigma)
+        win, m = blk.window, blk.m
+        cb = c[win]
+        lam, vec = np.linalg.eigh(blk.weight * np.outer(cb, cb.conj()))
+        x = vec.conj().T @ (m[:, None] * vec)
+        f_b, lt = _sld_kernel(lam, x * (lam - lam[:, None]))
         f += f_b
         if a_out is not None:
-            y = -(lmat @ lmat)                  # L^2
-            y -= 2.0 * (blk.m[:, None] * lmat - lmat * blk.m[None, :])
-            a_out[np.ix_(blk.indices, blk.indices)] += blk.weight * y
+            lmat = vec @ lt @ vec.conj().T
+            y = lmat @ lmat.conj().T
+            y -= 2.0 * (m[:, None] * lmat - lmat * m[None, :])
+            a_out[win, win] += blk.weight * y
     return f + _rank_one_qfi(channel.damping, c, a_out)
 
 
@@ -627,7 +650,7 @@ def fidelity_qfi_check(state: SymmetricPureState, noise: NoiseModel,
     c = state.amplitudes
     root_fid = 0.0
     for blk in channel_blocks(noise, state.n_particles).dense_blocks():
-        cb = c[blk.indices]
+        cb = c[blk.window]
         b = blk.weight * np.outer(cb, cb.conj())
         root_fid += _root_fidelity(b, _phase_shift(b, blk.m, delta))
     return 8.0 * (1.0 - root_fid) / delta ** 2

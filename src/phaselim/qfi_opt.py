@@ -120,7 +120,7 @@ def channel_adjoint_apply(noise: NoiseModel, n: int, operand) -> np.ndarray:
     observable blind to the loss pattern.
     """
     if isinstance(operand, AngularBlockMatrix):
-        table, key_of = operand.blocks, lambda blk: len(blk.indices) - 1
+        table, key_of = operand.blocks, lambda blk: len(blk.m) - 1
     elif isinstance(operand, dict):
         table, key_of = operand, lambda blk: blk.key
     else:
@@ -131,14 +131,14 @@ def channel_adjoint_apply(noise: NoiseModel, n: int, operand) -> np.ndarray:
         if key not in table:
             raise ValueError(f"operand lacks the block {key!r}")
         a = np.asarray(table[key])
-        dim = len(blk.indices)
+        dim = len(blk.m)
         if a.shape != (dim, dim):
             raise ValueError(f"operand block {blk.key} has shape {a.shape}, "
                              f"expected {(dim, dim)}")
         contrib = blk.weight * a
         if np.iscomplexobj(contrib) and not np.iscomplexobj(out):
             out = out.astype(complex)
-        out[np.ix_(blk.indices, blk.indices)] += contrib
+        out[blk.window, blk.window] += contrib
     return out
 
 

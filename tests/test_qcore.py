@@ -11,11 +11,12 @@ from scipy.special import gammaln
 
 from phaselim import oracles
 from phaselim.bayes import covariant_m_matrix
-from phaselim.qcore import (AngularBlockMatrix, CollectiveDephasing,
+from phaselim.qcore import (AngularBlockMatrix, Channel, CollectiveDephasing,
                             LocalDephasing, Loss, NoiseFree,
                             SymmetricPureState, apply_collective_dephasing,
                             apply_dephasing, apply_loss, channel_blocks,
-                            compose_collective, fidelity_qfi_check,
+                            collective_weight, compose_collective,
+                            fidelity_qfi_check,
                             generator_commutator, lift_pure, noon_state,
                             product_plus_state, qfi, qfi_loss, resample_state,
                             sine_profile_state, sld, state_qfi, _loss_table)
@@ -475,6 +476,39 @@ class TestChannelBlocks:
             assert np.array_equal(out.indices, idx)
             assert np.array_equal(out.m, m)
             assert np.array_equal(out.weight, np.outer(b[idx], b[idx]) * damp)
+
+    def test_blocks_read_their_input_window(self):
+        # a block is its first input index plus its m grid: every constructor
+        # gives a contiguous window whose m grid has unit spacing
+        n = 9
+        c = np.arange(n + 1.0)
+        for channel in (channel_blocks(LocalDephasing(0.44), n),
+                        channel_blocks(CollectiveDephasing(0.3), n),
+                        compose_collective(channel_blocks(Loss(0.63), n), 0.25)):
+            for blk in channel.blocks:
+                assert np.array_equal(blk.indices, np.arange(n + 1)[blk.window])
+                assert np.array_equal(c[blk.window], c[blk.indices])
+                assert np.all(np.diff(blk.m) == 1.0)
+                assert blk.weight.shape == (len(blk.m), len(blk.m))
+        for blk in channel_blocks(LocalDephasing(0.44), n).blocks:
+            assert np.array_equal(blk.m, blk.indices - n / 2.0)
+
+    @pytest.mark.parametrize("n", [1, 7, 200])
+    @pytest.mark.parametrize("gamma", [0.0, 0.02, 0.27])
+    def test_collective_weight_is_the_exponential_bit_for_bit(self, n, gamma):
+        # the Toeplitz gather of exp(-gamma k^2 / 2) against (N+1)^2 exponentials
+        m = np.arange(-n, n + 1, 2) / 2.0
+        dm = m[:, None] - m[None, :]
+        assert np.array_equal(collective_weight(n, gamma),
+                              np.exp(-gamma * dm * dm / 2.0))
+        # compose_collective on dephasing blocks and on loss windows
+        k = min(n, 7)
+        for raw in (channel_blocks(LocalDephasing(0.7), min(n, 30)),
+                    Channel.dense(k, channel_blocks(Loss(0.7), k).dense_blocks())):
+            for before, after in zip(raw.blocks, compose_collective(raw, gamma).blocks):
+                dm = before.m[:, None] - before.m[None, :]
+                assert np.array_equal(after.weight,
+                                      before.weight * np.exp(-gamma * dm * dm / 2.0))
 
     def test_trace_preserving_on_states(self):
         # for every input index, the diagonal weights of the dense blocks plus
