@@ -23,7 +23,7 @@ from .asymptotics import (AsymptoteSpec, BayesPi, CollectiveLimit,
 from .bayes import (CovariantResult, FlatPrior, GaussianPrior, IndefiniteBound,
                     ParticleNumberMixture, bayesian_cr_bound, covariant_cost,
                     covariant_m_matrix, gaussian_prior_cost,
-                    indefinite_bayes_bound, mixture_qfi)
+                    gaussian_prior_solve, indefinite_bayes_bound, mixture_qfi)
 from .qcore import (AngularBlockMatrix, CollectiveDephasing, LocalDephasing,
                     Loss, LossComponent, NoiseFree, NoiseModel, SectorMixture,
                     SymmetricPureState, apply_collective_dephasing,

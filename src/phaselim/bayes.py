@@ -26,9 +26,11 @@ from typing import List, Mapping, Optional, Tuple, Union
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .qcore import (NoiseModel, SymmetricPureState, channel_blocks,
-                    compose_collective)
-from .qfi_opt import IterationConfig, maximize_qfi_over_states
+# the channel build and the optimizer are called through their modules, so
+# that a patched module attribute (a tracer, a test fake) sees every call
+from . import qcore, qfi_opt
+from .qcore import NoiseModel, SymmetricPureState
+from .qfi_opt import IterationConfig, OptimizationTrace
 
 __all__ = [
     "FlatPrior",
@@ -40,6 +42,7 @@ __all__ = [
     "covariant_m_matrix",
     "covariant_cost",
     "gaussian_prior_cost",
+    "gaussian_prior_solve",
     "bayesian_cr_bound",
     "mixture_qfi",
     "indefinite_bayes_bound",
@@ -124,7 +127,7 @@ class IndefiniteBound:
 def _m_offdiagonal(n: int, noise: NoiseModel) -> np.ndarray:
     """Super-diagonal of the covariant cost matrix M (length N+1 - 1): the
     summed superdiagonals of the channel's block weights."""
-    channel = channel_blocks(noise, n)
+    channel = qcore.channel_blocks(noise, n)
     b = channel.amplitudes
     off = np.einsum("si,si->i", b[:, :-1], b[:, 1:])
     for blk in channel.blocks:
@@ -168,23 +171,33 @@ def covariant_cost(n: int, noise: NoiseModel) -> CovariantResult:
 # ---------------------------------------------------------------------------
 
 
-def gaussian_prior_cost(n: int, delta0: float, noise: NoiseModel,
-                        cfg: Optional[IterationConfig] = None) -> float:
+def gaussian_prior_solve(n: int, delta0: float, noise: NoiseModel,
+                         cfg: Optional[IterationConfig] = None
+                         ) -> Tuple[float, OptimizationTrace]:
     """Minimal quadratic-cost Bayesian error for a Gaussian prior of width
-    delta0: the prior average acts as extra collective dephasing of strength
-    delta0^2 composed with the physical noise, the QFI of that averaged
-    channel is maximized over inputs, and the duality
-    cost = delta0 sqrt(1 - delta0^2 F) converts it to a cost."""
+    delta0, with the optimization that produced it: the prior average acts
+    as extra collective dephasing of strength delta0^2 composed with the
+    physical noise, the QFI of that averaged channel is maximized over
+    inputs, and the duality cost = delta0 sqrt(1 - delta0^2 F) converts it
+    to a cost.  The trace carries F, the optimal input state, `converged`
+    and the stationarity residual."""
     prior = GaussianPrior(delta0)  # validates and warns when too wide
-    blocks = compose_collective(channel_blocks(noise, n), prior.delta0 ** 2)
-    trace = maximize_qfi_over_states(n, blocks, cfg)
+    blocks = qcore.compose_collective(qcore.channel_blocks(noise, n),
+                                      prior.delta0 ** 2)
+    trace = qfi_opt.maximize_qfi_over_states(n, blocks, cfg)
     slack = 1.0 - delta0 ** 2 * trace.qfi
     if slack < 0.0:
         logger.warning(
             "duality slack 1 - delta0^2 F = %.3e clipped to zero "
             "(n=%d, delta0=%g)", slack, n, delta0)
         slack = 0.0
-    return delta0 * math.sqrt(slack)
+    return delta0 * math.sqrt(slack), trace
+
+
+def gaussian_prior_cost(n: int, delta0: float, noise: NoiseModel,
+                        cfg: Optional[IterationConfig] = None) -> float:
+    """The cost of `gaussian_prior_solve` alone."""
+    return gaussian_prior_solve(n, delta0, noise, cfg)[0]
 
 
 def bayesian_cr_bound(prior: Prior, qfi_value: float) -> float:

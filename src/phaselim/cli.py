@@ -21,9 +21,10 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, TextIO, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
@@ -35,7 +36,9 @@ __all__ = ["SweepConfig", "PrecisionRecord", "run_sweep", "run_indefinite",
            "emit", "main"]
 
 METHODS = ("qfi-opt", "bayes-flat", "bayes-gauss")
-CSV_HEADER = "n,method,qfi,cr_bound,bayes_cost,asymptote,converged,wall_time_s"
+# --noise name -> (model class, the flag holding its one parameter)
+NOISES = {"none": (NoiseFree, None), "dephasing": (LocalDephasing, "eta"),
+          "loss": (Loss, "eta"), "collective": (CollectiveDephasing, "gamma")}
 
 
 def _check_n_range(n_min: int, n_max: int, n_step: int) -> None:
@@ -58,12 +61,10 @@ class SweepConfig:
     grid: str = "linear"          # or "geometric"
     prior_width: Optional[float] = None
     repetitions: int = 1
-    seed: int = 0
+    seed: int = 0                 # only recorded: scans draw no random numbers
     out: Optional[str] = None     # None/'-' means stdout
     fmt: str = "csv"
     timings: bool = True
-    rel_tol: float = 1e-9
-    max_iters: int = 3000
 
     def __post_init__(self):
         _check_n_range(self.n_min, self.n_max, self.n_step)
@@ -105,17 +106,23 @@ class PrecisionRecord:
     wall_time_s: Optional[float] = None
 
 
-def _asymptote_for(noise: NoiseModel, method: str,
+COLUMNS = tuple(f.name for f in fields(PrecisionRecord))
+CSV_HEADER = ",".join(COLUMNS)
+
+
+def _asymptote_for(noise: NoiseModel, kind: str,
                    prior_width: Optional[float]) -> asymptotics.AsymptoteSpec:
+    """The closed-form limit of a `kind` ('cr' or 'bayes') curve; a prior
+    width, when given, applies to the Bayesian curve."""
     if isinstance(noise, NoiseFree):
-        return asymptotics.HeisenbergCR() if method == "qfi-opt" \
+        return asymptotics.HeisenbergCR() if kind == "cr" \
             else asymptotics.BayesPi()
     if isinstance(noise, LocalDephasing):
         return asymptotics.DephasingLimit(noise.eta)
     if isinstance(noise, Loss):
         return asymptotics.LossLimit(noise.eta)
     if isinstance(noise, CollectiveDephasing):
-        width = prior_width if (method == "bayes-gauss" and prior_width) else math.inf
+        width = prior_width if (kind == "bayes" and prior_width) else math.inf
         return asymptotics.CollectiveLimit(noise.gamma, width)
     raise ValueError(f"unsupported noise model {noise!r}")
 
@@ -133,35 +140,30 @@ def _sweep_row(cfg: SweepConfig, n: int, method: str,
     warm_state = warm.get(method)
     if warm_state is not None and warm_state.n_particles != n:
         warm_state = qcore.resample_state(warm_state, n)
-    it_cfg = qfi_opt.IterationConfig(
-        max_iters=cfg.max_iters, rel_tol=cfg.rel_tol, restarts=1,
-        seed=cfg.seed + n, initial_state=warm_state,
-        polish=(method == "bayes-gauss"))
+    it_cfg = qfi_opt.IterationConfig(max_iters=3000, rel_tol=1e-9,
+                                     initial_state=warm_state,
+                                     polish=(method == "bayes-gauss"))
     if method == "qfi-opt":
         trace = qfi_opt.qfi_iterate(n, cfg.noise, it_cfg)
-        warm[method] = trace.final_state
-        rec.qfi = trace.qfi
         rec.cr_bound = qfi_opt.cr_bound(trace.qfi, cfg.repetitions)
-        rec.converged = trace.converged
     elif method == "bayes-flat":
-        result = bayes.covariant_cost(n, cfg.noise)
-        rec.bayes_cost = result.cost
+        trace = None
+        rec.bayes_cost = bayes.covariant_cost(n, cfg.noise).cost
         rec.converged = True
     else:  # bayes-gauss
-        blocks = qcore.compose_collective(
-            qcore.channel_blocks(cfg.noise, n), cfg.prior_width ** 2)
-        trace = qfi_opt.maximize_qfi_over_states(n, blocks, it_cfg)
-        warm[method] = trace.final_state
-        slack = max(0.0, 1.0 - cfg.prior_width ** 2 * trace.qfi)
-        rec.qfi = trace.qfi
-        rec.bayes_cost = cfg.prior_width * math.sqrt(slack)
+        rec.bayes_cost, trace = bayes.gaussian_prior_solve(
+            n, cfg.prior_width, cfg.noise, it_cfg)
         # prior-aware C-R bound for the returned state under the physical noise
-        f_phys = qcore.state_qfi(trace.final_state, cfg.noise)
         rec.cr_bound = bayes.bayesian_cr_bound(
-            bayes.GaussianPrior(cfg.prior_width), f_phys)
+            bayes.GaussianPrior(cfg.prior_width),
+            qcore.state_qfi(trace.final_state, cfg.noise))
+    if trace is not None:
+        warm[method] = trace.final_state
+        rec.qfi = trace.qfi
         rec.converged = trace.converged
-    rec.asymptote = asymptotics.evaluate(
-        _asymptote_for(cfg.noise, method, cfg.prior_width), n)
+    rec.asymptote = asymptotics.evaluate(_asymptote_for(
+        cfg.noise, "cr" if method == "qfi-opt" else "bayes",
+        cfg.prior_width if method == "bayes-gauss" else None), n)
     if cfg.repetitions > 1 and rec.bayes_cost is not None:
         # i.i.d. repetition scaling; exact for the C-R column, the standard
         # large-k behaviour for the Bayesian columns
@@ -172,8 +174,8 @@ def _sweep_row(cfg: SweepConfig, n: int, method: str,
 
 def run_sweep(cfg: SweepConfig) -> List[PrecisionRecord]:
     """One record per (N, method); a failing row is recorded with empty
-    numeric fields rather than aborting the sweep.  Deterministic for a fixed
-    config and seed (timings aside)."""
+    numeric fields rather than aborting the sweep, and its exception named
+    on stderr.  Deterministic for a fixed config (timings aside)."""
     records: List[PrecisionRecord] = []
     warm: Dict[str, "qcore.SymmetricPureState"] = {}
     for n in cfg.n_grid():
@@ -181,9 +183,9 @@ def run_sweep(cfg: SweepConfig) -> List[PrecisionRecord]:
             try:
                 rec = _sweep_row(cfg, n, method, warm)
             except Exception as exc:  # noqa: BLE001 -- per-row fault isolation
-                print(f"row (n={n}, {method}) failed: {exc}", file=sys.stderr)
+                print(f"row (n={n}, {method}) failed: "
+                      f"{type(exc).__name__}: {exc}", file=sys.stderr)
                 rec = PrecisionRecord(n=n, method=method, converged=False)
-                rec.wall_time_s = None
             records.append(rec)
     return records
 
@@ -196,6 +198,8 @@ def run_sweep(cfg: SweepConfig) -> List[PrecisionRecord]:
 def _fmt(value) -> str:
     if value is None:
         return ""
+    if isinstance(value, str):
+        return value
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -204,36 +208,29 @@ def _fmt(value) -> str:
 
 
 def _round12(value):
-    if value is None or isinstance(value, (bool, int)):
+    if value is None or isinstance(value, (bool, int, str)):
         return value
     return float(f"{value:.12g}")
 
 
+def _dump_json(obj, stream: TextIO, sort_keys: bool = False) -> None:
+    json.dump(obj, stream, indent=1, sort_keys=sort_keys)
+    stream.write("\n")
+
+
 def emit(records: Sequence[PrecisionRecord], fmt: str, stream: TextIO) -> None:
-    """Write records as CSV (fixed header) or a JSON array; numbers carry 12
-    significant digits, non-applicable fields are empty/null."""
+    """Write records as CSV (fixed header) or a JSON array, one column per
+    `PrecisionRecord` field; numbers carry 12 significant digits,
+    non-applicable fields are empty/null."""
     if not records:
         raise ValueError("no records to emit")
     if fmt == "csv":
         stream.write(CSV_HEADER + "\n")
         for r in records:
-            row = [str(r.n), r.method, _fmt(r.qfi), _fmt(r.cr_bound),
-                   _fmt(r.bayes_cost), _fmt(r.asymptote), _fmt(r.converged),
-                   _fmt(r.wall_time_s)]
-            stream.write(",".join(row) + "\n")
+            stream.write(",".join(_fmt(getattr(r, c)) for c in COLUMNS) + "\n")
     elif fmt == "json":
-        payload = [{
-            "n": r.n,
-            "method": r.method,
-            "qfi": _round12(r.qfi),
-            "cr_bound": _round12(r.cr_bound),
-            "bayes_cost": _round12(r.bayes_cost),
-            "asymptote": _round12(r.asymptote),
-            "converged": r.converged,
-            "wall_time_s": _round12(r.wall_time_s),
-        } for r in records]
-        json.dump(payload, stream, indent=1)
-        stream.write("\n")
+        _dump_json([{c: _round12(getattr(r, c)) for c in COLUMNS}
+                    for r in records], stream)
     else:
         raise ValueError(f"unknown format {fmt!r}")
 
@@ -250,20 +247,21 @@ def _check_writable(out: Optional[str]) -> None:
         raise SystemExit(f"cannot write {out}: {exc}") from None
 
 
-def _write_output(records, fmt: str, out: Optional[str],
+def _write_output(out: Optional[str], write: Callable[[TextIO], None],
                   metadata: Optional[dict] = None) -> None:
+    """`write` the output to `out` (stdout for None/'-'), plus a
+    `<out>.meta.json` sidecar when `metadata` is given."""
     if out is None or out == "-":
-        emit(records, fmt, sys.stdout)
+        write(sys.stdout)
         return
     path = Path(out)
     try:
         with path.open("w", encoding="utf-8") as fh:
-            emit(records, fmt, fh)
+            write(fh)
         if metadata is not None:
             meta_path = path.with_suffix(path.suffix + ".meta.json")
             with meta_path.open("w", encoding="utf-8") as fh:
-                json.dump(metadata, fh, indent=1, sort_keys=True)
-                fh.write("\n")
+                _dump_json(metadata, fh, sort_keys=True)
     except OSError as exc:
         raise SystemExit(f"cannot write {out}: {exc}") from None
 
@@ -366,21 +364,14 @@ def run_selftest(verbose: bool = True) -> bool:
 
 
 def _noise_from_args(args) -> NoiseModel:
-    if args.noise == "none":
-        return NoiseFree()
-    if args.noise == "dephasing":
-        if args.eta is None:
-            raise ValueError("--noise dephasing requires --eta")
-        return LocalDephasing(args.eta)
-    if args.noise == "loss":
-        if args.eta is None:
-            raise ValueError("--noise loss requires --eta")
-        return Loss(args.eta)
-    if args.noise == "collective":
-        if args.gamma is None:
-            raise ValueError("--noise collective requires --gamma")
-        return CollectiveDephasing(args.gamma)
-    raise ValueError(f"unknown noise {args.noise!r}")
+    if args.noise not in NOISES:  # a config file can bypass argparse choices
+        raise ValueError(f"unknown noise {args.noise!r}")
+    model, param = NOISES[args.noise]
+    if param is None:
+        return model()
+    if getattr(args, param) is None:
+        raise ValueError(f"--noise {args.noise} requires --{param}")
+    return model(getattr(args, param))
 
 
 def _add_common_output(p: argparse.ArgumentParser) -> None:
@@ -397,8 +388,7 @@ def _build_parser():
     scan = sub.add_parser("scan", help="sweep N for a noise model")
     scan.add_argument("--config", default=None,
                       help="JSON file of flag defaults; explicit flags win")
-    scan.add_argument("--noise", choices=("none", "dephasing", "loss", "collective"),
-                      default="none")
+    scan.add_argument("--noise", choices=tuple(NOISES), default="none")
     scan.add_argument("--eta", type=float, default=None)
     scan.add_argument("--gamma", type=float, default=None)
     scan.add_argument("--n-min", type=int, default=1)
@@ -420,8 +410,7 @@ def _build_parser():
     _add_common_output(indef)
 
     asym = sub.add_parser("asymptote", help="tabulate a closed-form limit")
-    asym.add_argument("--noise", choices=("none", "dephasing", "loss", "collective"),
-                      default="none")
+    asym.add_argument("--noise", choices=tuple(NOISES), default="none")
     asym.add_argument("--eta", type=float, default=None)
     asym.add_argument("--gamma", type=float, default=None)
     asym.add_argument("--kind", choices=("cr", "bayes"), default="bayes")
@@ -500,34 +489,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "n_max": cfg.n_max, "n_step": cfg.n_step, "grid": cfg.grid,
                 "prior_width": cfg.prior_width, "repetitions": cfg.repetitions,
             }
-            _write_output(records, cfg.fmt, cfg.out, metadata)
+            _write_output(cfg.out, partial(emit, records, cfg.fmt), metadata)
             return 0 if numeric else 3
 
         if args.command == "indefinite":
             mix = parse_mixture_file(args.mixture)
             report = run_indefinite(mix, args.prior_width)
-            text = json.dumps(report, indent=1, sort_keys=True) + "\n"
-            if args.out in (None, "-"):
-                sys.stdout.write(text)
-            else:
-                try:
-                    Path(args.out).write_text(text, encoding="utf-8")
-                except OSError as exc:
-                    print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-                    return 2
+            _write_output(args.out, partial(_dump_json, report, sort_keys=True))
             return 0
 
         if args.command == "asymptote":
             _check_n_range(args.n_min, args.n_max, args.n_step)
-            noise = _noise_from_args(args)
-            method = "bayes-gauss" if (args.kind == "bayes"
-                                       and args.prior_width) else (
-                "bayes-flat" if args.kind == "bayes" else "qfi-opt")
-            spec = _asymptote_for(noise, method, args.prior_width)
+            spec = _asymptote_for(_noise_from_args(args), args.kind,
+                                  args.prior_width)
             records = [PrecisionRecord(n=n, method=f"asymptote:{args.kind}",
                                        asymptote=asymptotics.evaluate(spec, n))
                        for n in range(args.n_min, args.n_max + 1, args.n_step)]
-            _write_output(records, args.format, args.out)
+            _write_output(args.out, partial(emit, records, args.format))
             return 0
     except SystemExit as exc:
         print(str(exc), file=sys.stderr)

@@ -7,16 +7,17 @@ import math
 import numpy as np
 import pytest
 
-from phaselim import oracles
+from phaselim import oracles, qfi_opt
 from phaselim.angmom import coupling_blocks
 from phaselim.bayes import (FlatPrior, GaussianPrior,
                             ParticleNumberMixture, bayesian_cr_bound,
                             covariant_cost, covariant_m_matrix,
-                            gaussian_prior_cost, indefinite_bayes_bound,
-                            mixture_qfi)
+                            gaussian_prior_cost, gaussian_prior_solve,
+                            indefinite_bayes_bound, mixture_qfi)
 from phaselim.qcore import (CollectiveDephasing, LocalDephasing, Loss,
-                            NoiseFree, resample_state, _loss_table)
-from phaselim.qfi_opt import IterationConfig, qfi_iterate
+                            NoiseFree, resample_state, sine_profile_state,
+                            _loss_table)
+from phaselim.qfi_opt import IterationConfig, OptimizationTrace, qfi_iterate
 
 
 def analytic_noise_free_cost_sq(n: int) -> float:
@@ -237,10 +238,30 @@ class TestGaussianPriorCost:
         with pytest.warns(UserWarning):
             gaussian_prior_cost(2, 1.5, NoiseFree())
 
-    def test_duality_slack_clamped(self, caplog):
+    def test_cost_is_the_solve_cost(self):
+        noise = LocalDephasing(0.7)
+        cost, trace = gaussian_prior_solve(12, 0.4, noise)
+        assert gaussian_prior_cost(12, 0.4, noise) == cost
+        assert cost == 0.4 * math.sqrt(1.0 - 0.4 ** 2 * trace.qfi)
+
+    def test_duality_slack_clamped(self, caplog, monkeypatch):
+        import logging
         # tiny prior-information regime: 1 - delta0^2 F can graze zero
+        # (at N = 1, delta0 = 0.9 it still leaves a slack of 0.64)
         cost = gaussian_prior_cost(1, 0.9, NoiseFree())
         assert cost >= 0.0
+
+        # an optimizer that overshoots the duality edge by 1e-12 relative
+        def overshoot(n, blocks, cfg=None):
+            f = (1.0 + 1e-12) / 0.9 ** 2
+            return OptimizationTrace(qfi_values=np.array([f]), converged=True,
+                                     final_state=sine_profile_state(n), qfi=f)
+
+        monkeypatch.setattr(qfi_opt, "maximize_qfi_over_states", overshoot)
+        with caplog.at_level(logging.WARNING, logger="phaselim.bayes"):
+            assert gaussian_prior_cost(1, 0.9, NoiseFree()) == 0.0
+        assert any(rec.levelno == logging.WARNING and "duality slack" in rec.message
+                   and "clipped to zero" in rec.message for rec in caplog.records)
 
 
 class TestBayesianCrBound:

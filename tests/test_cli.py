@@ -2,6 +2,7 @@
 report, exit codes, and the selftest subcommand."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -13,7 +14,12 @@ import pytest
 from phaselim import cli
 from phaselim.cli import (CSV_HEADER, PrecisionRecord, SweepConfig, emit,
                           parse_mixture_file, run_indefinite, run_sweep)
-from phaselim.qcore import LocalDephasing, NoiseFree
+from phaselim.bayes import GaussianPrior, bayesian_cr_bound, gaussian_prior_solve
+from phaselim.qcore import (CollectiveDephasing, LocalDephasing, NoiseFree,
+                            resample_state, state_qfi)
+from phaselim.qfi_opt import IterationConfig
+
+COLUMNS = [f.name for f in dataclasses.fields(PrecisionRecord)]
 
 
 def small_sweep(methods=("qfi-opt", "bayes-flat"), n_max=10, **kw):
@@ -91,7 +97,7 @@ class TestRunSweep:
             value = r.cr_bound if r.method == "qfi-opt" else r.bayes_cost
             assert value >= r.asymptote
 
-    def test_failing_row_recorded_without_aborting(self, monkeypatch):
+    def test_failing_row_recorded_without_aborting(self, monkeypatch, capsys):
         import phaselim.bayes as bayes_mod
 
         real = bayes_mod.covariant_cost
@@ -109,6 +115,32 @@ class TestRunSweep:
         failed = [r for r in records if r.n == 3][0]
         assert failed.bayes_cost is None and failed.converged is False
         assert all(r.bayes_cost is not None for r in records if r.n != 3)
+        assert ("row (n=3, bayes-flat) failed: RuntimeError: synthetic "
+                "numerical failure") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("noise,delta0,grid", [
+        (NoiseFree(), 0.4, (4, 8, 1)),
+        (CollectiveDephasing(0.02), 0.5, (10, 30, 10))])
+    def test_bayes_gauss_rows_are_the_library_solve(self, noise, delta0, grid):
+        # the CLI adds nothing of its own: a hand-run warm chain of the
+        # library solve reproduces every numeric column exactly
+        n_min, n_max, n_step = grid
+        cfg = SweepConfig(n_min=n_min, n_max=n_max, n_step=n_step, noise=noise,
+                          methods=("bayes-gauss",), prior_width=delta0,
+                          timings=False)
+        records = run_sweep(cfg)
+        ns = list(range(n_min, n_max + 1, n_step))
+        assert [r.n for r in records] == ns
+        warm = None
+        for rec, n in zip(records, ns):
+            init = resample_state(warm, n) if warm is not None else None
+            cost, trace = gaussian_prior_solve(n, delta0, noise, IterationConfig(
+                max_iters=3000, rel_tol=1e-9, initial_state=init))
+            warm = trace.final_state
+            assert rec.qfi == trace.qfi
+            assert rec.bayes_cost == cost
+            assert rec.cr_bound == bayesian_cr_bound(
+                GaussianPrior(delta0), state_qfi(trace.final_state, noise))
 
     def test_repetitions_scale_bounds(self):
         _, base = small_sweep(n_max=3)
@@ -140,6 +172,7 @@ class TestEmit:
         lines = buf.getvalue().strip().split("\n")
         assert len(lines) == 4
         assert lines[0] == CSV_HEADER
+        assert CSV_HEADER.split(",") == COLUMNS
         row = lines[2].split(",")
         assert row[0] == "2" and row[1] == "bayes-flat"
         assert row[2] == ""  # non-applicable qfi is an empty cell
@@ -160,6 +193,7 @@ class TestEmit:
         emit(self.make_records(), "json", buf)
         payload = json.loads(buf.getvalue())
         assert [r["n"] for r in payload] == [1, 2, 3]
+        assert all(list(r) == COLUMNS for r in payload)
         assert payload[0]["bayes_cost"] is None
         assert payload[1]["bayes_cost"] == pytest.approx(0.847)
         assert payload[2]["converged"] is False
@@ -233,9 +267,10 @@ class TestIndefinite:
 
 
 class TestExitCodes:
-    def test_config_error(self):
+    def test_config_error(self, capsys):
         assert cli.main(["scan", "--n-max", "4", "--method", "bogus"]) == 1
         assert cli.main(["scan", "--n-max", "4", "--noise", "dephasing"]) == 1
+        assert "--noise dephasing requires --eta" in capsys.readouterr().err
         assert cli.main(["scan", "--n-max", "4", "--method", "bayes-gauss"]) == 1
 
     @pytest.mark.parametrize("width", ["0", "-0.5"])
