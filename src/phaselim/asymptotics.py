@@ -147,25 +147,22 @@ class ConvergenceReport:
 
 
 def convergence_report(records: Sequence, spec: AsymptoteSpec,
-                       rtol: float = 0.1, value_field: str = "auto") -> ConvergenceReport:
+                       rtol: float = 0.1) -> ConvergenceReport:
     """Compare swept uncertainties against an asymptote.
 
     `records` are sweep rows carrying `.n` and a cost column (`bayes_cost`
-    when present, else `cr_bound`; override with `value_field`).  Requires at
-    least 3 rows sorted by n.  `within_tolerance` holds when every ratio over
-    the final decade of n lies within rtol of 1.
+    when present, else `cr_bound`).  Requires at least 3 rows sorted by n.
+    `within_tolerance` holds when every ratio over the final decade of n
+    lies within rtol of 1.
     """
     if len(records) < 3:
         raise ValueError("need at least 3 records")
     ns, vals = [], []
     for rec in records:
         n = int(rec.n)
-        if value_field == "auto":
-            v = getattr(rec, "bayes_cost", None)
-            if v is None:
-                v = getattr(rec, "cr_bound", None)
-        else:
-            v = getattr(rec, value_field)
+        v = getattr(rec, "bayes_cost", None)
+        if v is None:
+            v = getattr(rec, "cr_bound", None)
         if v is None or not np.isfinite(v):
             continue
         ns.append(n)

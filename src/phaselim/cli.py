@@ -10,8 +10,8 @@ Subcommands:
 * ``asymptote``  -- tabulate a closed-form reference curve;
 * ``selftest``   -- run the small-N brute-force oracle suite.
 
-Exit codes: 0 success, 1 configuration error, 2 I/O error, 3 numerical
-failure in every row (or a failed selftest).
+Exit codes: 0 success, 1 configuration error, 2 I/O error (a closed stdout
+included), 3 numerical failure in every row (or a failed selftest).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -253,6 +254,7 @@ def _write_output(out: Optional[str], write: Callable[[TextIO], None],
     `<out>.meta.json` sidecar when `metadata` is given."""
     if out is None or out == "-":
         write(sys.stdout)
+        sys.stdout.flush()  # a closed pipe raises here, inside main
         return
     path = Path(out)
     try:
@@ -325,9 +327,9 @@ def run_indefinite(mix: bayes.ParticleNumberMixture, delta0: float) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def run_selftest(verbose: bool = True) -> bool:
+def run_selftest() -> bool:
     """Brute-force oracle checks at small N (the same ones the test suite
-    pins down, in quick form)."""
+    pins down, in quick form), one PASS/FAIL line each on stdout."""
     from . import oracles
     from .angmom import CgKey, clebsch_gordan
     checks: List[Tuple[str, bool]] = []
@@ -353,8 +355,7 @@ def run_selftest(verbose: bool = True) -> bool:
 
     for name, passed in checks:
         ok &= passed
-        if verbose:
-            print(f"[{'PASS' if passed else 'FAIL'}] {name}")
+        print(f"[{'PASS' if passed else 'FAIL'}] {name}")
     return ok
 
 
@@ -407,7 +408,8 @@ def _build_parser():
     indef = sub.add_parser("indefinite", help="indefinite particle number report")
     indef.add_argument("mixture", help="file of 'N weight' lines")
     indef.add_argument("--prior-width", type=float, required=True)
-    _add_common_output(indef)
+    indef.add_argument("--out", default="-",
+                       help="JSON output path ('-' for stdout)")
 
     asym = sub.add_parser("asymptote", help="tabulate a closed-form limit")
     asym.add_argument("--noise", choices=tuple(NOISES), default="none")
@@ -509,6 +511,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0
     except SystemExit as exc:
         print(str(exc), file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader closed stdout; send the rest to devnull so that the
+        # interpreter's final flush does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 2
     except (ValueError, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -32,11 +32,10 @@ __all__ = [
 ]
 
 
-def random_state(n: int, seed: int = 0, real: bool = False) -> SymmetricPureState:
+def random_state(n: int, seed: int = 0) -> SymmetricPureState:
+    """Complex Gaussian amplitudes, normalized."""
     rng = np.random.default_rng(seed)
-    amps = rng.standard_normal(n + 1)
-    if not real:
-        amps = amps + 1j * rng.standard_normal(n + 1)
+    amps = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
     return SymmetricPureState(n, amps / np.linalg.norm(amps))
 
 
@@ -192,16 +191,16 @@ def dephasing_block_error(state: SymmetricPureState, eta: float) -> float:
     return err
 
 
-def brute_dephasing_qfi(state: SymmetricPureState, eta: float,
-                        support_rtol: float = 1e-12) -> float:
-    """QFI of the dephased state evaluated on the full 2^N space."""
+def brute_dephasing_qfi(state: SymmetricPureState, eta: float) -> float:
+    """QFI of the dephased state evaluated on the full 2^N space; eigenvalue
+    pairs whose sum is below 1e-12 of the largest eigenvalue are cut."""
     rho = _dephased_full(state, eta)
     jz, _ = _collective_operators(state.n_particles)
     drho = 1j * (jz @ rho - rho @ jz)
     lam, vec = np.linalg.eigh((rho + rho.conj().T) / 2.0)
     d = vec.conj().T @ drho @ vec
     denom = lam[:, None] + lam[None, :]
-    mask = denom > support_rtol * max(lam[-1], 1e-300)
+    mask = denom > 1e-12 * max(lam[-1], 1e-300)
     return float(np.sum(np.where(mask, 2.0 * np.abs(d) ** 2
                                  / np.where(mask, denom, 1.0), 0.0)).real)
 
@@ -280,23 +279,22 @@ def loss_mixture_error(state: SymmetricPureState, eta: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def covariant_cost_quadrature(state: SymmetricPureState, seed: np.ndarray,
-                              n_nodes: int = 0) -> float:
+def covariant_cost_quadrature(state: SymmetricPureState, seed: np.ndarray) -> float:
     """Average sine cost of the covariant measurement generated by a seed
     operator, for a noise-free probe: the squared cost equals
 
         4/(2 pi) * Integral  tr(U_phi rho U_phi^dag  Xi) sin^2(phi/2) dphi.
 
     The integrand is a trigonometric polynomial of degree N+1, so a uniform
-    trapezoid rule with enough nodes is exact; `seed` must have unit diagonal
-    (covariant completeness).
+    trapezoid rule with 8(N+2) nodes is exact; `seed` must have unit
+    diagonal (covariant completeness).
     """
     n = state.n_particles
     if seed.shape != (n + 1, n + 1):
         raise ValueError("seed operator has the wrong shape")
     if np.max(np.abs(np.diag(seed) - 1.0)) > 1e-10:
         raise ValueError("covariant seed operator must have unit diagonal")
-    nodes = n_nodes or 8 * (n + 2)
+    nodes = 8 * (n + 2)
     phis = 2.0 * np.pi * np.arange(nodes) / nodes - np.pi
     m = state.m_values
     rho = np.outer(state.amplitudes, state.amplitudes.conj())

@@ -186,18 +186,17 @@ class AngularBlockMatrix:
         return min(np.linalg.eigvalsh((b + b.conj().T) / 2.0).min()
                    for b in self.blocks.values())
 
-    def validate_state(self, trace_atol: float = 1e-10,
-                       herm_atol: float = 1e-12,
-                       psd_atol: float = 1e-10) -> None:
-        """Raise unless this is (numerically) a density operator."""
+    def validate_state(self) -> None:
+        """Raise unless this is (numerically) a density operator: Hermitian to
+        1e-12, trace 1 to 1e-10, no eigenvalue below -1e-10."""
         defect = self.hermiticity_defect()
-        if defect > herm_atol:
+        if defect > 1e-12:
             raise ValueError(f"blocks not Hermitian: defect {defect:.3e}")
         tr = self.trace()
-        if abs(tr - 1.0) > trace_atol:
+        if abs(tr - 1.0) > 1e-10:
             raise ValueError(f"trace {tr} != 1")
         lam_min = self.min_eigenvalue()
-        if lam_min < -psd_atol:
+        if lam_min < -1e-10:
             raise ValueError(f"negative eigenvalue {lam_min:.3e}")
 
     def __repr__(self) -> str:

@@ -12,7 +12,11 @@ decrease F.  Each step takes that one eigenpair from a single LAPACK
 ?syevr/?heevr call.  Convergence is declared when the geometric-tail
 estimate of the remaining QFI change (or the raw per-step change) drops
 below `rel_tol`; the best iterate is tracked throughout, so a non-converged
-run still returns the best state seen.
+run still returns the best state seen.  A call is one run from one start
+(`IterationConfig.initial_state`, else the sine profile): F never decreases
+along the loop, and from those starts one run reaches the optimum that
+perturbed starts reach, so a multi-start is a caller's loop over
+`initial_state`.
 
 The map's contraction rate approaches one on flat landscapes (narrow
 collective dephasing is the worst case), so an optional quasi-Newton polish
@@ -29,7 +33,7 @@ evaluated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -66,9 +70,6 @@ class IterationConfig:
 
     max_iters: int = 2000
     rel_tol: float = 1e-10
-    restarts: int = 1
-    perturbation_scale: float = 0.05
-    seed: int = 0
     polish: bool = True
     polish_max_evals: int = 200
     initial_state: Optional[SymmetricPureState] = None
@@ -78,27 +79,23 @@ class IterationConfig:
             raise ValueError("max_iters must be >= 1")
         if self.rel_tol <= 0.0:
             raise ValueError("rel_tol must be > 0")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
 
 
 @dataclass
 class OptimizationTrace:
     """Result of one optimization run.
 
-    `qfi_values` records the loop iterates of the best restart (at most
-    `max_iters` entries); `qfi` is the best value found, including the
-    polish stage, so it can exceed the last trace entry slightly.
-    `residual` is |(A + F) c| / F at the returned state (nan when F = 0) and
-    `polish_evals` the number of channel evaluations the best restart's
-    polish spent (0 when it was skipped).
+    `qfi_values` records the loop iterates (at most `max_iters` entries);
+    `qfi` is the best value found, including the polish stage, so it can
+    exceed the last trace entry slightly.  `residual` is |(A + F) c| / F at
+    the returned state (nan when F = 0) and `polish_evals` the number of
+    channel evaluations the polish spent (0 when it was skipped).
     """
 
     qfi_values: np.ndarray
     converged: bool
     final_state: SymmetricPureState
     qfi: float
-    restart_qfis: List[float] = field(default_factory=list)
     residual: float = math.nan
     polish_evals: int = 0
 
@@ -185,7 +182,7 @@ class _Stationary(Exception):
     """Raised by the polish objective to end the minimization."""
 
 
-def _polish_lbfgs(channel: Channel, c0: np.ndarray, max_evals: int = 500):
+def _polish_lbfgs(channel: Channel, c0: np.ndarray, max_evals: int):
     """Quasi-Newton refinement of the QFI over the state sphere.
 
     Returns (F, c, residual, evaluations) of the best state evaluated; stops
@@ -224,13 +221,29 @@ def _polish_lbfgs(channel: Channel, c0: np.ndarray, max_evals: int = 500):
     return best_f, _fix_phase(best_c), best_r, evals
 
 
-def _run_single(channel: Channel, c0: np.ndarray, cfg: IterationConfig):
-    c = c0.copy()
+def maximize_qfi_over_states(n: int, blocks: Channel,
+                             cfg: Optional[IterationConfig] = None) -> OptimizationTrace:
+    """Run the optimization loop on an explicit channel (from `channel_blocks`,
+    possibly composed with `compose_collective`).
+
+    This is the engine behind `qfi_iterate`; the Bayesian module reuses it
+    with prior-averaged channels.
+    """
+    cfg = cfg or IterationConfig()
+    if blocks.n != n:
+        raise ValueError(f"channel is for N={blocks.n}, not N={n}")
+    start = cfg.initial_state
+    if start is None:
+        start = sine_profile_state(n)
+    elif start.n_particles != n:
+        raise ValueError("initial state has the wrong particle number")
+    c = start.amplitudes.real if start.is_real() else start.amplitudes
+    c = c / np.linalg.norm(c)
     history: List[float] = []
     best_f, best_c, best_a = -np.inf, c, None
     converged = False
     for _ in range(cfg.max_iters):
-        f, a = _iteration_step(channel, c)
+        f, a = _iteration_step(blocks, c)
         history.append(f)
         if f > best_f:
             best_f, best_c, best_a = f, c, a
@@ -253,52 +266,13 @@ def _run_single(channel: Channel, c0: np.ndarray, cfg: IterationConfig):
     polish_evals = 0
     if cfg.polish and best_f > 0.0 and best_r > STATIONARITY_RTOL:
         f_pol, c_pol, r_pol, polish_evals = _polish_lbfgs(
-            channel, best_c, cfg.polish_max_evals)
+            blocks, best_c, cfg.polish_max_evals)
         if f_pol >= best_f:
             best_f, best_c, best_r = f_pol, c_pol, r_pol
-    return best_f, _fix_phase(best_c), history, converged, best_r, polish_evals
-
-
-def maximize_qfi_over_states(n: int, blocks: Channel,
-                             cfg: Optional[IterationConfig] = None) -> OptimizationTrace:
-    """Run the optimization loop on an explicit channel (from `channel_blocks`,
-    possibly composed with `compose_collective`).
-
-    This is the engine behind `qfi_iterate`; the Bayesian module reuses it
-    with prior-averaged channels.
-    """
-    cfg = cfg or IterationConfig()
-    if blocks.n != n:
-        raise ValueError(f"channel is for N={blocks.n}, not N={n}")
-    if cfg.initial_state is not None:
-        if cfg.initial_state.n_particles != n:
-            raise ValueError("initial state has the wrong particle number")
-        base = cfg.initial_state.amplitudes
-        if np.all(base.imag == 0.0):
-            base = base.real.copy()
-    else:
-        base = sine_profile_state(n).amplitudes.real
-    rng = np.random.default_rng(cfg.seed)
-    best = None
-    restart_qfis = []
-    for r in range(cfg.restarts):
-        c0 = base.copy()
-        if r > 0 and cfg.perturbation_scale > 0.0:
-            if np.iscomplexobj(c0):
-                c0 = c0 + cfg.perturbation_scale * (
-                    rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1))
-            else:
-                c0 = c0 + cfg.perturbation_scale * rng.standard_normal(n + 1)
-        c0 = c0 / np.linalg.norm(c0)
-        run = _run_single(blocks, c0, cfg)
-        restart_qfis.append(run[0])
-        if best is None or run[0] > best[0]:
-            best = run
-    f, c, history, converged, residual, polish_evals = best
-    state = SymmetricPureState(n, c, normalize=True)
+    state = SymmetricPureState(n, _fix_phase(best_c), normalize=True)
     return OptimizationTrace(qfi_values=np.asarray(history), converged=converged,
-                             final_state=state, qfi=f, restart_qfis=restart_qfis,
-                             residual=residual, polish_evals=polish_evals)
+                             final_state=state, qfi=best_f, residual=best_r,
+                             polish_evals=polish_evals)
 
 
 def qfi_iterate(n: int, noise: NoiseModel,

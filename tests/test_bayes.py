@@ -181,7 +181,7 @@ class TestDephasingRatioOracles:
             warm = trace.final_state
             full = oracles.brute_dephasing_qfi(trace.final_state, self.ETA)
             assert full == pytest.approx(trace.qfi, rel=1e-10)
-            cold = qfi_iterate(n, noise, IterationConfig(restarts=3)).qfi
+            cold = qfi_iterate(n, noise).qfi
             assert cold == pytest.approx(trace.qfi, rel=1e-8)
             ratios[n] = covariant_cost(n, noise).cost * math.sqrt(trace.qfi)
         assert all(ratios[n + 1] > ratios[n] for n in range(1, self.N_MAX))
@@ -262,6 +262,40 @@ class TestGaussianPriorCost:
             assert gaussian_prior_cost(1, 0.9, NoiseFree()) == 0.0
         assert any(rec.levelno == logging.WARNING and "duality slack" in rec.message
                    and "clipped to zero" in rec.message for rec in caplog.records)
+
+
+class TestParameterEdges:
+    """Defined behaviour at eta in {0, 1} and gamma = 0, N = 1 included."""
+
+    NS = [1, 2, 7, 60]
+
+    @pytest.mark.parametrize("noise", [Loss(0.0), LocalDephasing(0.0)])
+    @pytest.mark.parametrize("n", NS)
+    def test_phase_blind_channel_costs_the_flat_prior(self, n, noise):
+        assert covariant_cost(n, noise).cost_squared == 2.0
+
+    @pytest.mark.parametrize("noise", [Loss(1.0), CollectiveDephasing(0.0)])
+    @pytest.mark.parametrize("n", NS)
+    def test_noiseless_limit_is_exactly_noise_free(self, n, noise):
+        assert np.array_equal(covariant_m_matrix(n, noise),
+                              covariant_m_matrix(n, NoiseFree()))
+
+    @pytest.mark.parametrize("n", NS)
+    def test_dephasing_one_matches_noise_free(self, n):
+        # M's superdiagonal is summed over spin sectors, so lambda_max agrees
+        # to rounding (4.9e-15 at N = 60), while cost_squared = 2 - lambda_max
+        # is small at large N and moves by ~2e-12 relative there
+        got = covariant_cost(n, LocalDephasing(1.0)).lambda_max
+        want = covariant_cost(n, NoiseFree()).lambda_max
+        assert abs(got - want) <= 1e-13
+
+    @pytest.mark.parametrize("noise", [Loss(0.0), LocalDephasing(0.0)])
+    def test_phase_blind_prior_solve_returns_the_prior_width(self, noise):
+        cost, trace = gaussian_prior_solve(5, 0.3, noise)
+        assert cost == 0.3
+        assert trace.qfi == 0.0
+        assert trace.converged
+        assert math.isnan(trace.residual)
 
 
 class TestBayesianCrBound:

@@ -265,6 +265,58 @@ class TestIndefinite:
         assert cli.main(["indefinite", "/nonexistent/mix.txt",
                          "--prior-width", "0.3"]) == 2
 
+    def test_takes_no_format_flag(self, tmp_path, capsys):
+        path = tmp_path / "mix.txt"
+        path.write_text("0 0.99\n1000 0.01\n")
+        assert cli.main(["indefinite", str(path), "--prior-width", "0.3",
+                         "--format", "csv"]) == 1
+        assert "--format" in capsys.readouterr().err
+
+
+class TestConfigFile:
+    GOOD = {"noise": "dephasing", "eta": 0.7, "n-max": 6,
+            "method": "qfi-opt,bayes-flat"}
+    FLAGS = ["--noise", "dephasing", "--eta", "0.7", "--n-max", "6",
+             "--method", "qfi-opt,bayes-flat"]
+
+    def _scan(self, tmp_path, name, *args):
+        out = tmp_path / name
+        assert cli.main(["scan", *args, "--no-timings", "--out", str(out)]) == 0
+        return out.read_text()
+
+    def test_file_equals_the_same_flags(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self.GOOD))
+        from_file = self._scan(tmp_path, "file.csv", "--config", str(cfg))
+        assert from_file == self._scan(tmp_path, "flags.csv", *self.FLAGS)
+        assert len(from_file.splitlines()) == 1 + 12
+
+    def test_explicit_flag_wins(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self.GOOD))
+        got = self._scan(tmp_path, "file.csv", "--config", str(cfg),
+                         "--n-max", "4")
+        assert got == self._scan(tmp_path, "flags.csv", *self.FLAGS,
+                                 "--n-max", "4")
+        assert max(int(row.split(",")[0]) for row in got.splitlines()[1:]) == 4
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"noise": "dephasing", "bogus": 1}', "unknown config keys ['bogus']"),
+        ('{"noise": ', "not valid JSON"),
+        ("[1, 2]", "expected a JSON object of flag values"),
+        ('{"noise": "white", "n-max": 3}', "unknown noise 'white'")])
+    def test_bad_file_is_a_config_error(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert cli.main(["scan", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and message in err
+
+    def test_missing_file_is_io_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert cli.main(["scan", "--config", str(missing)]) == 2
+        assert f"cannot read {missing}" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_config_error(self, capsys):
@@ -318,6 +370,18 @@ class TestExitCodes:
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0
         assert proc.stdout.startswith(CSV_HEADER)
+
+    def test_closed_stdout_exits_2_quietly(self):
+        # ~1 MB of rows: the writer is still writing when the reader leaves
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "phaselim.cli", "asymptote", "--noise",
+             "loss", "--eta", "0.7", "--n-max", "20000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        assert proc.stdout.readline().rstrip("\n") == CSV_HEADER
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 2
+        assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 class TestSelftest:

@@ -108,7 +108,7 @@ class TestApplyDephasing:
     def test_is_a_density_operator(self, n, eta):
         s = oracles.random_state(n, seed=n + int(10 * eta))
         rho = apply_dephasing(s, eta)
-        rho.validate_state(trace_atol=1e-10, herm_atol=1e-12, psd_atol=1e-10)
+        rho.validate_state()
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
