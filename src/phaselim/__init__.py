@@ -13,9 +13,8 @@ decoherence (local dephasing, photon loss, collective dephasing):
 See the ``phaselim`` command-line interface for batch sweeps.
 """
 
-from .angmom import (CgKey, HalfInt, clebsch_gordan, coupling_matrix_entry,
-                     dephasing_weight, multiplicity_dimension,
-                     transfer_coefficient)
+from .angmom import (clebsch_gordan, coupling_matrix_entry, dephasing_weight,
+                     multiplicity_dimension, transfer_coefficient)
 from .asymptotics import (AsymptoteSpec, BayesPi, CollectiveLimit,
                           ConvergenceReport, DephasingLimit, GeneralUnitary,
                           HeisenbergCR, LossLimit, convergence_report,

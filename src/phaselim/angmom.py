@@ -3,8 +3,8 @@ transfer coefficients that define the block action of local dephasing on
 permutation-symmetric qubit states.
 
 Quantum numbers are carried as doubled integers (``2j``, ``2m``) so that
-half-integer arithmetic is exact.  The public entry points accept
-:class:`HalfInt` or plain numbers representable as integer/half-integer.
+half-integer arithmetic is exact.  The public entry points take plain
+integers and half-integers and double them once, on entry.
 
 Two evaluation routes coexist:
 
@@ -23,7 +23,6 @@ tensor-product oracles in the test suite.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, sqrt
@@ -34,8 +33,6 @@ import numpy as np
 from scipy.special import gammaln, xlogy
 
 __all__ = [
-    "HalfInt",
-    "CgKey",
     "clebsch_gordan",
     "transfer_coefficient",
     "dephasing_weight",
@@ -50,66 +47,12 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True, order=True)
-class HalfInt:
-    """Exact integer or half-integer, stored as twice its value."""
-
-    twice_value: int
-
-    @classmethod
-    def from_value(cls, value) -> "HalfInt":
-        """Coerce a number to HalfInt; value must be an exact multiple of 1/2."""
-        if isinstance(value, HalfInt):
-            return value
-        twice = 2 * value
-        if twice != round(twice):
-            raise ValueError(f"{value!r} is not an integer or half-integer")
-        return cls(int(round(twice)))
-
-    def __add__(self, other) -> "HalfInt":
-        return HalfInt(self.twice_value + HalfInt.from_value(other).twice_value)
-
-    def __sub__(self, other) -> "HalfInt":
-        return HalfInt(self.twice_value - HalfInt.from_value(other).twice_value)
-
-    def __neg__(self) -> "HalfInt":
-        return HalfInt(-self.twice_value)
-
-    def __abs__(self) -> "HalfInt":
-        return HalfInt(abs(self.twice_value))
-
-    def __float__(self) -> float:
-        return self.twice_value / 2.0
-
-    def is_integer(self) -> bool:
-        return self.twice_value % 2 == 0
-
-    def __repr__(self) -> str:
-        if self.twice_value % 2 == 0:
-            return str(self.twice_value // 2)
-        return f"{self.twice_value}/2"
-
-
 def _twice(value) -> int:
-    """Doubled-integer representation of an integer/half-integer input."""
-    return HalfInt.from_value(value).twice_value
-
-
-@dataclass(frozen=True)
-class CgKey:
-    """Arguments of the coupling coefficient <j1 m1; j2 m2 | J M>."""
-
-    j1: HalfInt
-    m1: HalfInt
-    j2: HalfInt
-    m2: HalfInt
-    J: HalfInt
-    M: HalfInt
-
-    @classmethod
-    def of(cls, j1, m1, j2, m2, J, M) -> "CgKey":
-        f = HalfInt.from_value
-        return cls(f(j1), f(m1), f(j2), f(m2), f(J), f(M))
+    """Exact doubled integer 2 * value of an integer or half-integer."""
+    twice = 2 * value
+    if twice != round(twice):
+        raise ValueError(f"{value!r} is not an integer or half-integer")
+    return int(round(twice))
 
 
 def _selection_ok(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> bool:
@@ -179,14 +122,10 @@ def _cg_exact(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> float
     return magnitude if series > 0 else -magnitude
 
 
-def clebsch_gordan(key: CgKey) -> float:
+def clebsch_gordan(j1, m1, j2, m2, J, M) -> float:
     """Coupling coefficient <j1 m1; j2 m2 | J M> in the Condon-Shortley
     convention.  Returns 0 when selection rules fail."""
-    return _cg_exact(
-        key.j1.twice_value, key.m1.twice_value,
-        key.j2.twice_value, key.m2.twice_value,
-        key.J.twice_value, key.M.twice_value,
-    )
+    return _cg_exact(*map(_twice, (j1, m1, j2, m2, J, M)))
 
 
 def allowed_twice_j(n: int) -> range:
@@ -194,9 +133,13 @@ def allowed_twice_j(n: int) -> range:
     return range(n % 2, n + 1, 2)
 
 
-def _check_jm(n: int, tj: int, tm: int) -> None:
+def _check_j(n: int, tj: int) -> None:
     if tj < 0 or tj > n or (n - tj) % 2 != 0:
         raise ValueError(f"j={tj/2} not in the total-spin ladder for N={n}")
+
+
+def _check_jm(n: int, tj: int, tm: int) -> None:
+    _check_j(n, tj)
     if abs(tm) > tj or (tj - tm) % 2 != 0:
         raise ValueError(f"m={tm/2} invalid for j={tj/2}")
 
@@ -217,6 +160,11 @@ def transfer_coefficient(n: int, k: int, j, m) -> float:
     _check_jm(n, tj, tm)
     if tj < abs(n - 2 * k):
         raise ValueError(f"j={tj/2} below the k-flip triangle minimum |n/2-k|")
+    return _transfer(n, k, tj, tm)
+
+
+def _transfer(n: int, k: int, tj: int, tm: int) -> float:
+    """`transfer_coefficient` on valid doubled arguments."""
     total = 0.0
     lo = max(-k, tm - (n - k))
     hi = min(k, tm + (n - k))
@@ -256,15 +204,11 @@ def coupling_matrix_entry(n: int, j, m, m2, eta: float) -> float:
     tj, tm, tm2 = _twice(j), _twice(m), _twice(m2)
     _check_jm(n, tj, tm)
     _check_jm(n, tj, tm2)
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"dephasing parameter eta={eta} outside [0, 1]")
     total = 0.0
-    for k in range((n - tj + 1) // 2, (n + tj) // 2 + 1):
-        if abs(n - 2 * k) > tj:
-            continue
+    # the flip counts with |n/2 - k| <= j; the weight also checks eta
+    for k in range((n - tj) // 2, (n + tj) // 2 + 1):
         w = dephasing_weight(n, k, eta)
-        total += w * transfer_coefficient(n, k, HalfInt(tj), HalfInt(tm)) \
-            * transfer_coefficient(n, k, HalfInt(tj), HalfInt(tm2))
+        total += w * _transfer(n, k, tj, tm) * _transfer(n, k, tj, tm2)
     return total
 
 
@@ -272,8 +216,7 @@ def multiplicity_dimension(n: int, j) -> int:
     """Number of inequivalent total-spin-j copies in (C^2)^(x n):
     binom(n, n/2-j) - binom(n, n/2-j-1)."""
     tj = _twice(j)
-    if tj < 0 or tj > n or (n - tj) % 2 != 0:
-        raise ValueError(f"j={tj/2} not in the total-spin ladder for N={n}")
+    _check_j(n, tj)
     a = (n - tj) // 2
     first = comb(n, a)
     second = comb(n, a - 1) if a >= 1 else 0
@@ -353,16 +296,18 @@ class DephasingTables:
         sign = np.where((n // 2 - jidx + k) % 2 == 0, 1.0, -1.0)
         self._c[k, jidx[mirror], n - mcol[mirror]] = (sign * coeffs)[mirror]
 
-    def transfer(self, k: int, tj: int, tm: int) -> float:
-        """C(k; j, m) with doubled arguments; applies the k -> n-k symmetry."""
+    def _rows(self, ks, tj: int, tms):
+        """C(k; j, m) for (broadcast) flip counts ks and doubled projections
+        tms, read from the k <= n/2 half table through the mirror
+        C(n-k; j, m) = (-1)^(n/2-j) (-1)^(n/2-m) C(k; j, m)."""
         n = self.n
-        kk = min(k, n - k)
-        val = self._c[kk, (tj - n % 2) // 2, (tm + n) // 2]
-        if k != kk:
-            # C(n-k; j, m) = (-1)^(n/2-j) (-1)^(n/2-m) C(k; j, m)
-            if (((n - tj) // 2) + ((n - tm) // 2)) % 2:
-                val = -val
-        return float(val)
+        kk = np.minimum(ks, n - ks)
+        r = self._c[kk, (tj - n % 2) // 2, (tms + n) // 2]
+        return np.where((ks > kk) & (((n - tj) // 2 + (n - tms) // 2) % 2 == 1), -r, r)
+
+    def transfer(self, k: int, tj: int, tm: int) -> float:
+        """C(k; j, m) with doubled arguments."""
+        return float(self._rows(k, tj, tm))
 
     def coupling_block(self, tj: int, eta: float) -> np.ndarray:
         """Spin-j coupling matrix A_j(eta) over m, m' = -j..j (ascending).
@@ -372,11 +317,7 @@ class DephasingTables:
         """
         n = self.n
         ks = np.arange((n - tj) // 2, (n + tj) // 2 + 1)[:, None]
-        tms = np.arange(-tj, tj + 1, 2)
-        kk = np.minimum(ks, n - ks)
-        r = self._c[kk, (tj - n % 2) // 2, (tms + n) // 2]
-        # C(n-k; j, m) = (-1)^(n/2-j) (-1)^(n/2-m) C(k; j, m)
-        r = np.where((ks > kk) & (((n - tj) // 2 + (n - tms) // 2) % 2 == 1), -r, r)
+        r = self._rows(ks, tj, np.arange(-tj, tj + 1, 2))
         return r.T @ (_flip_probabilities(n, ks, eta) * r)
 
 

@@ -146,7 +146,8 @@ def _sweep_row(cfg: SweepConfig, n: int, method: str,
                                      polish=(method == "bayes-gauss"))
     if method == "qfi-opt":
         trace = qfi_opt.qfi_iterate(n, cfg.noise, it_cfg)
-        rec.cr_bound = qfi_opt.cr_bound(trace.qfi, cfg.repetitions)
+        if trace.qfi > 0.0:  # no finite bound from F = 0 (eta = 0)
+            rec.cr_bound = qfi_opt.cr_bound(trace.qfi, cfg.repetitions)
     elif method == "bayes-flat":
         trace = None
         rec.bayes_cost = bayes.covariant_cost(n, cfg.noise).cost
@@ -162,9 +163,10 @@ def _sweep_row(cfg: SweepConfig, n: int, method: str,
         warm[method] = trace.final_state
         rec.qfi = trace.qfi
         rec.converged = trace.converged
-    rec.asymptote = asymptotics.evaluate(_asymptote_for(
-        cfg.noise, "cr" if method == "qfi-opt" else "bayes",
-        cfg.prior_width if method == "bayes-gauss" else None), n)
+    if getattr(cfg.noise, "eta", 1.0) > 0.0:  # the closed forms need eta > 0
+        rec.asymptote = asymptotics.evaluate(_asymptote_for(
+            cfg.noise, "cr" if method == "qfi-opt" else "bayes",
+            cfg.prior_width if method == "bayes-gauss" else None), n)
     if cfg.repetitions > 1 and rec.bayes_cost is not None:
         # i.i.d. repetition scaling; exact for the C-R column, the standard
         # large-k behaviour for the Bayesian columns
@@ -331,7 +333,7 @@ def run_selftest() -> bool:
     """Brute-force oracle checks at small N (the same ones the test suite
     pins down, in quick form), one PASS/FAIL line each on stdout."""
     from . import oracles
-    from .angmom import CgKey, clebsch_gordan
+    from .angmom import clebsch_gordan
     checks: List[Tuple[str, bool]] = []
 
     ok = True
@@ -345,8 +347,7 @@ def run_selftest() -> bool:
             state = oracles.random_state(n, seed=5 * n + int(eta * 10))
             err = oracles.loss_mixture_error(state, eta)
             checks.append((f"loss dilation oracle N={n} eta={eta}", err < 1e-10))
-    cg_err = abs(clebsch_gordan(CgKey.of(0.5, 0.5, 0.5, -0.5, 1, 0))
-                 - 1 / math.sqrt(2))
+    cg_err = abs(clebsch_gordan(0.5, 0.5, 0.5, -0.5, 1, 0) - 1 / math.sqrt(2))
     checks.append(("two-qubit coupling coefficient", cg_err < 1e-14))
     for n in (1, 2, 3, 4):
         got = bayes.covariant_cost(n, NoiseFree()).cost_squared

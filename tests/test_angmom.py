@@ -13,10 +13,10 @@ import pytest
 from scipy.linalg.lapack import dstev
 
 from phaselim import oracles
-from phaselim.angmom import (CgKey, HalfInt, allowed_twice_j, clebsch_gordan,
-                             coupling_blocks, coupling_matrix_entry,
-                             dephasing_tables, dephasing_weight,
-                             multiplicity_dimension, transfer_coefficient)
+from phaselim.angmom import (allowed_twice_j, clebsch_gordan, coupling_blocks,
+                             coupling_matrix_entry, dephasing_tables,
+                             dephasing_weight, multiplicity_dimension,
+                             transfer_coefficient)
 
 
 def _stretched_column(n, k, tm, tmts):
@@ -72,48 +72,49 @@ def _dstev_half_table(n):
     return table
 
 
-class TestHalfInt:
-    def test_exact_construction(self):
-        assert HalfInt.from_value(1.5).twice_value == 3
-        assert HalfInt.from_value(-2).twice_value == -4
-        assert HalfInt.from_value(HalfInt(5)).twice_value == 5
-
-    def test_rejects_non_half_integers(self):
-        with pytest.raises(ValueError):
-            HalfInt.from_value(0.3)
-
-    def test_arithmetic_is_exact(self):
-        a = HalfInt.from_value(1.5)
-        b = HalfInt.from_value(0.5)
-        assert (a + b).twice_value == 4
-        assert (a - b).twice_value == 2
-        assert (-a).twice_value == -3
-        assert abs(HalfInt(-7)).twice_value == 7
-        assert float(a) == 1.5
-        assert not a.is_integer()
-        assert HalfInt(4).is_integer()
+class TestPlainNumbers:
+    def test_accept_half_integers_and_reject_others(self):
+        # plain numbers are doubled exactly on entry: 1.5, Fraction(3, 2) and
+        # numpy floats name the same spin, and 0.3 names none
+        want = clebsch_gordan(1, 1, 0.5, -0.5, 1.5, 0.5)
+        assert want == pytest.approx(math.sqrt(1 / 3), abs=1e-14)
+        assert clebsch_gordan(1, 1, Fraction(1, 2), Fraction(-1, 2),
+                              np.float64(1.5), 0.5) == want
+        assert transfer_coefficient(3, 1, 1.5, -0.5) \
+            == dephasing_tables(3).transfer(1, 3, -1) != 0.0
+        assert transfer_coefficient(2, 2, 1, -1) \
+            == transfer_coefficient(2, 2, Fraction(1), -1.0)
+        for bad in range(6):
+            args = [1, 1, 0.5, -0.5, 1.5, 0.5]
+            args[bad] = 0.3
+            with pytest.raises(ValueError, match="not an integer or half-integer"):
+                clebsch_gordan(*args)
+        with pytest.raises(ValueError, match="not an integer or half-integer"):
+            transfer_coefficient(2, 1, 0.3, 0)
+        with pytest.raises(ValueError, match="not an integer or half-integer"):
+            transfer_coefficient(2, 1, 1, 0.3)
 
 
 class TestClebschGordan:
     def test_trivial_coupling(self):
-        assert clebsch_gordan(CgKey.of(0, 0, 0, 0, 0, 0)) == 1.0
+        assert clebsch_gordan(0, 0, 0, 0, 0, 0) == 1.0
 
     def test_two_qubit_value_from_dense_oracle(self):
         # brute-force diagonalization of the total-spin operators on 2 qubits
         column = oracles.cg_column_oracle(1, 1, 2, 0)
         assert column[1] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-14)
-        got = clebsch_gordan(CgKey.of(0.5, 0.5, 0.5, -0.5, 1, 0))
+        got = clebsch_gordan(0.5, 0.5, 0.5, -0.5, 1, 0)
         assert got == pytest.approx(column[1], abs=1e-14)
 
     def test_selection_rule_m_mismatch(self):
-        assert clebsch_gordan(CgKey.of(0.5, 0.5, 0.5, 0.5, 1, 0)) == 0.0
+        assert clebsch_gordan(0.5, 0.5, 0.5, 0.5, 1, 0) == 0.0
 
     def test_selection_rule_triangle(self):
-        assert clebsch_gordan(CgKey.of(1, 0, 1, 0, 3, 0)) == 0.0
+        assert clebsch_gordan(1, 0, 1, 0, 3, 0) == 0.0
 
     def test_selection_rule_projection_parity(self):
         # m = 0 is not a valid projection of j = 1/2
-        assert clebsch_gordan(CgKey.of(0.5, 0.0, 0.5, 0.0, 1, 0)) == 0.0
+        assert clebsch_gordan(0.5, 0.0, 0.5, 0.0, 1, 0) == 0.0
 
     @pytest.mark.parametrize("tj1,tj2", [(1, 1), (2, 1), (2, 2), (3, 2),
                                          (4, 3), (6, 5), (8, 8), (12, 9),
@@ -127,9 +128,8 @@ class TestClebschGordan:
             for t_J in range(max(abs(tj1 - tj2), abs(t_m)), tj1 + tj2 + 1, 2):
                 column = oracles.cg_column_oracle(tj1, tj2, t_J, t_m)
                 for t_m1, want in column.items():
-                    got = clebsch_gordan(CgKey(
-                        HalfInt(tj1), HalfInt(t_m1), HalfInt(tj2),
-                        HalfInt(t_m - t_m1), HalfInt(t_J), HalfInt(t_m)))
+                    got = clebsch_gordan(tj1 / 2, t_m1 / 2, tj2 / 2,
+                                         (t_m - t_m1) / 2, t_J / 2, t_m / 2)
                     assert got == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("tj1,tj2", [(1, 1), (2, 2), (3, 3), (5, 4),
@@ -141,16 +141,14 @@ class TestClebschGordan:
                 t_m = t_m1 + t_m2
                 total = 0.0
                 for t_J in range(max(abs(tj1 - tj2), abs(t_m)), tj1 + tj2 + 1, 2):
-                    total += clebsch_gordan(CgKey(
-                        HalfInt(tj1), HalfInt(t_m1), HalfInt(tj2),
-                        HalfInt(t_m2), HalfInt(t_J), HalfInt(t_m))) ** 2
+                    total += clebsch_gordan(tj1 / 2, t_m1 / 2, tj2 / 2,
+                                            t_m2 / 2, t_J / 2, t_m / 2) ** 2
                 assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_large_spin_stability(self):
         # stretched coefficient has a closed binomial form at any size
         tj = 120
-        got = clebsch_gordan(CgKey(HalfInt(tj), HalfInt(0), HalfInt(tj),
-                                   HalfInt(0), HalfInt(2 * tj), HalfInt(0)))
+        got = clebsch_gordan(tj / 2, 0, tj / 2, 0, tj, 0)
         want = math.sqrt(comb(tj, tj // 2) ** 2 / comb(2 * tj, tj))
         assert got == pytest.approx(want, rel=1e-13)
 
@@ -185,7 +183,7 @@ class TestTransferCoefficient:
                     continue
                 for tm in range(-tj, tj + 1, 2):
                     fast = tables.transfer(k, tj, tm)
-                    exact = transfer_coefficient(n, k, HalfInt(tj), HalfInt(tm))
+                    exact = transfer_coefficient(n, k, tj / 2, tm / 2)
                     assert fast == pytest.approx(exact, abs=2e-13), (n, k, tj, tm)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 50, 51, 120, 200])
@@ -201,7 +199,7 @@ class TestTransferCoefficient:
         for k in range(n + 1):
             for tm in range(n % 2, n + 1, 2):
                 total = sum(
-                    transfer_coefficient(n, k, HalfInt(tj), HalfInt(tm)) ** 2
+                    transfer_coefficient(n, k, tj / 2, tm / 2) ** 2
                     for tj in allowed_twice_j(n)
                     if tj >= abs(n - 2 * k) and tj >= abs(tm))
                 assert total == pytest.approx(1.0, abs=1e-12)
@@ -332,7 +330,7 @@ class TestCouplingMatrixEntry:
             tms = np.arange(-tj, tj + 1, 2)
             idx = (tms + n) // 2
             coupling = np.array([[coupling_matrix_entry(
-                n, HalfInt(tj), HalfInt(tm), HalfInt(tm2), eta)
+                n, tj / 2, tm / 2, tm2 / 2, eta)
                 for tm2 in tms] for tm in tms])
             for weight in (coupling, coupling_blocks(n, eta)[tj]):
                 got = weight * np.outer(c[idx], c[idx].conj())
@@ -357,7 +355,7 @@ class TestMultiplicityDimension:
 
     @pytest.mark.parametrize("n", range(1, 21))
     def test_dimension_sum_is_full_space(self, n):
-        total = sum(multiplicity_dimension(n, HalfInt(tj)) * (tj + 1)
+        total = sum(multiplicity_dimension(n, tj / 2) * (tj + 1)
                     for tj in allowed_twice_j(n))
         assert total == 2 ** n
 

@@ -97,6 +97,23 @@ class TestRunSweep:
             value = r.cr_bound if r.method == "qfi-opt" else r.bayes_cost
             assert value >= r.asymptote
 
+    @pytest.mark.parametrize("noise", ["loss", "dephasing"])
+    def test_eta_zero_rows_keep_their_values(self, noise, capsys):
+        # F = 0 has no finite C-R bound and the closed-form limits need
+        # eta > 0, so those cells stay empty; the computed columns stay
+        assert cli.main(["scan", "--noise", noise, "--eta", "0", "--n-max", "2",
+                         "--method", "qfi-opt,bayes-flat,bayes-gauss",
+                         "--prior-width", "0.3", "--no-timings"]) == 0
+        out, err = capsys.readouterr()
+        rows = ["qfi-opt,0,,,,true,", "bayes-flat,,,1.41421356237,,true,",
+                "bayes-gauss,0,0.3,0.3,,true,"]
+        assert out == "".join(f"{line}\n" for line in [CSV_HEADER] + [
+            f"{n},{row}" for n in (1, 2) for row in rows])
+        assert err == ""
+        assert cli.main(["asymptote", "--noise", noise, "--eta", "0",
+                         "--n-max", "2"]) == 1
+        assert "must be in (0, 1]" in capsys.readouterr().err
+
     def test_failing_row_recorded_without_aborting(self, monkeypatch, capsys):
         import phaselim.bayes as bayes_mod
 

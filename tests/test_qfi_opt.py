@@ -259,6 +259,42 @@ class TestLossOptimum:
         assert trace.qfi == pytest.approx(36.0, rel=1e-9)
 
 
+def _channel_extension_bound(noise, n):
+    """Finite-N channel-extension bound on the QFI: eta N^2/(eta + (1-eta) N)
+    under loss, eta^2 N^2/(eta^2 + (1-eta^2) N) under dephasing
+    (Demkowicz-Dobrzanski, Kolodynski & Guta, Nat. Commun. 3, 1063 (2012));
+    both are tight at N = 1."""
+    q = noise.eta if isinstance(noise, Loss) else noise.eta ** 2
+    return q * n * n / (q + (1.0 - q) * n)
+
+
+class TestChannelExtensionBound:
+    @pytest.mark.parametrize("noise", [LocalDephasing(0.3), LocalDephasing(0.7),
+                                       LocalDephasing(0.9), Loss(0.3),
+                                       Loss(0.7), Loss(0.9)], ids=repr)
+    def test_warm_swept_optimum_obeys_the_bound(self, noise):
+        # the optimum as `phaselim scan --method qfi-opt` computes it
+        cfg = cli.SweepConfig(n_min=1, n_max=20, noise=noise,
+                              methods=("qfi-opt",), timings=False)
+        for rec in cli.run_sweep(cfg):
+            bound = _channel_extension_bound(noise, rec.n)
+            assert rec.qfi <= bound * (1.0 + 1e-12), rec.n
+            if rec.n == 1:
+                assert rec.qfi == pytest.approx(bound, rel=1e-12)
+
+    # the dense dephasing step leaves a spurious F of up to ~1e-16 at small
+    # eta (its eigenpairs just above the support cut carry the eigensolver's
+    # rounding), far above the ~eta^2 N bound there; hence the absolute floor
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(n=st.integers(1, 60), loss=st.booleans(), eta=st.floats(0.0, 1.0),
+           complex_=st.booleans(), seed=st.integers(0, 2 ** 16))
+    def test_every_state_obeys_the_bound(self, n, loss, eta, complex_, seed):
+        noise = Loss(eta) if loss else LocalDephasing(eta)
+        state = SymmetricPureState(n, _random_amplitudes(n, seed, complex_))
+        bound = _channel_extension_bound(noise, n)
+        assert state_qfi(state, noise) <= bound * (1.0 + 1e-12) + 1e-14
+
+
 class TestCrBound:
     def test_heisenberg_value(self):
         assert cr_bound(100.0, 1) == pytest.approx(0.1)
