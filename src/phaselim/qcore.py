@@ -29,7 +29,8 @@ kernel, which works in the block's eigenbasis, serves `sld`/`qfi`,
 arbitrary derivative into it; the dense step builds the derivative
 dm o sigma there directly as X Lam - Lam X with X = V^H diag(m) V, which
 takes one GEMM and keeps the rounding of each entry proportional to its
-eigenvalue gap (see `_channel_qfi`).
+eigenvalue gap; a nearly diagonal block rotates dm o sigma instead (see
+`_channel_qfi`).
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ __all__ = [
 ]
 
 EIG_SUPPORT_RTOL = 1e-12     # SLD support cutoff relative to largest eigenvalue
+COHERENCE_RTOL = 1e-4        # below this, a dense block's derivative is rotated, not rebuilt
 PSD_ATOL = 1e-8              # tolerated negative eigenvalue before raising
 WEIGHT_FLOOR = 1e-280        # rank-one branches with numerically zero weight are skipped
 RANK_ONE_CHUNK = 1024        # rank-one branches per pass of the batched step
@@ -578,14 +580,27 @@ def _channel_qfi(channel: Channel, c: np.ndarray,
     rotated k carries ~eps |k| in every entry, which swamps the pairs of
     small eigenvalues and held the see-saw's residual near 2e-7 under
     dephasing.  L^2 = lmat lmat^H (a SYRK for real c).
+
+    X Lam - Lam X is the derivative of V Lam V^H, which differs from sigma
+    by the eigensolver's backward error, ~eps lambda_max.  When sigma is so
+    nearly diagonal that every |k_ij| < COHERENCE_RTOL (m_max - m_min)
+    lambda_max, that difference would swamp k (at dephasing eta -> 0 it
+    would give F ~ 1e-20 and <c|A|c> = +F), so such a block rotates k itself,
+    whose rounding stays relative to |k|.
     """
     f = 0.0
     for blk in channel.blocks:
         win, m = blk.window, blk.m
         cb = c[win]
-        lam, vec = np.linalg.eigh(blk.weight * np.outer(cb, cb.conj()))
-        x = vec.conj().T @ (m[:, None] * vec)
-        f_b, lt = _sld_kernel(lam, x * (lam - lam[:, None]))
+        sigma = blk.weight * np.outer(cb, cb.conj())
+        lam, vec = np.linalg.eigh(sigma)
+        k = (m[:, None] - m[None, :]) * sigma
+        if np.max(np.abs(k)) >= COHERENCE_RTOL * (m[-1] - m[0]) * lam[-1]:
+            x = vec.conj().T @ (m[:, None] * vec)
+            kp = x * (lam - lam[:, None])
+        else:
+            kp = vec.conj().T @ k @ vec
+        f_b, lt = _sld_kernel(lam, kp)
         f += f_b
         if a_out is not None:
             lmat = vec @ lt @ vec.conj().T

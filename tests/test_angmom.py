@@ -13,10 +13,10 @@ import pytest
 from scipy.linalg.lapack import dstev
 
 from phaselim import oracles
-from phaselim.angmom import (allowed_twice_j, clebsch_gordan, coupling_blocks,
-                             coupling_matrix_entry, dephasing_tables,
-                             dephasing_weight, multiplicity_dimension,
-                             transfer_coefficient)
+from phaselim.angmom import (_twice, allowed_twice_j, clebsch_gordan,
+                             coupling_blocks, coupling_matrix_entry,
+                             dephasing_tables, dephasing_weight,
+                             multiplicity_dimension, transfer_coefficient)
 
 
 def _stretched_column(n, k, tm, tmts):
@@ -73,9 +73,12 @@ def _dstev_half_table(n):
 
 
 class TestPlainNumbers:
-    def test_accept_half_integers_and_reject_others(self):
-        # plain numbers are doubled exactly on entry: 1.5, Fraction(3, 2) and
-        # numpy floats name the same spin, and 0.3 names none
+    # plain numbers are doubled exactly on entry: 1.5, Fraction(3, 2) and
+    # numpy floats name the same spin, and 0.3 names none
+
+    def test_accepts_half_integers(self):
+        assert _twice(1.5) == 3 and _twice(-2) == -4
+        assert _twice(Fraction(5, 2)) == _twice(np.float64(2.5)) == 5
         want = clebsch_gordan(1, 1, 0.5, -0.5, 1.5, 0.5)
         assert want == pytest.approx(math.sqrt(1 / 3), abs=1e-14)
         assert clebsch_gordan(1, 1, Fraction(1, 2), Fraction(-1, 2),
@@ -84,6 +87,10 @@ class TestPlainNumbers:
             == dephasing_tables(3).transfer(1, 3, -1) != 0.0
         assert transfer_coefficient(2, 2, 1, -1) \
             == transfer_coefficient(2, 2, Fraction(1), -1.0)
+
+    def test_rejects_non_half_integers(self):
+        with pytest.raises(ValueError, match="not an integer or half-integer"):
+            _twice(0.3)
         for bad in range(6):
             args = [1, 1, 0.5, -0.5, 1.5, 0.5]
             args[bad] = 0.3

@@ -660,3 +660,16 @@ class TestRankOneKernel:
         if kind == "loss":
             f_forward = qfi_loss(apply_loss(state, strength))
             assert f == pytest.approx(f_forward, rel=1e-11, abs=floor)
+
+    # nearly diagonal dephasing blocks, where the eigenbasis derivative
+    # X Lam - Lam X alone gave F ~ 1e-20 with <c|A|c> = +F, or missed the
+    # duality by 2e-11 relative at eta = 1e-5
+    @pytest.mark.parametrize("n, eta, seed, complex_", [
+        (37, 1.08e-26, 1, False), (33, 1e-20, 1, False),
+        (33, 1e-10, 0, False), (30, 1e-5, 1, True), (31, 1e-5, 2, False)])
+    def test_duality_at_vanishing_dephasing(self, n, eta, seed, complex_):
+        c = _random_amplitudes(n, seed, complex_)
+        f, a = _iteration_step(channel_blocks(LocalDephasing(eta), n), c)
+        assert np.vdot(c, a @ c).real == pytest.approx(-f, rel=1e-11, abs=1e-20)
+        # the QFI is at most its channel-extension bound (~eta^2 N here)
+        assert f <= 2.0 * eta * eta * n + 1e-20
