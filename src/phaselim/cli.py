@@ -114,8 +114,10 @@ CSV_HEADER = ",".join(COLUMNS)
 def _asymptote_for(noise: NoiseModel, kind: str,
                    prior_width: Optional[float]) -> asymptotics.AsymptoteSpec:
     """The closed-form limit of a `kind` ('cr' or 'bayes') curve; a prior
-    width, when given, applies to the Bayesian curve."""
-    if isinstance(noise, NoiseFree):
+    width, when given, applies to the Bayesian curve.  Loss and dephasing
+    at eta = 1 and collective dephasing at gamma = 0 are noise-free."""
+    if noise in (NoiseFree(), LocalDephasing(1.0), Loss(1.0),
+                 CollectiveDephasing(0.0)):
         return asymptotics.HeisenbergCR() if kind == "cr" \
             else asymptotics.BayesPi()
     if isinstance(noise, LocalDephasing):

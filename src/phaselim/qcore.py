@@ -31,6 +31,16 @@ dm o sigma there directly as X Lam - Lam X with X = V^H diag(m) V, which
 takes one GEMM and keeps the rounding of each entry proportional to its
 eigenvalue gap; a nearly diagonal block rotates dm o sigma instead (see
 `_channel_qfi`).
+
+Every channel here commutes with the arm swap J: n -> N - n (m -> -m).  A
+centred block (window symmetric about the middle of the grid) has
+W(m, m') = W(-m, -m'), and for an input with Jc = +-c its sigma splits into
+one block per parity sector while M = diag(m) only couples the sectors.
+`_sector_qfi` runs the step in the coordinates of one sector
+(`_sector_coordinates`): each large centred block costs two eigensolves of
+about half its size, from weights folded once per channel
+(`Channel.parity_split`); every other block and row runs through
+`_channel_qfi` on the unfolded input, and its share of A is folded.
 """
 
 from __future__ import annotations
@@ -38,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -79,6 +89,12 @@ COHERENCE_RTOL = 1e-4        # below this, a dense block's derivative is rotated
 PSD_ATOL = 1e-8              # tolerated negative eigenvalue before raising
 WEIGHT_FLOOR = 1e-280        # rank-one branches with numerically zero weight are skipped
 RANK_ONE_CHUNK = 1024        # rank-one branches per pass of the batched step
+# Smallest centred block solved on the arm-swap sectors.  Below it the two
+# half-size eigensolves and the folding cost more than one full step: one
+# block broke even at d ~ 20, whole dephasing solves at N ~ 30
+_SECTOR_MIN_DIM = 32
+_SQRT_HALF = math.sqrt(0.5)
+_TINY = np.finfo(float).tiny
 
 
 def m_grid(twice_j: int) -> np.ndarray:
@@ -324,6 +340,25 @@ class Channel:
         """Squared amplitudes b*b, which the rank-one QFI step reads."""
         return self.amplitudes ** 2
 
+    @cached_property
+    def parity_split(self) -> Optional[Tuple[List["_SectorBlock"], "Channel"]]:
+        """The channel prepared for `_sector_qfi`: its centred dense blocks of
+        dimension >= _SECTOR_MIN_DIM folded onto the arm-swap sectors, and a
+        channel of every other block and row.  None when there is no such
+        block (the full-space step is then as fast) or when the channel does
+        not commute with the arm swap J: n -> N - n."""
+        folded, rest = [], []
+        for blk in self.blocks:
+            d = len(blk.m)
+            if 2 * blk.start + d - 1 == self.n and d >= _SECTOR_MIN_DIM:
+                folded.append(blk)
+            else:
+                rest.append(blk)
+        if not folded or not _commutes_with_arm_swap(self):
+            return None
+        return ([_SectorBlock.fold(blk) for blk in folded],
+                Channel(self.n, rest, self.l0, self.l1, self.amplitudes))
+
     def dense_blocks(self) -> List[ChannelBlock]:
         """Every block in dense form: the dense blocks, then each row as the
         block W = b b^T over its window, keyed (l0, l1)."""
@@ -479,7 +514,8 @@ def generator_commutator(rho: AngularBlockMatrix) -> AngularBlockMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _sld_kernel(lam: np.ndarray, kp: np.ndarray):
+def _sld_kernel(lam: np.ndarray, kp: np.ndarray,
+                lam_col: Optional[np.ndarray] = None):
     """SLD of one Hermitian block in its eigenbasis, in the convention
     drho = i k, L = i lmat.
 
@@ -487,10 +523,18 @@ def _sld_kernel(lam: np.ndarray, kp: np.ndarray):
     derivative in that basis.  Returns (tr(rho L^2), lt) with lmat =
     V lt V^H; both are real antisymmetric for real input.  Matrix elements
     between eigenvectors whose eigenvalue sum falls below
-    EIG_SUPPORT_RTOL * lambda_max are set to zero (null-space convention).
+    EIG_SUPPORT_RTOL * lambda_max are set to zero (null-space convention),
+    and so are those below the smallest normal double, since dividing a
+    complex kp by a subnormal sum overflows.
+
+    With `lam_col`, kp is the rectangular block between two invariant
+    subspaces of rho with eigenvalues `lam` (rows) and `lam_col` (columns),
+    lambda_max is the larger top eigenvalue, and the first value returned
+    is half the share of tr(rho L^2) of that block and its adjoint.
     """
-    denom = lam[:, None] + lam[None, :]
-    cut = EIG_SUPPORT_RTOL * max(float(lam[-1]), np.finfo(float).tiny)
+    lam_col = lam if lam_col is None else lam_col
+    denom = lam[:, None] + lam_col[None, :]
+    cut = max(EIG_SUPPORT_RTOL * max(float(lam[-1]), float(lam_col[-1])), _TINY)
     mask = denom > cut
     lt = np.where(mask, 2.0 * kp / np.where(mask, denom, 1.0), 0.0)
     return float(np.sum(denom * lt * lt.conj()).real) / 2.0, lt
@@ -608,6 +652,208 @@ def _channel_qfi(channel: Channel, c: np.ndarray,
             y -= 2.0 * (m[:, None] * lmat - lmat * m[None, :])
             a_out[win, win] += blk.weight * y
     return f + _rank_one_qfi(channel.damping, c, a_out)
+
+
+# ---------------------------------------------------------------------------
+# the arm-swap sectors
+# ---------------------------------------------------------------------------
+
+
+def _close(a: np.ndarray, b: np.ndarray) -> bool:
+    return float(np.max(np.abs(a - b), initial=0.0)) <= 1e-12
+
+
+def _commutes_with_arm_swap(channel: Channel) -> bool:
+    """Whether the channel commutes with the arm swap J: n -> N - n.
+
+    Every dense block needs a partner over the mirrored window (a centred
+    block is its own) whose weight is the block's W(-m, -m') and whose
+    generator steps run mirrored, and the row of every loss pattern
+    (l0, l1) must be the reverse of the row of (l1, l0).  Both hold to
+    1e-12 (the weights of a trace-preserving channel are at most 1, and the
+    dephasing coupling tables are mirror-symmetric to ~2e-15).
+    """
+    n = channel.n
+    windows = {(blk.start, len(blk.m)): blk for blk in channel.blocks}
+    if len(windows) < len(channel.blocks):
+        return False
+    for (start, d), blk in windows.items():
+        mate = windows.get((n + 1 - start - d, d))
+        if (mate is None or not _close(mate.weight, blk.weight[::-1, ::-1])
+                or not _close(np.diff(mate.m), np.diff(blk.m)[::-1])):
+            return False
+    rows = {key: r for r, key in enumerate(zip(channel.l0.tolist(),
+                                               channel.l1.tolist()))}
+    if len(rows) < len(channel.amplitudes):
+        return False
+    mirror = [rows.get((l1, l0), -1) for l0, l1 in rows]
+    if -1 in mirror:
+        return False
+    for lo in range(0, len(mirror), RANK_ONE_CHUNK):
+        chunk = slice(lo, lo + RANK_ONE_CHUNK)
+        if not _close(channel.amplitudes[mirror[chunk]],
+                      channel.amplitudes[chunk, ::-1]):
+            return False
+    return True
+
+
+def _mirror_parts(a: np.ndarray):
+    """(D, C) over i, j < d // 2 for a d x d matrix a and J: i -> d - 1 - i:
+    D_ij = (a_ij + a_(Ji)(Jj))/2 and C_ij = (a_i(Jj) + a_(Ji)j)/2."""
+    h = len(a) // 2
+    flip = a[::-1]
+    return (0.5 * (a[:h, :h] + flip[:h, ::-1][:, :h]),
+            0.5 * (a[:h, ::-1][:, :h] + flip[:h, :h]))
+
+
+def _fold(a: np.ndarray):
+    """The sector blocks (A+, A-) = (D + C, D - C) of a d x d matrix that
+    commutes with J, in the orthonormal basis (e_i + e_(d-1-i))/sqrt(2),
+    i < d // 2, plus e_(d // 2) for odd d (even sector) and
+    (e_i - e_(d-1-i))/sqrt(2) (odd sector)."""
+    d = len(a)
+    h = d // 2
+    diag, cross = _mirror_parts(a)
+    a_p = np.empty((d - h, d - h), dtype=a.dtype)
+    a_p[:h, :h] = diag + cross
+    if d > 2 * h:
+        a_p[:h, h] = _SQRT_HALF * (a[:h, h] + a[::-1][:h, h])
+        a_p[h, :h] = _SQRT_HALF * (a[h, :h] + a[h, ::-1][:h])
+        a_p[h, h] = a[h, h]
+    return a_p, diag - cross
+
+
+def _sector_coordinates(c: np.ndarray, parity: int) -> np.ndarray:
+    """Coordinates of c in the arm-swap sector `parity` (+1 even, -1 odd),
+    in the basis of `_fold`; exact for Jc = parity c."""
+    h = len(c) // 2
+    half = _SQRT_HALF * (c[:h] + parity * c[::-1][:h])
+    if parity > 0 and len(c) > 2 * h:
+        return np.append(half, c[h])
+    return half
+
+
+def _unfold(ch: np.ndarray, parity: int, d: int) -> np.ndarray:
+    """The d amplitudes whose `_sector_coordinates` are ch."""
+    h = d // 2
+    c = np.zeros(d, dtype=ch.dtype)
+    c[:h] = _SQRT_HALF * ch[:h]
+    c[d - h:] = parity * c[:h][::-1]
+    if len(ch) > h:
+        c[h] = ch[h]
+    return c
+
+
+@dataclass
+class _SectorBlock:
+    """A centred dense block (2 start + d - 1 = N) folded onto the sectors.
+
+    Its sector coordinates are the trailing slice start: of the global ones.
+    `m` holds its first h = d // 2 generator eigenvalues, centred, so that
+    the rest are their negatives in reverse (and the middle one of odd d is
+    0).  For an input c of parity s with sector coordinates c_s, sigma's
+    sector blocks are W+ o c_s c_s^H in sector s and W- o c_s c_s^H (over
+    the first h coordinates) in the other: `plus` holds W+ ((d - h) square)
+    and `minus` W- (h square), which are (D +- C)/2 on the first h
+    coordinates (see `_mirror_parts`).  The derivative's block k+- is
+    ((m_i - m_j) D/2 - s (m_i + m_j) C/2) o c_s c_s^H there; `k_diag` and
+    `k_cross` hold the two factors, so that k is not the difference
+    m sigma- - sigma+ m of two nearly equal diagonals.
+    """
+
+    start: int
+    m: np.ndarray
+    plus: np.ndarray
+    minus: np.ndarray
+    k_diag: np.ndarray
+    k_cross: np.ndarray
+
+    @classmethod
+    def fold(cls, blk: ChannelBlock) -> "_SectorBlock":
+        h = len(blk.m) // 2
+        plus, minus = _fold(blk.weight)
+        plus[:h, :h] *= 0.5
+        plus[:h, h:] *= _SQRT_HALF
+        plus[h:, :h] *= _SQRT_HALF
+        diag, cross = _mirror_parts(blk.weight)
+        m = blk.m[:h] - 0.5 * (blk.m[0] + blk.m[-1])
+        return cls(blk.start, m, plus, 0.5 * minus,
+                   0.5 * (m[:, None] - m) * diag, 0.5 * (m[:, None] + m) * cross)
+
+
+def _sector_sld(m: np.ndarray, sp: np.ndarray, sm: np.ndarray, k: np.ndarray):
+    """One folded block's share of the step, from sigma's sector blocks sp
+    (even) and sm (odd) and the derivative's block k = k+-: returns
+    (F_b, y+, y-).
+
+    M = diag(m) anticommutes with J, so in the sector basis it only couples
+    the sectors, through M+- = diag(m) (with a zero middle row when sp has
+    one more row than sm), and so do the derivative and the SLD.  Hence
+    kp+- = X Lam- - Lam+ X with X = V+^H M+- V-, the same
+    COHERENCE_RTOL rule as `_channel_qfi` (tested on k+- = M+- sigma- -
+    sigma+ M+-), and lmat+- = V+ lt V-^H.  The sector blocks of
+    y = lmat lmat^H - 2 (M lmat - lmat M) follow with lmat-+ = -lmat+-^H.
+    """
+    h = len(m)
+    lp, vp = np.linalg.eigh(sp)
+    lm, vm = np.linalg.eigh(sm)
+    if np.max(np.abs(k)) >= COHERENCE_RTOL * -2.0 * m[0] * max(lp[-1], lm[-1]):
+        x = vp[:h].conj().T @ (m[:, None] * vm)
+        kp = x * (lm - lp[:, None])
+    else:
+        kp = vp.conj().T @ k @ vm
+    f, lt = _sld_kernel(lp, kp, lm)
+    lmat = vp @ lt @ vm.conj().T
+    g = lmat * m
+    yp = lmat @ lmat.conj().T
+    yp[:, :h] += 2.0 * g
+    yp[:h] += 2.0 * g.conj().T
+    g = m[:, None] * lmat[:h]
+    ym = lmat.conj().T @ lmat - 2.0 * (g + g.conj().T)
+    return 2.0 * f, yp, ym
+
+
+def _sector_qfi(channel: Channel, parity: int, ch: np.ndarray):
+    """`_channel_qfi` on half-size blocks, for an input in one arm-swap
+    sector; the channel must have a `parity_split`.
+
+    `ch` holds the input's coordinates in sector `parity` (+1 even, -1 odd;
+    see `_sector_coordinates`).  Returns (F, (A+, A-)) with A+ and A- the
+    sector blocks of A, which commutes with J.  Each folded block costs two
+    eigensolves of about half its size.  Every other block and row runs
+    through `_channel_qfi` on the unfolded input, and its A is folded.
+    """
+    folded, rest = channel.parity_split
+    d = channel.n + 1
+    h = d // 2
+    a_p = np.zeros((d - h, d - h), dtype=ch.dtype)
+    a_m = np.zeros((h, h), dtype=ch.dtype)
+    f = 0.0
+    for blk in folded:
+        cs = ch[blk.start:]
+        hb = len(blk.m)
+        cc = np.outer(cs, cs.conj())
+        core = cc[:hb, :hb]
+        if parity > 0:
+            sp, sm = blk.plus * cc, blk.minus * core
+        else:
+            sp, sm = blk.minus * core, blk.plus[:hb, :hb] * core
+        k = np.empty((len(sp), hb), dtype=cc.dtype)
+        k[:hb] = (blk.k_diag - parity * blk.k_cross) * core
+        k[hb:] = -sp[hb:, :hb] * blk.m
+        f_b, yp, ym = _sector_sld(blk.m, sp, sm, k)
+        f += f_b
+        top = slice(blk.start, blk.start + len(sp))
+        a_p[top, top] += blk.plus[:len(sp), :len(sp)] * yp
+        a_p[blk.start:h, blk.start:h] += blk.minus * ym
+        a_m[blk.start:, blk.start:] += blk.minus * yp[:hb, :hb] + blk.plus[:hb, :hb] * ym
+    if len(rest):
+        a = np.zeros((d, d), dtype=ch.dtype)
+        f += _channel_qfi(rest, _unfold(ch, parity, d), a)
+        rest_p, rest_m = _fold(a)
+        a_p += rest_p
+        a_m += rest_m
+    return f, (a_p, a_m)
 
 
 def state_qfi(state: SymmetricPureState, noise: NoiseModel) -> float:

@@ -18,6 +18,15 @@ along the loop, and from those starts one run reaches the optimum that
 perturbed starts reach, so a multi-start is a caller's loop over
 `initial_state`.
 
+Every channel commutes with the arm swap J: m -> -m, so from a start with
+Jc = +-c, A(c) commutes with J, its lowest eigenvector lies in one parity
+sector and the gradient stays in c's sector.  Such a start, on a channel
+with a `parity_split`, runs in sector coordinates: each step is
+`qcore._sector_qfi`, the loop's eigenpair is the lower of the two sectors'
+lowest eigenpairs (so the state may change sector, as it may in the full
+space) and the polish runs on the half vector.  That is the full-space
+algorithm up to rounding; any other start runs in the full space.
+
 The map's contraction rate approaches one on flat landscapes (narrow
 collective dephasing is the worst case), so an optional quasi-Newton polish
 follows the loop: L-BFGS on the state sphere with the gradient 2(A + F) c
@@ -38,10 +47,10 @@ from typing import List, Optional
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
-from scipy.optimize import minimize
 
 from .qcore import (AngularBlockMatrix, Channel, NoiseModel, SymmetricPureState,
-                    _channel_qfi, channel_blocks, sine_profile_state)
+                    _channel_qfi, _sector_coordinates, _sector_qfi, _unfold,
+                    channel_blocks, sine_profile_state)
 
 __all__ = [
     "IterationConfig",
@@ -90,6 +99,9 @@ class OptimizationTrace:
     exceed the last trace entry slightly.  `residual` is |(A + F) c| / F at
     the returned state (nan when F = 0) and `polish_evals` the number of
     channel evaluations the polish spent (0 when it was skipped).
+    `parity` is the arm-swap sector of the returned state, +1 (even) or -1
+    (odd), when the run was solved on the sectors' half-size blocks, and 0
+    when it ran in the full space.
     """
 
     qfi_values: np.ndarray
@@ -98,6 +110,7 @@ class OptimizationTrace:
     qfi: float
     residual: float = math.nan
     polish_evals: int = 0
+    parity: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +163,43 @@ def _iteration_step(channel: Channel, c: np.ndarray):
     return _channel_qfi(channel, c, a_out), a_out
 
 
+def _step(channel: Channel, parity: int, c: np.ndarray):
+    """(F, A) at the state c of the given parity: for parity 0, c holds all
+    N + 1 amplitudes and A is `_iteration_step`'s; otherwise c holds the
+    coordinates in that arm-swap sector and A is the pair (A+, A-) of its
+    sector blocks."""
+    if parity == 0:
+        return _iteration_step(channel, c)
+    return _sector_qfi(channel, parity, c)
+
+
+def _acting(a, parity: int) -> np.ndarray:
+    """The block of A that acts on a state of the given parity."""
+    if parity == 0:
+        return a
+    return a[0] if parity > 0 else a[1]
+
+
+def _see_saw_move(a, parity: int):
+    """(parity, state) of the lowest eigenvector of A.  On the sectors it is
+    the lower of the two sectors' lowest eigenpairs, as in the full space,
+    so the state may change sector."""
+    if parity == 0:
+        return 0, _fix_phase(_lowest_eigenpair(a)[1])
+    (w_p, v_p), (w_m, v_m) = map(_lowest_eigenpair, a)
+    return (1, _fix_phase(v_p)) if w_p <= w_m else (-1, _fix_phase(v_m))
+
+
+def _start_parity(channel: Channel, c: np.ndarray) -> int:
+    """The arm-swap sector, +1 or -1, that c lies in to 1e-12 of |c| when
+    the channel can be solved there (`Channel.parity_split`), else 0."""
+    nrm = np.linalg.norm(c)
+    for parity in (1, -1):
+        if np.linalg.norm(c - parity * c[::-1]) <= 1e-12 * nrm:
+            return parity if channel.parity_split is not None else 0
+    return 0
+
+
 def _residual(f: float, a: np.ndarray, c: np.ndarray) -> float:
     """Distance from stationarity |(A + F) c| / F of a unit vector c."""
     return float(np.linalg.norm(a @ c + f * c)) / f if f > 0.0 else math.nan
@@ -182,23 +232,29 @@ class _Stationary(Exception):
     """Raised by the polish objective to end the minimization."""
 
 
-def _polish_lbfgs(channel: Channel, c0: np.ndarray, max_evals: int):
-    """Quasi-Newton refinement of the QFI over the state sphere.
+def _polish_lbfgs(channel: Channel, parity: int, c0: np.ndarray,
+                  max_evals: int):
+    """Quasi-Newton refinement of the QFI over the state sphere, within the
+    arm-swap sector `parity` when it is nonzero (c0 then holds that sector's
+    coordinates, see `_step`).
 
     Returns (F, c, residual, evaluations) of the best state evaluated; stops
     at the first evaluation whose residual is <= STATIONARITY_RTOL.
     """
-    n = channel.n
+    from scipy.optimize import minimize
+
+    dim = len(c0)
     is_complex = np.iscomplexobj(c0)
     best_f, best_c, best_r, evals = -np.inf, c0, math.nan, 0
 
     def objective(x):
         nonlocal best_f, best_c, best_r, evals
         evals += 1
-        c = (x[:n + 1] + 1j * x[n + 1:]) if is_complex else x
+        c = (x[:dim] + 1j * x[dim:]) if is_complex else x
         nrm = np.linalg.norm(c)
         c = c / nrm
-        f, a = _iteration_step(channel, c)
+        f, a = _step(channel, parity, c)
+        a = _acting(a, parity)
         gc = 2.0 * (a @ c) + 2.0 * f * c       # gradient of -F on the sphere
         r = float(np.linalg.norm(gc)) / (2.0 * f) if f > 0.0 else math.nan
         if f > best_f:
@@ -227,7 +283,9 @@ def maximize_qfi_over_states(n: int, blocks: Channel,
     possibly composed with `compose_collective`).
 
     This is the engine behind `qfi_iterate`; the Bayesian module reuses it
-    with prior-averaged channels.
+    with prior-averaged channels.  A start in an arm-swap sector (Jc = +-c)
+    of a channel with a `parity_split` runs in that sector's coordinates;
+    any other start runs in the full space.
     """
     cfg = cfg or IterationConfig()
     if blocks.n != n:
@@ -239,14 +297,18 @@ def maximize_qfi_over_states(n: int, blocks: Channel,
         raise ValueError("initial state has the wrong particle number")
     c = start.amplitudes.real if start.is_real() else start.amplitudes
     c = c / np.linalg.norm(c)
+    parity = _start_parity(blocks, c)
+    if parity:
+        c = _sector_coordinates(c, parity)
+        c = c / np.linalg.norm(c)
     history: List[float] = []
-    best_f, best_c, best_a = -np.inf, c, None
+    best_f, best_c, best_parity, best_a = -np.inf, c, parity, None
     converged = False
     for _ in range(cfg.max_iters):
-        f, a = _iteration_step(blocks, c)
+        f, a = _step(blocks, parity, c)
         history.append(f)
         if f > best_f:
-            best_f, best_c, best_a = f, c, a
+            best_f, best_c, best_parity, best_a = f, c, parity, _acting(a, parity)
         if len(history) >= 2 and f == 0.0 and history[-2] == 0.0:
             converged = True  # phase-blind channel: nothing to optimize
             break
@@ -261,18 +323,20 @@ def maximize_qfi_over_states(n: int, blocks: Channel,
                 if d1 * rate / (1.0 - rate) <= cfg.rel_tol * f:
                     converged = True
                     break
-        c = _fix_phase(_lowest_eigenpair(a)[1])
+        parity, c = _see_saw_move(a, parity)
     best_r = _residual(best_f, best_a, best_c)
     polish_evals = 0
     if cfg.polish and best_f > 0.0 and best_r > STATIONARITY_RTOL:
         f_pol, c_pol, r_pol, polish_evals = _polish_lbfgs(
-            blocks, best_c, cfg.polish_max_evals)
+            blocks, best_parity, best_c, cfg.polish_max_evals)
         if f_pol >= best_f:
             best_f, best_c, best_r = f_pol, c_pol, r_pol
+    if best_parity:
+        best_c = _unfold(best_c, best_parity, n + 1)
     state = SymmetricPureState(n, _fix_phase(best_c), normalize=True)
     return OptimizationTrace(qfi_values=np.asarray(history), converged=converged,
                              final_state=state, qfi=best_f, residual=best_r,
-                             polish_evals=polish_evals)
+                             polish_evals=polish_evals, parity=best_parity)
 
 
 def qfi_iterate(n: int, noise: NoiseModel,

@@ -114,6 +114,19 @@ class TestRunSweep:
                          "--n-max", "2"]) == 1
         assert "must be in (0, 1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--noise", "loss", "--eta", "1"],
+                                       ["--noise", "collective", "--gamma", "0"]])
+    def test_noise_free_edges_have_noise_free_asymptotes(self, flags, capsys):
+        # loss at eta = 1 and collective dephasing at gamma = 0 are noise-free:
+        # their limits are 1/N (C-R) and pi/N (flat prior), not 0
+        assert cli.main(["scan", *flags, "--method", "qfi-opt,bayes-flat",
+                         "--n-max", "2", "--no-timings"]) == 0
+        rows = [CSV_HEADER, "1,qfi-opt,1,1,,1,true,",
+                "1,bayes-flat,,,1,3.14159265359,true,",
+                "2,qfi-opt,4,0.5,,0.5,true,",
+                "2,bayes-flat,,,0.76536686473,1.57079632679,true,"]
+        assert capsys.readouterr().out == "".join(f"{line}\n" for line in rows)
+
     def test_failing_row_recorded_without_aborting(self, monkeypatch, capsys):
         import phaselim.bayes as bayes_mod
 
@@ -387,6 +400,15 @@ class TestExitCodes:
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0
         assert proc.stdout.startswith(CSV_HEADER)
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # only the optimizer's polish uses scipy.optimize, and imports it there
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, phaselim.cli; print('scipy.optimize' in sys.modules)"],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "False"
 
     def test_closed_stdout_exits_2_quietly(self):
         # ~1 MB of rows: the writer is still writing when the reader leaves

@@ -20,6 +20,8 @@ from phaselim.qcore import (AngularBlockMatrix, Channel, CollectiveDephasing,
                             generator_commutator, lift_pure, noon_state,
                             product_plus_state, qfi, qfi_loss, resample_state,
                             sine_profile_state, sld, state_qfi, _loss_table)
+from phaselim.qcore import (_SECTOR_MIN_DIM, ChannelBlock, _fold, _unfold,
+                            _sector_coordinates)
 
 
 def plus_state() -> SymmetricPureState:
@@ -525,6 +527,101 @@ class TestChannelBlocks:
                     lam = np.linalg.eigvalsh(blk.weight)
                     assert lam[0] >= -1e-12 * max(lam[-1], 1.0)
                 assert np.max(np.abs(diag - 1.0)) < 1e-12
+
+
+def _symmetric_channels(n):
+    """Every noise model, alone and composed with a prior (collective
+    dephasing 0.25), at its edges and inside."""
+    noises = [NoiseFree(), LocalDephasing(0.0), LocalDephasing(0.3),
+              LocalDephasing(0.7), LocalDephasing(1.0), Loss(0.0), Loss(0.7),
+              Loss(1.0), CollectiveDephasing(0.0), CollectiveDephasing(0.27)]
+    for noise in noises:
+        yield noise, 0.0, channel_blocks(noise, n)
+        yield noise, 0.25, compose_collective(channel_blocks(noise, n), 0.25)
+
+
+class TestArmSwapSymmetry:
+    """Every channel commutes with the arm swap J: n -> N - n (m -> -m),
+    which the half-size sector step relies on."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 30, 61, 120])
+    def test_centred_blocks_are_mirror_symmetric(self, n):
+        for noise, prior, channel in _symmetric_channels(n):
+            for blk in channel.blocks:
+                if 2 * blk.start + len(blk.m) - 1 != n:
+                    continue
+                w = blk.weight
+                # W(m, m') = W(-m, -m'); seen <= 1.6e-15 (dephasing, N = 120)
+                assert np.max(np.abs(w - w[::-1, ::-1])) <= 1e-14, (noise, prior, blk.key)
+                assert np.array_equal(blk.m, -blk.m[::-1])
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 30])
+    def test_loss_patterns_mirror(self, n):
+        # row (l0, l1) is row (l1, l0) read backwards, bit for bit, and so is
+        # the dense block of a loss pattern composed with a prior
+        channel = channel_blocks(Loss(0.7), n)
+        rows = {(a, b): r for r, (a, b) in enumerate(zip(channel.l0, channel.l1))}
+        for (l0, l1), r in rows.items():
+            assert np.array_equal(channel.amplitudes[r],
+                                  channel.amplitudes[rows[l1, l0]][::-1])
+        blocks = {blk.key: blk for blk in compose_collective(channel, 0.25).blocks}
+        for (l0, l1), blk in blocks.items():
+            mate = blocks[l1, l0]
+            assert mate.start == n - l0 - (len(blk.m) - 1)
+            assert np.array_equal(mate.weight, blk.weight[::-1, ::-1])
+            assert np.array_equal(mate.m, -blk.m[::-1])
+
+    def test_parity_split(self):
+        n = 2 * _SECTOR_MIN_DIM
+        # centred blocks at least _SECTOR_MIN_DIM wide are folded, the rest kept
+        channel = channel_blocks(LocalDephasing(0.7), n)
+        folded, rest = channel.parity_split
+        assert len(folded) + len(rest.blocks) == len(channel.blocks)
+        assert sorted(len(b.m) + len(b.plus) for b in folded) == \
+            sorted(len(b.m) for b in channel.blocks if len(b.m) >= _SECTOR_MIN_DIM)
+        # every channel with a wide centred block passes the symmetry check
+        for noise, prior, ch in _symmetric_channels(n):
+            wide = any(2 * b.start + len(b.m) - 1 == n and len(b.m) >= _SECTOR_MIN_DIM
+                       for b in ch.blocks)
+            assert (ch.parity_split is not None) == wide, (noise, prior)
+        # too small to gain, or not symmetric: the full space
+        assert channel_blocks(LocalDephasing(0.7), _SECTOR_MIN_DIM - 2).parity_split is None
+        blk = max(channel.blocks, key=lambda b: len(b.m))
+        assert Channel.dense(n, [blk]).parity_split is not None
+        skewed = ChannelBlock(blk.key, blk.start, blk.m, blk.weight.copy())
+        skewed.weight[0, 1] = skewed.weight[1, 0] = 0.5 * blk.weight[0, 1]
+        assert Channel.dense(n, [skewed]).parity_split is None
+        off = compose_collective(channel_blocks(Loss(0.7), n), 0.25)
+        lopsided = Channel.dense(n, [b for b in off.blocks if b.key != (1, 0)])
+        assert lopsided.parity_split is None
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 8])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_fold_is_the_sector_basis(self, d, complex_):
+        # Q a Q^T in the basis (e_i +- e_(d-1-i))/sqrt(2) (+ e_(d//2)), and the
+        # coordinates of a sector vector, which unfold to it
+        rng = np.random.default_rng(d)
+        h = d // 2
+        q = np.zeros((d, d))
+        for i in range(h):
+            q[i, i] = q[i, d - 1 - i] = math.sqrt(0.5)
+            q[d - h + i, i], q[d - h + i, d - 1 - i] = math.sqrt(0.5), -math.sqrt(0.5)
+        if d % 2:
+            q[h, h] = 1.0
+        x = rng.standard_normal((d, d)) + (1j * rng.standard_normal((d, d)) if complex_ else 0)
+        a = x + x[::-1, ::-1]                   # commutes with J
+        a_p, a_m = _fold(a)
+        ref = q @ a @ q.T
+        assert np.allclose(a_p, ref[:d - h, :d - h], rtol=0, atol=1e-14)
+        assert np.allclose(a_m, ref[d - h:, d - h:], rtol=0, atol=1e-14)
+        assert np.allclose(ref[:d - h, d - h:], 0.0, atol=1e-14)
+        for parity in (1, -1):
+            c = x[0] + parity * x[0][::-1]
+            ch = _sector_coordinates(c, parity)
+            assert np.allclose(ch, (q @ c)[:d - h] if parity > 0 else (q @ c)[d - h:],
+                               rtol=0, atol=1e-14)
+            assert np.array_equal(_unfold(ch, parity, d), _unfold(ch, parity, d)[::-1] * parity)
+            assert np.allclose(_unfold(ch, parity, d), c, rtol=0, atol=1e-14)
 
 
 class TestLossTable:

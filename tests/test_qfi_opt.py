@@ -1,7 +1,8 @@
 """Optimizer tests: Heisenberg-picture adjoint (trace duality against the
 forward maps), fixed-point/optimality certificates, agreement of one run from
 perturbed and complex starts (a multi-start is a loop over `initial_state`),
-and dominance over the standard reference states."""
+dominance over the standard reference states, and the half-size solve on the
+arm-swap sectors against the full space."""
 
 import math
 
@@ -11,12 +12,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phaselim import cli, oracles, qcore
+from phaselim.bayes import gaussian_prior_solve
 from phaselim.qcore import (EIG_SUPPORT_RTOL, AngularBlockMatrix, Channel,
                             CollectiveDephasing, LocalDephasing, Loss,
                             NoiseFree, SymmetricPureState, apply_dephasing,
                             apply_loss, channel_blocks, compose_collective,
                             noon_state, product_plus_state, qfi_loss,
                             state_qfi)
+from phaselim.qcore import _sector_coordinates, _sector_qfi, _unfold
 from phaselim.qfi_opt import (STATIONARITY_RTOL, IterationConfig, _fix_phase,
                               _iteration_step, _lowest_eigenpair, _residual,
                               channel_adjoint_apply, cr_bound,
@@ -673,3 +676,167 @@ class TestRankOneKernel:
         assert np.vdot(c, a @ c).real == pytest.approx(-f, rel=1e-11, abs=1e-20)
         # the QFI is at most its channel-extension bound (~eta^2 N here)
         assert f <= 2.0 * eta * eta * n + 1e-20
+
+
+def _sector_vector(n, seed, complex_, parity):
+    """A random unit vector with Jc = parity c."""
+    c = _random_amplitudes(n, seed, complex_)
+    c = c + parity * c[::-1]
+    return c / np.linalg.norm(c)
+
+
+def _full_space(monkeypatch, n, build, cfg):
+    """The run of `maximize_qfi_over_states` that the full-space loop makes:
+    with a size constant above N + 1 no channel has a parity split."""
+    with monkeypatch.context() as mp:
+        mp.setattr(qcore, "_SECTOR_MIN_DIM", n + 2)
+        return maximize_qfi_over_states(n, build(n), cfg)
+
+
+TRAJECTORY_CHANNELS = {
+    "dephasing-0.7": lambda n: channel_blocks(LocalDephasing(0.7), n),
+    "collective-0.27": lambda n: channel_blocks(CollectiveDephasing(0.27), n),
+    "loss-0.7-prior-0.5": lambda n: compose_collective(
+        channel_blocks(Loss(0.7), n), 0.25),
+}
+
+
+class TestParitySectors:
+    """Starts with Jc = +-c (J: n -> N - n) solve on the arm-swap sectors'
+    half-size blocks; the full-space loop from the same start is the same
+    algorithm up to rounding.  Every other start runs in the full space."""
+
+    # A nearly dephased block has coherences ~eta^2 of its diagonal, and both
+    # steps round its eigenvalue gaps to ~1e-16 of the diagonal (the sector
+    # step as the difference of sigma+ and sigma-), so there F and A c agree
+    # only to ~1e-14 / eta^2.  On a grid of eta in [1e-12, 1], N <= 60, with
+    # and without a prior, the differences stayed below a quarter of these
+    # bounds.  Below eta ~ 1e-10, F is at the rounding level of the coupling
+    # tables (see test_duality_and_qfi_identity).  A c is compared to 1e-11,
+    # not 1e-12: where a prior makes sigma numerically low-rank, the full
+    # step's own A c moves by up to 6e-12 when c moves by 2e-16 (N = 44,
+    # noise-free with a prior), and the two steps differed by up to 4e-12
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(n=st.integers(1, 60), kind=st.sampled_from(
+               ["none", "dephasing", "loss", "collective"]),
+           strength=st.floats(0.0, 1.0), prior=st.sampled_from([0.0, 0.25]),
+           parity=st.sampled_from([1, -1]), complex_=st.booleans(),
+           seed=st.integers(0, 2 ** 16))
+    def test_sector_step_matches_full_step(self, n, kind, strength, prior,
+                                           parity, complex_, seed):
+        noise = {"none": NoiseFree(), "dephasing": LocalDephasing(strength),
+                 "loss": Loss(strength),
+                 "collective": CollectiveDephasing(strength)}[kind]
+        with pytest.MonkeyPatch.context() as mp:
+            # fold every centred block of two or more entries
+            mp.setattr(qcore, "_SECTOR_MIN_DIM", 2)
+            channel = compose_collective(channel_blocks(noise, n), prior)
+            if channel.parity_split is None:
+                # rank-one rows and blocks of one entry only: nothing to fold
+                assert all(len(b.m) == 1 for b in channel.blocks)
+                return
+        c = _sector_vector(n, seed, complex_, parity)
+        ch = _sector_coordinates(c, parity)
+        floor, slack = 1e-250, 0.0
+        if kind == "dephasing":
+            floor, slack = 1e-20, min(1e-14 / max(strength, 1e-7) ** 2, 1.0)
+        f, a = _iteration_step(channel, c)
+        f_s, (a_p, a_m) = _sector_qfi(channel, parity, ch)
+        a_s = a_p if parity > 0 else a_m
+        assert a_s.dtype == a.dtype
+        assert f_s == pytest.approx(f, rel=1e-13 + slack, abs=floor)
+        grad = a @ c
+        assert np.linalg.norm(_unfold(a_s @ ch, parity, n + 1) - grad) <= \
+            (1e-11 + slack) * np.linalg.norm(grad) + floor
+        assert np.vdot(ch, a_s @ ch).real == pytest.approx(-f_s, rel=1e-11, abs=floor)
+
+    @pytest.mark.parametrize("name, n", [
+        ("dephasing-0.7", 40), ("dephasing-0.7", 120), ("collective-0.27", 40),
+        ("collective-0.27", 120), ("loss-0.7-prior-0.5", 40)])
+    def test_same_trajectory_as_the_full_space(self, monkeypatch, name, n):
+        # loss with a prior stops at N = 40: one step at N = 120 takes ~5 s
+        build = TRAJECTORY_CHANNELS[name]
+        cfg = IterationConfig(polish=False)
+        split = maximize_qfi_over_states(n, build(n), cfg)
+        full = _full_space(monkeypatch, n, build, cfg)
+        assert split.parity == 1 and full.parity == 0
+        assert len(split.qfi_values) == len(full.qfi_values)
+        assert np.allclose(split.qfi_values, full.qfi_values, rtol=1e-12, atol=0)
+        assert split.converged == full.converged
+        overlap = abs(np.vdot(split.final_state.amplitudes, full.final_state.amplitudes))
+        assert overlap == pytest.approx(1.0, abs=1e-9)
+
+    def test_polish_on_the_half_vector(self, monkeypatch):
+        # the README plateau scan's largest row, shortened: the loop stops
+        # early and L-BFGS on the even sector's coordinates reaches the target
+        n = 100
+        build = lambda k: compose_collective(channel_blocks(CollectiveDephasing(0.02), k), 0.25)
+        cfg = IterationConfig(max_iters=20, polish_max_evals=300)
+        split = maximize_qfi_over_states(n, build(n), cfg)
+        full = _full_space(monkeypatch, n, build, cfg)
+        assert split.parity == 1 and split.polish_evals > 0
+        assert split.polish_evals == full.polish_evals
+        assert split.qfi == pytest.approx(full.qfi, rel=1e-13)
+        assert split.residual <= STATIONARITY_RTOL
+        # the returned state is unfolded to N + 1 amplitudes in the sector
+        amps = split.final_state.amplitudes
+        assert amps.shape == (n + 1,) and np.array_equal(amps, amps[::-1])
+
+    @pytest.mark.parametrize("kind", ["perturbed", "complex"])
+    def test_asymmetric_start_runs_in_the_full_space(self, monkeypatch, kind):
+        n = 40
+        build = TRAJECTORY_CHANNELS["collective-0.27"]
+        rng = np.random.default_rng(5)
+        c = qcore.sine_profile_state(n).amplitudes
+        c = c + (1e-3 * rng.standard_normal(n + 1) if kind == "perturbed"
+                 else 0.3j * rng.standard_normal(n + 1))
+        cfg = IterationConfig(initial_state=SymmetricPureState(n, c, normalize=True))
+        trace = maximize_qfi_over_states(n, build(n), cfg)
+        ref = _full_space(monkeypatch, n, build, cfg)
+        assert trace.parity == 0
+        assert np.array_equal(trace.qfi_values, ref.qfi_values)
+        assert np.array_equal(trace.final_state.amplitudes, ref.final_state.amplitudes)
+        assert (trace.qfi, trace.residual, trace.polish_evals) == \
+            (ref.qfi, ref.residual, ref.polish_evals)
+
+    @pytest.mark.parametrize("parity", [1, -1])
+    def test_complex_sector_start(self, monkeypatch, parity):
+        # a chirped sine profile, times m for the odd sector.  (From random
+        # sector vectors the first steps' eigenvectors are ill-conditioned,
+        # and the two F sequences drift apart by up to 2e-10 there.)
+        n = 41
+        build = TRAJECTORY_CHANNELS["collective-0.27"]
+        m = np.arange(n + 1) - n / 2.0
+        c = qcore.sine_profile_state(n).amplitudes * np.exp(0.3j * m * m)
+        c = c if parity > 0 else m * c
+        cfg = IterationConfig(initial_state=SymmetricPureState(n, c, normalize=True),
+                              polish=False)
+        split = maximize_qfi_over_states(n, build(n), cfg)
+        full = _full_space(monkeypatch, n, build, cfg)
+        assert split.parity != 0 and split.final_state.amplitudes.dtype == complex
+        assert len(split.qfi_values) == len(full.qfi_values)
+        assert np.allclose(split.qfi_values, full.qfi_values, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n", [1, 2, 40])
+    @pytest.mark.parametrize("noise", [LocalDephasing(0.0), LocalDephasing(1.0),
+                                       Loss(0.0), Loss(1.0), CollectiveDephasing(0.0)])
+    def test_parameter_edges(self, monkeypatch, n, noise):
+        phase_blind = noise in (LocalDephasing(0.0), Loss(0.0))
+        trace = qfi_iterate(n, noise)
+        full = _full_space(monkeypatch, n, lambda k: channel_blocks(noise, k),
+                           IterationConfig())
+        # a dense block as wide as the input exists above the size constant;
+        # loss has rank-one rows only
+        assert (trace.parity != 0) == (n >= 40 and not isinstance(noise, Loss))
+        if phase_blind:
+            assert trace.qfi == 0.0 == full.qfi and trace.converged
+        else:
+            assert trace.qfi == pytest.approx(n * n, rel=1e-12)
+            assert trace.qfi == pytest.approx(full.qfi, rel=1e-12)
+        # composed with a prior, loss too becomes dense (centred when l0 = l1)
+        cost, prior_trace = gaussian_prior_solve(n, 0.5, noise)
+        with monkeypatch.context() as mp:
+            mp.setattr(qcore, "_SECTOR_MIN_DIM", n + 2)
+            cost_full, _ = gaussian_prior_solve(n, 0.5, noise)
+        assert (prior_trace.parity != 0) == (n >= 40 and noise != Loss(0.0))
+        assert cost == pytest.approx(cost_full, rel=1e-12)
