@@ -23,14 +23,10 @@ from .bayes import (CovariantResult, FlatPrior, GaussianPrior, IndefiniteBound,
                     ParticleNumberMixture, bayesian_cr_bound, covariant_cost,
                     covariant_m_matrix, gaussian_prior_cost,
                     gaussian_prior_solve, indefinite_bayes_bound, mixture_qfi)
-from .qcore import (AngularBlockMatrix, CollectiveDephasing, LocalDephasing,
-                    Loss, LossComponent, NoiseFree, NoiseModel, SectorMixture,
-                    SymmetricPureState, apply_collective_dephasing,
-                    apply_dephasing, apply_loss, fidelity_qfi_check,
-                    generator_commutator, lift_pure, noon_state,
-                    product_plus_state, qfi, qfi_loss, resample_state,
-                    sine_profile_state, sld, state_qfi)
-from .qfi_opt import (IterationConfig, OptimizationTrace, channel_adjoint_apply,
-                      cr_bound, qfi_iterate)
+from .qcore import (CollectiveDephasing, LocalDephasing, Loss, NoiseFree,
+                    NoiseModel, SymmetricPureState, channel_output,
+                    fidelity_qfi_check, noon_state, product_plus_state,
+                    resample_state, sine_profile_state, state_qfi)
+from .qfi_opt import IterationConfig, OptimizationTrace, cr_bound, qfi_iterate
 
 __version__ = "0.1.0"

@@ -3,8 +3,10 @@
 Everything here reconstructs channel outputs and coupling data from first
 principles on exponentially large spaces (full 2^N tensor products, truncated
 Fock spaces with explicit beam-splitter unitaries, dense two-spin coupling),
-deliberately avoiding the compressed code paths it is used to check.  The
-`selftest` CLI subcommand and the test suite both run these.
+deliberately avoiding the compressed code paths it is used to check.
+`dephasing_block_error` and `loss_mixture_error` compare them, block by
+block, with the one forward map `qcore.channel_output`.  The `selftest` CLI
+subcommand and the test suite both run these.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Dict
 import numpy as np
 from scipy.linalg import expm
 
-from .qcore import SymmetricPureState, apply_dephasing, apply_loss
+from .qcore import LocalDephasing, Loss, SymmetricPureState, channel_output
 
 __all__ = [
     "random_state",
@@ -176,19 +178,27 @@ def brute_dephasing_blocks(state: SymmetricPureState, eta: float) -> Dict[int, n
     return blocks
 
 
+def _block_error(got: Dict, ref: Dict) -> float:
+    """Largest entrywise deviation between two families of output blocks over
+    the union of their keys; a block that one side lacks counts as zero."""
+    err = 0.0
+    for key in set(got) | set(ref):
+        a, b = got.get(key), ref.get(key)
+        diff = b if a is None else a if b is None else a - b
+        err = max(err, float(np.max(np.abs(diff), initial=0.0)))
+    return err
+
+
+def _output_blocks(state: SymmetricPureState, noise) -> Dict:
+    return {blk.key: sigma for blk, sigma in channel_output(state, noise)}
+
+
 def dephasing_block_error(state: SymmetricPureState, eta: float) -> float:
     """Largest entrywise deviation between the compressed dephasing output
-    and the full tensor-product computation."""
-    fast = apply_dephasing(state, eta)
+    and the full tensor-product computation, over every total spin."""
     brute = brute_dephasing_blocks(state, eta)
-    err = 0.0
-    for tj, ref in brute.items():
-        got = fast.blocks.get(tj)
-        if got is None:
-            err = max(err, float(np.max(np.abs(ref))))
-        else:
-            err = max(err, float(np.max(np.abs(got - ref))))
-    return err
+    return _block_error(_output_blocks(state, LocalDephasing(eta)),
+                        {("j", tj): b for tj, b in brute.items()})
 
 
 def brute_dephasing_qfi(state: SymmetricPureState, eta: float) -> float:
@@ -258,20 +268,11 @@ def brute_loss_components(state: SymmetricPureState, eta: float):
 
 def loss_mixture_error(state: SymmetricPureState, eta: float) -> float:
     """Largest deviation between the compressed loss output and the explicit
-    beam-splitter dilation, comparing per-sector weighted density blocks."""
-    mix = apply_loss(state, eta)
-    ref = brute_loss_components(state, eta)
-    got = {(c.l0, c.l1): (c.weight, c.amplitudes) for c in mix.components}
-    err = 0.0
-    for key in set(ref) | set(got):
-        w_r, a_r = ref.get(key, (0.0, None))
-        w_g, a_g = got.get(key, (0.0, None))
-        if a_r is None or a_g is None:
-            err = max(err, abs(w_r - w_g))
-            continue
-        err = max(err, float(np.max(np.abs(
-            w_g * np.outer(a_g, a_g.conj()) - w_r * np.outer(a_r, a_r.conj())))))
-    return err
+    beam-splitter dilation, comparing the weighted density block of every
+    loss pattern."""
+    ref = {key: w * np.outer(a, a.conj())
+           for key, (w, a) in brute_loss_components(state, eta).items()}
+    return _block_error(_output_blocks(state, Loss(eta)), ref)
 
 
 # ---------------------------------------------------------------------------

@@ -22,15 +22,17 @@ multiplier.  `channel_blocks` returns them as one `Channel` in two parts:
   - photon loss -- one row per loss pattern, b = binomial amplitude damping;
   - no noise    -- one all-ones row (0, 0).
 
+`channel_output` evaluates that map for one input, block by block, and is
+what `fidelity_qfi_check` and the brute-force oracles read.
+
 The phase generator acts diagonally within each block, so derivatives,
 symmetric logarithmic derivatives and the QFI all stay blockwise.  One SLD
-kernel, which works in the block's eigenbasis, serves `sld`/`qfi`,
-`state_qfi` and the optimizer's dense step.  `sld`/`qfi` rotate an
-arbitrary derivative into it; the dense step builds the derivative
-dm o sigma there directly as X Lam - Lam X with X = V^H diag(m) V, which
-takes one GEMM and keeps the rounding of each entry proportional to its
-eigenvalue gap; a nearly diagonal block rotates dm o sigma instead (see
-`_channel_qfi`).
+kernel, which works in the block's eigenbasis, serves `state_qfi`, the
+optimizer's dense step and the sector step.  The dense step builds the
+derivative dm o sigma there directly as X Lam - Lam X with
+X = V^H diag(m) V, which takes one GEMM and keeps the rounding of each entry
+proportional to its eigenvalue gap; a nearly diagonal block rotates
+dm o sigma instead (see `_channel_qfi`).
 
 Every channel here commutes with the arm swap J: n -> N - n (m -> -m).  A
 centred block (window symmetric about the middle of the grid) has
@@ -48,7 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -56,11 +58,8 @@ from .angmom import coupling_blocks
 
 __all__ = [
     "SymmetricPureState",
-    "AngularBlockMatrix",
     "Channel",
     "ChannelBlock",
-    "SectorMixture",
-    "LossComponent",
     "NoiseFree",
     "LocalDephasing",
     "Loss",
@@ -70,14 +69,7 @@ __all__ = [
     "product_plus_state",
     "sine_profile_state",
     "resample_state",
-    "apply_dephasing",
-    "apply_loss",
-    "apply_collective_dephasing",
-    "lift_pure",
-    "generator_commutator",
-    "sld",
-    "qfi",
-    "qfi_loss",
+    "channel_output",
     "state_qfi",
     "fidelity_qfi_check",
     "channel_blocks",
@@ -86,7 +78,6 @@ __all__ = [
 
 EIG_SUPPORT_RTOL = 1e-12     # SLD support cutoff relative to largest eigenvalue
 COHERENCE_RTOL = 1e-4        # below this, a dense block's derivative is rotated, not rebuilt
-PSD_ATOL = 1e-8              # tolerated negative eigenvalue before raising
 WEIGHT_FLOOR = 1e-280        # rank-one branches with numerically zero weight are skipped
 RANK_ONE_CHUNK = 1024        # rank-one branches per pass of the batched step
 # Smallest centred block solved on the arm-swap sectors.  Below it the two
@@ -181,74 +172,6 @@ def resample_state(state: SymmetricPureState, n: int) -> SymmetricPureState:
     return SymmetricPureState(n, amps / nrm)
 
 
-class AngularBlockMatrix:
-    """Hermitian operator on the phase-sensitive sectors, one dense block per
-    total spin j (keys are doubled j).  Block axes run over m = -j..j
-    ascending; multiplicity spaces are already traced out."""
-
-    def __init__(self, n_particles: int, blocks: Dict[int, np.ndarray]):
-        self.n_particles = n_particles
-        self.blocks = {int(tj): np.asarray(b) for tj, b in blocks.items()}
-        for tj, b in self.blocks.items():
-            if b.shape != (tj + 1, tj + 1):
-                raise ValueError(f"block 2j={tj} has shape {b.shape}")
-
-    def trace(self) -> float:
-        return float(sum(np.trace(b).real for b in self.blocks.values()))
-
-    def hermiticity_defect(self) -> float:
-        return max((np.max(np.abs(b - b.conj().T)) if b.size else 0.0)
-                   for b in self.blocks.values())
-
-    def min_eigenvalue(self) -> float:
-        return min(np.linalg.eigvalsh((b + b.conj().T) / 2.0).min()
-                   for b in self.blocks.values())
-
-    def validate_state(self) -> None:
-        """Raise unless this is (numerically) a density operator: Hermitian to
-        1e-12, trace 1 to 1e-10, no eigenvalue below -1e-10."""
-        defect = self.hermiticity_defect()
-        if defect > 1e-12:
-            raise ValueError(f"blocks not Hermitian: defect {defect:.3e}")
-        tr = self.trace()
-        if abs(tr - 1.0) > 1e-10:
-            raise ValueError(f"trace {tr} != 1")
-        lam_min = self.min_eigenvalue()
-        if lam_min < -1e-10:
-            raise ValueError(f"negative eigenvalue {lam_min:.3e}")
-
-    def __repr__(self) -> str:
-        return (f"AngularBlockMatrix(N={self.n_particles}, "
-                f"blocks 2j={sorted(self.blocks)})")
-
-
-@dataclass
-class LossComponent:
-    """One loss pattern: l0/l1 photons lost from the two arms."""
-
-    l0: int
-    l1: int
-    weight: float
-    amplitudes: np.ndarray  # over n = l0..N-l1 of the input index
-
-    def m_values(self, n_particles: int) -> np.ndarray:
-        ns = np.arange(self.l0, n_particles - self.l1 + 1)
-        return ns - (n_particles + self.l0 - self.l1) / 2.0
-
-
-@dataclass
-class SectorMixture:
-    """Loss-channel output: orthogonal pure components indexed by the number
-    of photons lost in each arm."""
-
-    n_particles: int
-    transmissivity: float
-    components: List[LossComponent]
-
-    def total_weight(self) -> float:
-        return float(sum(c.weight for c in self.components))
-
-
 @dataclass(frozen=True)
 class NoiseFree:
     pass
@@ -285,7 +208,7 @@ NoiseModel = Union[NoiseFree, LocalDephasing, Loss, CollectiveDephasing]
 
 
 # ---------------------------------------------------------------------------
-# channel blocks (shared by the forward maps and the optimizer)
+# channel blocks (shared by the forward map and the optimizer)
 # ---------------------------------------------------------------------------
 
 
@@ -443,70 +366,24 @@ def compose_collective(blocks: Channel, gamma: float) -> Channel:
 
 
 # ---------------------------------------------------------------------------
-# forward maps
+# the forward map
 # ---------------------------------------------------------------------------
 
 
-def lift_pure(state: SymmetricPureState) -> AngularBlockMatrix:
-    """|psi><psi| as a single maximal-spin block."""
+def channel_output(state: SymmetricPureState,
+                   noise: NoiseModel) -> List[Tuple[ChannelBlock, np.ndarray]]:
+    """The channel output, one (block, sigma) pair per block of
+    `channel_blocks(noise, N).dense_blocks()`, with sigma = W o c_w c_w^H on
+    the block's input window.  The blocks act on orthogonal output spaces
+    (total spins, or flagged loss patterns), so the output state is their
+    direct sum: the traces add to one, and a block that receives no weight
+    from this state is a zero matrix."""
     c = state.amplitudes
-    return AngularBlockMatrix(state.n_particles,
-                              {state.n_particles: np.outer(c, c.conj())})
-
-
-def apply_dephasing(state: SymmetricPureState, eta: float) -> AngularBlockMatrix:
-    """Local dephasing of strength eta on every particle.
-
-    Output block j carries the input coherences multiplied elementwise by the
-    spin-j coupling matrix; blocks that receive no weight (eta = 1) are
-    dropped.  The result has unit trace and is positive semidefinite.
-    """
-    c = state.amplitudes
-    out = {}
-    for blk in channel_blocks(LocalDephasing(eta), state.n_particles).blocks:
+    out = []
+    for blk in channel_blocks(noise, state.n_particles).dense_blocks():
         cb = c[blk.window]
-        out[blk.key[1]] = blk.weight * np.outer(cb, cb.conj())
-    return AngularBlockMatrix(state.n_particles, out)
-
-
-def apply_loss(state: SymmetricPureState, eta: float) -> SectorMixture:
-    """Photon loss with transmissivity eta in both arms.
-
-    Each loss pattern (l0, l1) yields one normalized pure component with
-    weight p_{l0 l1}; patterns with zero weight are dropped.
-    """
-    n = state.n_particles
-    channel = channel_blocks(Loss(eta), n)
-    v = channel.amplitudes * state.amplitudes
-    p = np.einsum("si,si->s", v, v.conj()).real
-    comps = []
-    for r in np.flatnonzero(p > 0.0):
-        l0, l1 = int(channel.l0[r]), int(channel.l1[r])
-        comps.append(LossComponent(l0, l1, float(p[r]),
-                                   v[r, l0:n - l1 + 1] / math.sqrt(p[r])))
-    return SectorMixture(n, eta, comps)
-
-
-def apply_collective_dephasing(rho: AngularBlockMatrix, gamma: float) -> AngularBlockMatrix:
-    """Gaussian collective phase kick: each block entry (m, m') is damped by
-    exp(-Gamma (m-m')^2 / 2); the trace is untouched."""
-    if gamma < 0.0:
-        raise ValueError(f"gamma={gamma} must be >= 0")
-    out = {}
-    for tj, b in rho.blocks.items():
-        out[tj] = b * collective_weight(tj, gamma)
-    return AngularBlockMatrix(rho.n_particles, out)
-
-
-def generator_commutator(rho: AngularBlockMatrix) -> AngularBlockMatrix:
-    """Derivative of the phase orbit at phi = 0, d/dphi U rho U^dag = i[H, rho]:
-    entry (m, m') of each block becomes i (m - m') rho_{m,m'}."""
-    out = {}
-    for tj, b in rho.blocks.items():
-        m = m_grid(tj)
-        dm = m[:, None] - m[None, :]
-        out[tj] = 1j * dm * b
-    return AngularBlockMatrix(rho.n_particles, out)
+        out.append((blk, blk.weight * np.outer(cb, cb.conj())))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -538,38 +415,6 @@ def _sld_kernel(lam: np.ndarray, kp: np.ndarray,
     mask = denom > cut
     lt = np.where(mask, 2.0 * kp / np.where(mask, denom, 1.0), 0.0)
     return float(np.sum(denom * lt * lt.conj()).real) / 2.0, lt
-
-
-def _sld_block(rho_b: np.ndarray, drho_b: np.ndarray):
-    """SLD of one block of a given state; returns (L, qfi_contribution)."""
-    lam, vec = np.linalg.eigh((rho_b + rho_b.conj().T) / 2.0)
-    if float(lam[0]) < -PSD_ATOL * max(float(lam[-1]), 1.0):
-        raise ValueError(
-            f"block is not positive semidefinite: min eigenvalue {lam[0]:.3e}")
-    f, lt = _sld_kernel(lam, vec.conj().T @ (-1j * drho_b) @ vec)
-    return 1j * (vec @ lt @ vec.conj().T), f
-
-
-def sld(rho: AngularBlockMatrix, drho: AngularBlockMatrix) -> AngularBlockMatrix:
-    """Symmetric logarithmic derivative L solving drho = (rho L + L rho)/2
-    blockwise on the numerically supported subspace."""
-    if set(rho.blocks) != set(drho.blocks):
-        raise ValueError("rho and drho have different block structures")
-    out = {}
-    for tj, b in rho.blocks.items():
-        out[tj], _ = _sld_block(b, drho.blocks[tj])
-    return AngularBlockMatrix(rho.n_particles, out)
-
-
-def qfi(rho: AngularBlockMatrix, drho: AngularBlockMatrix) -> float:
-    """Quantum Fisher information tr(rho L^2) for the given state/derivative."""
-    if set(rho.blocks) != set(drho.blocks):
-        raise ValueError("rho and drho have different block structures")
-    total = 0.0
-    for tj, b in rho.blocks.items():
-        _, f = _sld_block(b, drho.blocks[tj])
-        total += f
-    return total
 
 
 def _rank_one_qfi(damping: np.ndarray, c: np.ndarray,
@@ -864,22 +709,6 @@ def state_qfi(state: SymmetricPureState, noise: NoiseModel) -> float:
                         c.real if state.is_real() else c)
 
 
-def qfi_loss(mix: SectorMixture) -> float:
-    """QFI of a loss-channel output under phase encoding.
-
-    Loss patterns mark orthogonal environments, so each component contributes
-    4 p Var(m) with the generator restricted to its sector.
-    """
-    total = 0.0
-    for comp in mix.components:
-        m = comp.m_values(mix.n_particles)
-        prob = np.abs(comp.amplitudes) ** 2
-        mbar = float(np.sum(m * prob))
-        var = float(np.sum((m - mbar) ** 2 * prob))
-        total += 4.0 * comp.weight * var
-    return total
-
-
 # ---------------------------------------------------------------------------
 # finite-difference cross-check via fidelity
 # ---------------------------------------------------------------------------
@@ -907,10 +736,7 @@ def fidelity_qfi_check(state: SymmetricPureState, noise: NoiseModel,
     O(delta^2) relative."""
     if delta == 0.0:
         raise ValueError("delta must be nonzero")
-    c = state.amplitudes
     root_fid = 0.0
-    for blk in channel_blocks(noise, state.n_particles).dense_blocks():
-        cb = c[blk.window]
-        b = blk.weight * np.outer(cb, cb.conj())
-        root_fid += _root_fidelity(b, _phase_shift(b, blk.m, delta))
+    for blk, sigma in channel_output(state, noise):
+        root_fid += _root_fidelity(sigma, _phase_shift(sigma, blk.m, delta))
     return 8.0 * (1.0 - root_fid) / delta ** 2

@@ -48,14 +48,13 @@ from typing import List, Optional
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .qcore import (AngularBlockMatrix, Channel, NoiseModel, SymmetricPureState,
-                    _channel_qfi, _sector_coordinates, _sector_qfi, _unfold,
-                    channel_blocks, sine_profile_state)
+from .qcore import (Channel, NoiseModel, SymmetricPureState, _channel_qfi,
+                    _sector_coordinates, _sector_qfi, _unfold, channel_blocks,
+                    sine_profile_state)
 
 __all__ = [
     "IterationConfig",
     "OptimizationTrace",
-    "channel_adjoint_apply",
     "qfi_iterate",
     "maximize_qfi_over_states",
     "cr_bound",
@@ -111,45 +110,6 @@ class OptimizationTrace:
     residual: float = math.nan
     polish_evals: int = 0
     parity: int = 0
-
-
-# ---------------------------------------------------------------------------
-# Heisenberg-picture channel application
-# ---------------------------------------------------------------------------
-
-
-def channel_adjoint_apply(noise: NoiseModel, n: int, operand) -> np.ndarray:
-    """Apply the channel in the Heisenberg picture, mapping an observable on
-    the output space back to a Hermitian matrix on the (N+1)-dimensional
-    symmetric input space.
-
-    `operand` gives one matrix per output block of `channel_blocks(noise, n)`:
-    either a dict keyed like the blocks (("j", 2j) for a dense spin block,
-    (l0, l1) for a rank-one row), or an AngularBlockMatrix, whose 2j block
-    serves every output block of dimension 2j+1.  For loss the latter is the
-    observable blind to the loss pattern.
-    """
-    if isinstance(operand, AngularBlockMatrix):
-        table, key_of = operand.blocks, lambda blk: len(blk.m) - 1
-    elif isinstance(operand, dict):
-        table, key_of = operand, lambda blk: blk.key
-    else:
-        raise ValueError("expected an AngularBlockMatrix or a dict operand")
-    out = np.zeros((n + 1, n + 1))
-    for blk in channel_blocks(noise, n).dense_blocks():
-        key = key_of(blk)
-        if key not in table:
-            raise ValueError(f"operand lacks the block {key!r}")
-        a = np.asarray(table[key])
-        dim = len(blk.m)
-        if a.shape != (dim, dim):
-            raise ValueError(f"operand block {blk.key} has shape {a.shape}, "
-                             f"expected {(dim, dim)}")
-        contrib = blk.weight * a
-        if np.iscomplexobj(contrib) and not np.iscomplexobj(out):
-            out = out.astype(complex)
-        out[blk.window, blk.window] += contrib
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,27 +1,26 @@
-"""States, channels, SLD/QFI: examples pinned by hand or by brute-force
-oracles, plus the structural invariants (trace, positivity, semigroup,
-residuals, bounds)."""
+"""States, channels and the forward map `channel_output`, SLD/QFI: examples
+pinned by hand or by brute-force oracles, plus the structural invariants
+(trace, positivity, semigroup, residuals, bounds, monotonicity)."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import gammaln
 
 from phaselim import oracles
 from phaselim.bayes import covariant_m_matrix
-from phaselim.qcore import (AngularBlockMatrix, Channel, CollectiveDephasing,
-                            LocalDephasing, Loss, NoiseFree,
-                            SymmetricPureState, apply_collective_dephasing,
-                            apply_dephasing, apply_loss, channel_blocks,
-                            collective_weight, compose_collective,
-                            fidelity_qfi_check,
-                            generator_commutator, lift_pure, noon_state,
-                            product_plus_state, qfi, qfi_loss, resample_state,
-                            sine_profile_state, sld, state_qfi, _loss_table)
-from phaselim.qcore import (_SECTOR_MIN_DIM, ChannelBlock, _fold, _unfold,
-                            _sector_coordinates)
+from phaselim.qcore import (Channel, CollectiveDephasing, LocalDephasing, Loss,
+                            NoiseFree, SymmetricPureState, channel_blocks,
+                            channel_output, collective_weight,
+                            compose_collective, fidelity_qfi_check, m_grid,
+                            noon_state, product_plus_state, resample_state,
+                            sine_profile_state, state_qfi, _loss_table)
+from phaselim.qcore import (_SECTOR_MIN_DIM, ChannelBlock, _fold, _phase_shift,
+                            _unfold, _sector_coordinates)
+from references import block_sld, loss_qfi
 
 
 def plus_state() -> SymmetricPureState:
@@ -83,18 +82,23 @@ class TestStates:
             CollectiveDephasing(-1e-3)
 
 
+def _blocks(state, noise):
+    """`channel_output` keyed by block."""
+    return {blk.key: sigma for blk, sigma in channel_output(state, noise)}
+
+
 class TestApplyDephasing:
     def test_noiseless_is_pure_top_block(self):
         s = oracles.random_state(5, seed=1)
-        rho = apply_dephasing(s, 1.0)
-        assert set(rho.blocks) == {5}
+        rho = _blocks(s, LocalDephasing(1.0))
+        assert set(rho) == {("j", 5)}
         want = np.outer(s.amplitudes, s.amplitudes.conj())
-        assert np.allclose(rho.blocks[5], want, atol=1e-14)
+        assert np.allclose(rho["j", 5], want, atol=1e-14)
 
     def test_single_qubit_plus_state(self):
-        rho = apply_dephasing(plus_state(), 0.7)
+        rho = _blocks(plus_state(), LocalDephasing(0.7))
         want = np.array([[0.5, 0.35], [0.35, 0.5]])
-        assert np.allclose(rho.blocks[1], want, atol=1e-15)
+        assert np.allclose(rho["j", 1], want, atol=1e-15)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("eta", [0.3, 0.7])
@@ -105,33 +109,46 @@ class TestApplyDephasing:
     def test_noon_four_particles_against_oracle(self):
         assert oracles.dephasing_block_error(noon_state(4), 0.7) < 1e-12
 
+    def test_oracles_compare_every_block(self, monkeypatch):
+        # a block that only one side has counts against the error, as a zero
+        # block on the other: one dropped block, or one stray block
+        s = oracles.random_state(3, seed=1)
+        for noise_error in (oracles.dephasing_block_error, oracles.loss_mixture_error):
+            for edit in (lambda out: out[1:],
+                         lambda out: out + [(ChannelBlock(("stray",), 0, m_grid(0),
+                                                          np.ones((1, 1))), np.eye(1))]):
+                with monkeypatch.context() as mp:
+                    mp.setattr(oracles, "channel_output",
+                               lambda state, noise: edit(channel_output(state, noise)))
+                    assert noise_error(s, 0.7) > 0.01
+
     @pytest.mark.parametrize("n", [2, 5, 30, 90, 150])
     @pytest.mark.parametrize("eta", [0.0, 0.3, 0.7, 1.0])
     def test_is_a_density_operator(self, n, eta):
+        # Hermitian to 1e-12, trace 1 to 1e-10, no eigenvalue below -1e-10
         s = oracles.random_state(n, seed=n + int(10 * eta))
-        rho = apply_dephasing(s, eta)
-        rho.validate_state()
+        rho = _blocks(s, LocalDephasing(eta))
+        assert max(np.max(np.abs(b - b.conj().T)) for b in rho.values()) <= 1e-12
+        assert sum(np.trace(b).real for b in rho.values()) == pytest.approx(1.0, abs=1e-10)
+        assert min(np.linalg.eigvalsh(b).min() for b in rho.values()) >= -1e-10
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            apply_dephasing(plus_state(), 1.5)
+            channel_output(plus_state(), LocalDephasing(1.5))
 
 
 class TestApplyLoss:
     def test_lossless_single_component(self):
         s = oracles.random_state(3, seed=5)
-        mix = apply_loss(s, 1.0)
-        assert len(mix.components) == 1
-        comp = mix.components[0]
-        assert (comp.l0, comp.l1) == (0, 0)
-        assert comp.weight == pytest.approx(1.0)
-        assert np.allclose(comp.amplitudes, s.amplitudes)
+        mix = _blocks(s, Loss(1.0))
+        assert set(mix) == {(0, 0)}
+        assert np.trace(mix[0, 0]).real == pytest.approx(1.0)
+        assert np.allclose(mix[0, 0], np.outer(s.amplitudes, s.amplitudes.conj()))
 
     def test_single_photon_transmission(self):
         s = SymmetricPureState(1, [0.0, 1.0])  # photon in the first arm
-        mix = apply_loss(s, 0.7)
-        weights = {(c.l0, c.l1): c.weight for c in mix.components}
-        assert weights == pytest.approx({(0, 0): 0.7, (1, 0): 0.3})
+        weights = {key: np.trace(b).real for key, b in _blocks(s, Loss(0.7)).items()}
+        assert weights == pytest.approx({(0, 0): 0.7, (0, 1): 0.0, (1, 0): 0.3})
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("eta", [0.3, 0.7])
@@ -145,147 +162,146 @@ class TestApplyLoss:
     @pytest.mark.parametrize("n", [1, 4, 40])
     @pytest.mark.parametrize("eta", [0.0, 0.4, 0.9])
     def test_weights_normalized_components_unit(self, n, eta):
+        # the weights p = tr sigma add to one, and every branch is pure:
+        # |sigma|_F = p, the normalized amplitudes have unit norm
         s = oracles.random_state(n, seed=n)
-        mix = apply_loss(s, eta)
-        assert mix.total_weight() == pytest.approx(1.0, abs=1e-10)
-        for comp in mix.components:
-            assert np.linalg.norm(comp.amplitudes) == pytest.approx(1.0, abs=1e-12)
+        mix = _blocks(s, Loss(eta))
+        weights = {key: np.trace(b).real for key, b in mix.items()}
+        assert sum(weights.values()) == pytest.approx(1.0, abs=1e-10)
+        for key, b in mix.items():
+            if weights[key] > 0.0:
+                assert np.linalg.norm(b) / weights[key] == pytest.approx(1.0, abs=1e-12)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            apply_loss(plus_state(), -0.2)
+            channel_output(plus_state(), Loss(-0.2))
 
 
 class TestCollectiveDephasing:
     def test_zero_strength_identity(self):
-        rho = apply_dephasing(oracles.random_state(4, seed=9), 0.6)
-        out = apply_collective_dephasing(rho, 0.0)
-        for tj in rho.blocks:
-            assert np.array_equal(out.blocks[tj], rho.blocks[tj])
+        channel = channel_blocks(LocalDephasing(0.6), 4)
+        assert compose_collective(channel, 0.0) is channel
+        s = oracles.random_state(4, seed=9)
+        out = _blocks(s, CollectiveDephasing(0.0))
+        assert np.array_equal(out["j", 4], np.outer(s.amplitudes, s.amplitudes.conj()))
 
     def test_single_qubit_damping_factor(self):
-        rho = lift_pure(plus_state())
-        out = apply_collective_dephasing(rho, 0.8)
-        assert out.blocks[1][0, 1] == pytest.approx(0.5 * math.exp(-0.4))
+        out = _blocks(plus_state(), CollectiveDephasing(0.8))
+        assert out["j", 1][0, 1] == pytest.approx(0.5 * math.exp(-0.4))
 
     def test_gaussian_average_quadrature(self):
         # the damping factor is the Gaussian average of the phase orbit
         gamma = 0.35
-        rho = lift_pure(oracles.random_state(3, seed=4))
-        out = apply_collective_dephasing(rho, gamma)
+        s = oracles.random_state(3, seed=4)
+        out = _blocks(s, CollectiveDephasing(gamma))
         thetas = np.linspace(-12, 12, 20001)
         q = np.exp(-thetas ** 2 / (2 * gamma)) / math.sqrt(2 * math.pi * gamma)
         m = np.arange(-3, 4, 2) / 2.0
-        block = rho.blocks[3]
+        block = np.outer(s.amplitudes, s.amplitudes.conj())
         avg = np.zeros_like(block)
         for theta, w in zip(thetas, q):
             ph = np.exp(1j * m * theta)
             avg += w * block * np.outer(ph, ph.conj())
         avg *= thetas[1] - thetas[0]
-        assert np.max(np.abs(avg - out.blocks[3])) < 1e-7
+        assert np.max(np.abs(avg - out["j", 3])) < 1e-7
 
     def test_noon_block_scaling(self):
         n, gamma = 5, 0.2
-        rho = lift_pure(noon_state(n))
-        out = apply_collective_dephasing(rho, gamma)
-        assert out.blocks[n][0, n] == pytest.approx(
+        out = _blocks(noon_state(n), CollectiveDephasing(gamma))
+        assert out["j", n][0, n] == pytest.approx(
             0.5 * math.exp(-gamma * n * n / 2.0))
 
     @pytest.mark.parametrize("g1,g2", [(0.1, 0.25), (0.0, 0.4), (0.7, 0.7)])
     def test_semigroup_property(self, g1, g2):
-        rho = apply_dephasing(oracles.random_state(6, seed=2), 0.5)
-        two_step = apply_collective_dephasing(
-            apply_collective_dephasing(rho, g1), g2)
-        one_step = apply_collective_dephasing(rho, g1 + g2)
-        for tj in rho.blocks:
-            assert np.max(np.abs(two_step.blocks[tj] - one_step.blocks[tj])) < 1e-12
+        channel = channel_blocks(LocalDephasing(0.5), 6)
+        two_step = compose_collective(compose_collective(channel, g1), g2)
+        one_step = compose_collective(channel, g1 + g2)
+        assert len(two_step.blocks) == len(one_step.blocks) == len(channel.blocks)
+        for a, b in zip(two_step.blocks, one_step.blocks):
+            assert a.key == b.key
+            assert np.max(np.abs(a.weight - b.weight)) < 1e-12
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            apply_collective_dephasing(lift_pure(plus_state()), -0.1)
+            channel_output(plus_state(), CollectiveDephasing(-0.1))
 
 
 class TestGeneratorCommutator:
+    """The phase orbit U sigma U^dag that `fidelity_qfi_check` differentiates
+    (`qcore._phase_shift`): its derivative at phi = 0 is i[H, sigma], so entry
+    (m, m') of a block becomes i (m - m') sigma_(m, m')."""
+
+    @staticmethod
+    def derivative(sigma, m, delta=1e-6):
+        return (_phase_shift(sigma, m, delta) - _phase_shift(sigma, m, -delta)) / (2 * delta)
+
     def test_diagonal_state_is_stationary(self):
-        rho = AngularBlockMatrix(2, {2: np.diag([0.2, 0.5, 0.3])})
-        drho = generator_commutator(rho)
-        assert np.all(drho.blocks[2] == 0)
+        # the orbit of a diagonal block stays put up to the rounding of
+        # e^(i m phi) e^(-i m phi)
+        sigma = np.diag([0.2, 0.5, 0.3]).astype(complex)
+        for phi in (1e-3, 0.7, math.pi):
+            assert np.max(np.abs(_phase_shift(sigma, m_grid(2), phi) - sigma)) <= 1e-15
 
     def test_single_qubit_entry(self):
-        drho = generator_commutator(lift_pure(plus_state()))
+        (blk, sigma), = channel_output(plus_state(), NoiseFree())
+        drho = self.derivative(sigma, blk.m)
         # entry (m=1/2, m'=-1/2): i * (m - m') * rho = i * 1 * 1/2
-        assert drho.blocks[1][1, 0] == pytest.approx(0.5j)
-        assert drho.blocks[1][0, 1] == pytest.approx(-0.5j)
+        assert drho[1, 0] == pytest.approx(0.5j)
+        assert drho[0, 1] == pytest.approx(-0.5j)
 
     def test_noon_derivative_magnitude(self):
         n = 6
-        drho = generator_commutator(lift_pure(noon_state(n)))
-        assert abs(drho.blocks[n][0, n]) == pytest.approx(n * 0.5)
+        (blk, sigma), = channel_output(noon_state(n), NoiseFree())
+        assert abs(self.derivative(sigma, blk.m)[0, n]) == pytest.approx(n * 0.5)
 
     def test_result_is_hermitian(self):
-        rho = apply_dephasing(oracles.random_state(5, seed=8), 0.6)
-        drho = generator_commutator(rho)
-        assert drho.hermiticity_defect() < 1e-14
+        for blk, sigma in channel_output(oracles.random_state(5, seed=8),
+                                         LocalDephasing(0.6)):
+            drho = self.derivative(sigma, blk.m)
+            assert np.max(np.abs(drho - drho.conj().T)) < 1e-14
+            dm = blk.m[:, None] - blk.m[None, :]
+            assert np.max(np.abs(drho - 1j * dm * sigma)) < 1e-9
 
 
 class TestSld:
     def test_pure_state_sld_is_twice_derivative(self):
-        rho = lift_pure(oracles.random_state(4, seed=3))
-        drho = generator_commutator(rho)
-        ell = sld(rho, drho)
+        (blk, rho), = channel_output(oracles.random_state(4, seed=3), NoiseFree())
+        drho, ell, _ = block_sld(rho, blk.m)
         # dr = (rho L + L rho)/2 must hold, and on the support L = 2 drho
-        recon = 0.5 * (rho.blocks[4] @ ell.blocks[4]
-                       + ell.blocks[4] @ rho.blocks[4])
-        assert np.max(np.abs(recon - drho.blocks[4])) < 1e-10
+        recon = 0.5 * (rho @ ell + ell @ rho)
+        assert np.max(np.abs(recon - drho)) < 1e-10
 
     def test_single_qubit_dephased_qfi(self):
-        rho = apply_dephasing(plus_state(), 0.7)
-        drho = generator_commutator(rho)
-        assert qfi(rho, drho) == pytest.approx(0.49, abs=1e-12)
+        f = sum(block_sld(rho, blk.m)[2]
+                for blk, rho in channel_output(plus_state(), LocalDephasing(0.7)))
+        assert f == pytest.approx(0.49, abs=1e-12)
+        assert state_qfi(plus_state(), LocalDephasing(0.7)) == pytest.approx(0.49, abs=1e-12)
 
     def test_stationary_state_gives_zero(self):
         dim = 5
-        rho = AngularBlockMatrix(4, {4: np.eye(dim) / dim})
-        drho = generator_commutator(rho)
-        ell = sld(rho, drho)
-        assert np.max(np.abs(ell.blocks[4])) == 0.0
+        _, ell, _ = block_sld(np.eye(dim) / dim, m_grid(dim - 1))
+        assert np.max(np.abs(ell)) == 0.0
 
     @pytest.mark.parametrize("n,eta", [(3, 0.4), (6, 0.7), (12, 0.9)])
     def test_defining_equation_residual(self, n, eta):
-        rho = apply_dephasing(oracles.random_state(n, seed=n), eta)
-        drho = generator_commutator(rho)
-        ell = sld(rho, drho)
         worst = 0.0
-        for tj, b in rho.blocks.items():
-            recon = 0.5 * (b @ ell.blocks[tj] + ell.blocks[tj] @ b)
-            worst = max(worst, float(np.max(np.abs(recon - drho.blocks[tj]))))
+        for blk, b in channel_output(oracles.random_state(n, seed=n),
+                                     LocalDephasing(eta)):
+            drho, ell, _ = block_sld(b, blk.m)
+            recon = 0.5 * (b @ ell + ell @ b)
+            worst = max(worst, float(np.max(np.abs(recon - drho))))
         assert worst < 1e-8
-
-    def test_structure_mismatch_rejected(self):
-        rho = apply_dephasing(plus_state(), 0.5)
-        bad = AngularBlockMatrix(1, {1: np.zeros((2, 2))})
-        bad.blocks = {}  # strip blocks
-        with pytest.raises(ValueError):
-            sld(rho, bad)
-
-    def test_non_psd_rejected(self):
-        rho = AngularBlockMatrix(1, {1: np.diag([1.0, -0.5])})
-        drho = generator_commutator(rho)
-        with pytest.raises(ValueError):
-            sld(rho, drho)
 
 
 class TestQfi:
     def test_noon_saturates_heisenberg(self):
         for n in (1, 3, 8):
-            rho = lift_pure(noon_state(n))
-            assert qfi(rho, generator_commutator(rho)) == pytest.approx(
+            assert state_qfi(noon_state(n), NoiseFree()) == pytest.approx(
                 n * n, rel=1e-12)
 
     def test_product_state_is_linear(self):
         for n in (1, 4, 9):
-            rho = lift_pure(product_plus_state(n))
-            assert qfi(rho, generator_commutator(rho)) == pytest.approx(
+            assert state_qfi(product_plus_state(n), NoiseFree()) == pytest.approx(
                 n, rel=1e-12)
 
     @pytest.mark.parametrize("n", [2, 4, 6])
@@ -299,6 +315,28 @@ class TestQfi:
                 values.append(f)
             assert all(values[i] >= values[i + 1] - 1e-10
                        for i in range(len(values) - 1))
+
+    # Loss(eta1 eta2) is Loss(eta2) after Loss(eta1), local dephasing
+    # likewise, and collective dephasing Gamma1 then Gamma2 is Gamma1 + Gamma2:
+    # the QFI cannot rise under the second, phase-independent channel (data
+    # processing), for every input.  The relative tolerance covers rounding,
+    # the absolute one the rounding-level F of nearly dephased blocks (seen:
+    # at most 4.6e-28 above, on 500 draws with eta1 in [1e-30, 1e-3]); the
+    # largest relative change seen was -0.4%, so F never rose
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(n=st.integers(1, 60), kind=st.sampled_from(["dephasing", "loss", "collective"]),
+           first=st.floats(0.0, 1.0), second=st.floats(0.0, 1.0),
+           complex_=st.booleans(), seed=st.integers(0, 2 ** 16))
+    def test_monotone_under_composition(self, n, kind, first, second, complex_, seed):
+        rng = np.random.default_rng(seed)
+        c = rng.standard_normal(n + 1) + (1j * rng.standard_normal(n + 1) if complex_ else 0)
+        s = SymmetricPureState(n, c, normalize=True)
+        if kind == "collective":
+            before, after = CollectiveDephasing(first), CollectiveDephasing(first + second)
+        else:
+            family = LocalDephasing if kind == "dephasing" else Loss
+            before, after = family(first), family(first * second)
+        assert state_qfi(s, after) <= state_qfi(s, before) * (1.0 + 1e-12) + 1e-20
 
     @pytest.mark.parametrize("n,eta", [(2, 0.3), (3, 0.7), (4, 0.55)])
     def test_matches_full_space_computation(self, n, eta):
@@ -355,16 +393,16 @@ class TestStateQfiEdges:
 class TestQfiLoss:
     def test_lossless_reduces_to_noise_free(self):
         for n in (2, 5):
-            assert qfi_loss(apply_loss(noon_state(n), 1.0)) == pytest.approx(n * n)
+            assert state_qfi(noon_state(n), Loss(1.0)) == pytest.approx(n * n)
 
     def test_single_photon_scaling(self):
         s = SymmetricPureState(1, [1 / math.sqrt(2)] * 2)
-        assert qfi_loss(apply_loss(s, 0.7)) == pytest.approx(0.7, rel=1e-12)
+        assert state_qfi(s, Loss(0.7)) == pytest.approx(0.7, rel=1e-12)
 
     def test_noon_closed_form(self):
         # N00N under loss keeps only the no-loss branch coherent: F = N^2 eta^N
         for n, eta in ((2, 0.7), (3, 0.5)):
-            got = qfi_loss(apply_loss(noon_state(n), eta))
+            got = state_qfi(noon_state(n), Loss(eta))
             assert got == pytest.approx(n * n * eta ** n, rel=1e-12)
 
 
@@ -400,13 +438,13 @@ class TestLossSectorConvention:
 
     def test_flagged_equals_traced_for_noon(self):
         for n, eta in ((2, 0.7), (3, 0.4)):
-            flagged = qfi_loss(apply_loss(noon_state(n), eta))
+            flagged = loss_qfi(noon_state(n), eta)
             traced = self.traced_qfi(noon_state(n), eta)
             assert flagged == pytest.approx(traced, rel=1e-10)
 
     def test_flagged_dominates_traced_generically(self):
         state = oracles.random_state(2, seed=42)
-        flagged = qfi_loss(apply_loss(state, 0.7))
+        flagged = loss_qfi(state, 0.7)
         traced = self.traced_qfi(state, 0.7)
         assert flagged >= traced - 1e-12
         # the single-survivor sectors (1,0) and (0,1) overlap on the same
