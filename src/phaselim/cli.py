@@ -137,9 +137,10 @@ def _sweep_row(cfg: SweepConfig, n: int, method: str,
     rec = PrecisionRecord(n=n, method=method)
     # tail-certified loop accuracy (rel_tol) is ample for sweep columns;
     # the quasi-Newton polish is reserved for the prior-averaged rows whose
-    # cost formula amplifies QFI errors near the 1 - delta0^2 F = 0 edge; it
-    # stops once the residual |(A + F) c| / F is <= qfi_opt.STATIONARITY_RTOL,
-    # else when its evaluation budget runs out
+    # cost formula amplifies QFI errors near the 1 - delta0^2 F = 0 edge; the
+    # see-saw hands over to it once it slows, and it stops at the residual
+    # |(A + F) c| / F <= qfi_opt.STATIONARITY_RTOL or when the run's one
+    # budget of max_iters + polish_max_evals evaluations runs out
     warm_state = warm.get(method)
     if warm_state is not None and warm_state.n_particles != n:
         warm_state = qcore.resample_state(warm_state, n)

@@ -356,6 +356,8 @@ def compose_collective(blocks: Channel, gamma: float) -> Channel:
     rank-one row becomes a dense block over its window).  Every block's m
     grid has unit spacing, so its factor is the leading corner of one
     `collective_weight` table."""
+    if gamma < 0.0:
+        raise ValueError(f"gamma={gamma} must be >= 0")
     if gamma == 0.0:
         return blocks
     kick = collective_weight(blocks.n, gamma)

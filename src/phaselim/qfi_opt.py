@@ -9,14 +9,14 @@ evaluated in the derivative convention under which that expression is the
 variational partner of the QFI, so that <psi|A|psi> = -F(psi) and replacing
 the state by the eigenvector of A with the smallest eigenvalue cannot
 decrease F.  Each step takes that one eigenpair from a single LAPACK
-?syevr/?heevr call.  Convergence is declared when the geometric-tail
-estimate of the remaining QFI change (or the raw per-step change) drops
-below `rel_tol`; the best iterate is tracked throughout, so a non-converged
-run still returns the best state seen.  A call is one run from one start
-(`IterationConfig.initial_state`, else the sine profile): F never decreases
-along the loop, and from those starts one run reaches the optimum that
-perturbed starts reach, so a multi-start is a caller's loop over
-`initial_state`.
+?syevr/?heevr call.  The loop stops when the geometric-tail estimate of
+the remaining QFI change (or the raw per-step change) drops below
+`rel_tol`, which makes an unpolished run `converged`; the best iterate is
+tracked throughout, so a non-converged run returns the best state seen.  A
+call is one run from one start (`IterationConfig.initial_state`, else the
+sine profile): F never decreases along the loop, and from those starts one
+run reaches the optimum that perturbed starts reach, so a multi-start is a
+caller's loop over `initial_state`.
 
 Every channel commutes with the arm swap J: m -> -m, so from a start with
 Jc = +-c, A(c) commutes with J, its lowest eigenvector lies in one parity
@@ -28,15 +28,16 @@ space) and the polish runs on the half vector.  That is the full-space
 algorithm up to rounding; any other start runs in the full space.
 
 The map's contraction rate approaches one on flat landscapes (narrow
-collective dephasing is the worst case), so an optional quasi-Newton polish
-follows the loop: L-BFGS on the state sphere with the gradient 2(A + F) c
-that the loop already provides.  The distance from stationarity is the
-residual r = |(A + F) c| / F, zero exactly at a fixed point of the loop; the
-F error is of order r^2.  The polish is skipped when the loop's best state
-already has r <= STATIONARITY_RTOL, stops at the first evaluation with
-r <= STATIONARITY_RTOL and otherwise runs until `polish_max_evals` L-BFGS
-iterations are spent or the line search fails; it returns the best state it
-evaluated.
+collective dephasing is the worst case).  With `IterationConfig.polish`,
+once the observed rate d1/d2 of successive F changes reaches
+`_HANDOFF_RATE`, the loop hands its best state to L-BFGS on the state sphere
+(Huang, Gallivan & Absil, SIAM J. Optim. 25, 1660 (2015)) with the gradient
+2(A + F) c.  The residual r = |(A + F) c| / F is zero exactly at a fixed
+point of the loop; the F error is of order r^2, more where F is flat.  The
+polish stops at r <= STATIONARITY_RTOL, on a failed line search, or when
+the run's one budget of max_iters + polish_max_evals channel evaluations is
+spent.  A polished run is `converged` when it ends at r <= STATIONARITY_RTOL:
+a stationary point, which need not be the global optimum.
 """
 
 from __future__ import annotations
@@ -63,18 +64,23 @@ __all__ = [
 
 # Target of the residual r = |(A + F) c| / F at which the polish stops.  The
 # F error is ~r^2, so 1e-7 leaves F within ~1e-13 of the stationary value;
-# the loop alone rarely gets below ~1e-5 and L-BFGS stalls at ~1e-8.
+# the loop alone rarely gets below ~1e-5.
 STATIONARITY_RTOL = 1e-7
 
-# L-BFGS memory of the polish.  Narrow priors exhaust `polish_max_evals` far
-# from the target; with scipy's default of 10 pairs their final F swung by
-# ~2e-7 relative with the last bits of the start, with 30 it came out higher.
+# Observed see-saw contraction rate d1/d2 at which a polished run hands the
+# state over to L-BFGS; below it the see-saw still gains faster per evaluation.
+_HANDOFF_RATE = 0.5
+
+# Number of (s, y) pairs the L-BFGS polish keeps.
 _LBFGS_MEMORY = 30
+_TRTRS, = get_lapack_funcs(("trtrs",), dtype=np.float64)
 
 
 @dataclass(frozen=True)
 class IterationConfig:
-    """Knobs of the state-optimization loop."""
+    """Knobs of the state-optimization loop.  With `polish`, the see-saw
+    hands over to L-BFGS once it slows, and the run makes at most
+    max_iters + polish_max_evals channel evaluations in all."""
 
     max_iters: int = 2000
     rel_tol: float = 1e-10
@@ -95,9 +101,11 @@ class OptimizationTrace:
 
     `qfi_values` records the loop iterates (at most `max_iters` entries);
     `qfi` is the best value found, including the polish stage, so it can
-    exceed the last trace entry slightly.  `residual` is |(A + F) c| / F at
-    the returned state (nan when F = 0) and `polish_evals` the number of
-    channel evaluations the polish spent (0 when it was skipped).
+    exceed the last trace entry.  `residual` is |(A + F) c| / F at the
+    returned state (nan when F = 0) and `polish_evals` the number of channel
+    evaluations the polish spent (0 when it was skipped).  `converged` is
+    residual <= STATIONARITY_RTOL for a polished run and the loop's tail
+    test otherwise (true on a phase-blind channel).
     `parity` is the arm-swap sector of the returned state, +1 (even) or -1
     (odd), when the run was solved on the sectors' half-size blocks, and 0
     when it ran in the full space.
@@ -188,53 +196,64 @@ def _fix_phase(c: np.ndarray) -> np.ndarray:
     return -c if pivot < 0 else c
 
 
-class _Stationary(Exception):
-    """Raised by the polish objective to end the minimization."""
+def _lbfgs_direction(g: np.ndarray, pairs: np.ndarray, gamma: float) -> np.ndarray:
+    """-H g for the L-BFGS inverse Hessian H with H0 = gamma I and the (s, y)
+    pairs `pairs[:, 0]`, `pairs[:, 1]` (oldest first), in the compact form of
+    Byrd, Nocedal & Schnabel (Math. Program. 63, 129 (1994)): a fixed number
+    of array operations for any memory."""
+    if not len(pairs):
+        return -gamma * g
+    s, y = pairs[:, 0], pairs[:, 1]
+    sy = s @ y.T                  # its upper triangle is R, its diagonal D
+    w = _TRTRS(sy, s @ g)[0]
+    z = _TRTRS(sy, sy.diagonal() * w + gamma * (y @ (w @ y) - y @ g), trans=1)[0]
+    return gamma * (w @ y - g) - z @ s
 
 
-def _polish_lbfgs(channel: Channel, parity: int, c0: np.ndarray,
-                  max_evals: int):
-    """Quasi-Newton refinement of the QFI over the state sphere, within the
-    arm-swap sector `parity` when it is nonzero (c0 then holds that sector's
-    coordinates, see `_step`).
+def _polish(channel: Channel, parity: int, c: np.ndarray, f: float,
+            a: np.ndarray, max_evals: int):
+    """L-BFGS ascent of F on the unit sphere from the unit vector c, where
+    F(c) = f and a is the block of A acting on c (`_step`, `_acting`).
 
-    Returns (F, c, residual, evaluations) of the best state evaluated; stops
-    at the first evaluation whose residual is <= STATIONARITY_RTOL.
+    The gradient of -F, g = 2 (A + F) c, is tangent because <c|A|c> = -F.
+    A step retracts by c <- (c + t p) / |c + t p| with Armijo backtracking;
+    the (s, y) pairs are projected onto the tangent space at every new
+    point.  Vectors enter through their real views, so every inner product
+    is Re<x, y> and the same code serves real, complex and sector vectors.
+    Returns (F, c, residual, evaluations) at the last accepted state; stops
+    at residual <= STATIONARITY_RTOL, after `max_evals` channel evaluations
+    (line-search trials included) or when a line search fails.
     """
-    from scipy.optimize import minimize
-
-    dim = len(c0)
-    is_complex = np.iscomplexobj(c0)
-    best_f, best_c, best_r, evals = -np.inf, c0, math.nan, 0
-
-    def objective(x):
-        nonlocal best_f, best_c, best_r, evals
-        evals += 1
-        c = (x[:dim] + 1j * x[dim:]) if is_complex else x
-        nrm = np.linalg.norm(c)
-        c = c / nrm
-        f, a = _step(channel, parity, c)
-        a = _acting(a, parity)
-        gc = 2.0 * (a @ c) + 2.0 * f * c       # gradient of -F on the sphere
-        r = float(np.linalg.norm(gc)) / (2.0 * f) if f > 0.0 else math.nan
-        if f > best_f:
-            best_f, best_c, best_r = f, c, r
-        if r <= STATIONARITY_RTOL:
-            raise _Stationary
-        if is_complex:
-            g = np.concatenate([gc.real, gc.imag]) / nrm
+    dtype, x = c.dtype, c.view(np.float64)
+    g = (2.0 * (a @ c + f * c)).view(np.float64)
+    gc = g.view(dtype)  # first step: the line minimum of the model 2 (A + F),
+    gamma = (g @ g) / abs(2.0 * np.vdot(gc, a @ gc + f * gc).real)  # kept > 0
+    pairs, evals = np.empty((0, 2, len(x))), 0
+    while np.linalg.norm(g) > 2.0 * f * STATIONARITY_RTOL and evals < max_evals:
+        p = _lbfgs_direction(g, pairs, gamma)
+        p -= (x @ p) * x
+        slope, t = g @ p, 1.0
+        while evals < max_evals and t > 1e-10:
+            x_new = (x + t * p) / np.linalg.norm(x + t * p)
+            f_new, a_new = _step(channel, parity, x_new.view(dtype))
+            evals += 1
+            if f_new >= f - 1e-4 * t * slope:
+                break
+            t *= 0.5
         else:
-            g = gc / nrm
-        return -f, g
-
-    x0 = np.concatenate([c0.real, c0.imag]) if is_complex else c0
-    try:
-        minimize(objective, x0, jac=True, method="L-BFGS-B",
-                 options={"maxiter": max_evals, "maxcor": _LBFGS_MEMORY,
-                          "ftol": 1e-17, "gtol": 1e-12})
-    except _Stationary:
-        pass
-    return best_f, _fix_phase(best_c), best_r, evals
+            break
+        c_new, a = x_new.view(dtype), _acting(a_new, parity)
+        g_new = (2.0 * (a @ c_new + f_new * c_new)).view(np.float64)
+        pairs = np.concatenate([pairs, [[x_new - x, g_new - g]]])
+        pairs -= (pairs @ x_new)[..., None] * x_new
+        s, y = pairs[-1]
+        if s @ y > 0.0:
+            pairs, gamma = pairs[-_LBFGS_MEMORY:], (s @ y) / (y @ y)
+        else:
+            pairs = pairs[:-1]
+        x, f, g = x_new, f_new, g_new
+    r = float(np.linalg.norm(g)) / (2.0 * f)
+    return f, _fix_phase(x.view(dtype)), r, evals
 
 
 def maximize_qfi_over_states(n: int, blocks: Channel,
@@ -283,14 +302,17 @@ def maximize_qfi_over_states(n: int, blocks: Channel,
                 if d1 * rate / (1.0 - rate) <= cfg.rel_tol * f:
                     converged = True
                     break
+                if cfg.polish and rate >= _HANDOFF_RATE:
+                    break
         parity, c = _see_saw_move(a, parity)
     best_r = _residual(best_f, best_a, best_c)
     polish_evals = 0
-    if cfg.polish and best_f > 0.0 and best_r > STATIONARITY_RTOL:
-        f_pol, c_pol, r_pol, polish_evals = _polish_lbfgs(
-            blocks, best_parity, best_c, cfg.polish_max_evals)
-        if f_pol >= best_f:
-            best_f, best_c, best_r = f_pol, c_pol, r_pol
+    if cfg.polish and best_f > 0.0:
+        if best_r > STATIONARITY_RTOL:
+            budget = cfg.polish_max_evals + cfg.max_iters - len(history)
+            best_f, best_c, best_r, polish_evals = _polish(
+                blocks, best_parity, best_c, best_f, best_a, budget)
+        converged = best_r <= STATIONARITY_RTOL
     if best_parity:
         best_c = _unfold(best_c, best_parity, n + 1)
     state = SymmetricPureState(n, _fix_phase(best_c), normalize=True)

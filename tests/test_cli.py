@@ -402,13 +402,18 @@ class TestExitCodes:
         assert proc.stdout.startswith(CSV_HEADER)
 
     def test_import_leaves_scipy_optimize_unloaded(self):
-        # only the optimizer's polish uses scipy.optimize, and imports it there
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, phaselim.cli; print('scipy.optimize' in sys.modules)"],
-            capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0
-        assert proc.stdout.strip() == "False"
+        # importing scipy.optimize costs every process ~0.3 s of CPU; neither
+        # the import nor a polished prior solve may load it
+        code = ("import sys, phaselim.cli\n"
+                "print('scipy.optimize' in sys.modules)\n"
+                "from phaselim.bayes import gaussian_prior_solve\n"
+                "from phaselim.qcore import NoiseFree\n"
+                "_, trace = gaussian_prior_solve(40, 0.5, NoiseFree())\n"
+                "print(trace.polish_evals > 0, 'scipy.optimize' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True", "False"]
 
     def test_closed_stdout_exits_2_quietly(self):
         # ~1 MB of rows: the writer is still writing when the reader leaves

@@ -225,6 +225,14 @@ class TestCollectiveDephasing:
         with pytest.raises(ValueError):
             channel_output(plus_state(), CollectiveDephasing(-0.1))
 
+    @pytest.mark.parametrize("noise", [NoiseFree(), Loss(0.6)])
+    def test_compose_rejects_negative_gamma(self, noise):
+        # a negative strength makes the kick exp(+|gamma| k^2 / 2) > 1: the
+        # composed noise-free channel is not PSD and the uniform state at
+        # N = 6 would get F = 197 > N^2
+        with pytest.raises(ValueError, match="gamma"):
+            compose_collective(channel_blocks(noise, 6), -0.1)
+
 
 class TestGeneratorCommutator:
     """The phase orbit U sigma U^dag that `fidelity_qfi_check` differentiates
