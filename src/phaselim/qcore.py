@@ -28,21 +28,23 @@ what `fidelity_qfi_check` and the brute-force oracles read.
 The phase generator acts diagonally within each block, so derivatives,
 symmetric logarithmic derivatives and the QFI all stay blockwise.  One SLD
 kernel, which works in the block's eigenbasis, serves `state_qfi`, the
-optimizer's dense step and the sector step.  The dense step builds the
-derivative dm o sigma there directly as X Lam - Lam X with
-X = V^H diag(m) V, which takes one GEMM and keeps the rounding of each entry
-proportional to its eigenvalue gap; a nearly diagonal block rotates
-dm o sigma instead (see `_channel_qfi`).
+optimizer's dense step and the sector step, and one rule,
+`_eigenbasis_derivative`, gives both steps the derivative dm o sigma in that
+basis: X Lam - Lam X with X = V^H diag(m) V, which takes one GEMM and keeps
+the rounding of each entry proportional to its eigenvalue gap, or, for a
+nearly diagonal block, dm o sigma rotated.
 
 Every channel here commutes with the arm swap J: n -> N - n (m -> -m).  A
 centred block (window symmetric about the middle of the grid) has
 W(m, m') = W(-m, -m'), and for an input with Jc = +-c its sigma splits into
 one block per parity sector while M = diag(m) only couples the sectors.
 `_sector_qfi` runs the step in the coordinates of one sector
-(`_sector_coordinates`): each large centred block costs two eigensolves of
-about half its size, from weights folded once per channel
-(`Channel.parity_split`); every other block and row runs through
-`_channel_qfi` on the unfolded input, and its share of A is folded.
+(`_sector_coordinates`) on a channel of centred blocks only (local or
+collective dephasing, with or without a prior; `Channel.parity_split`):
+each large block costs two eigensolves of about half its size, from weights
+folded once per channel, and the small blocks run through `_channel_qfi` on
+the unfolded input, with their share of A folded.  Loss, whose patterns sit
+off the centre, runs in the full space with or without a prior.
 """
 
 from __future__ import annotations
@@ -265,22 +267,24 @@ class Channel:
 
     @cached_property
     def parity_split(self) -> Optional[Tuple[List["_SectorBlock"], "Channel"]]:
-        """The channel prepared for `_sector_qfi`: its centred dense blocks of
+        """The channel prepared for `_sector_qfi`: its dense blocks of
         dimension >= _SECTOR_MIN_DIM folded onto the arm-swap sectors, and a
-        channel of every other block and row.  None when there is no such
-        block (the full-space step is then as fast) or when the channel does
-        not commute with the arm swap J: n -> N - n."""
-        folded, rest = [], []
-        for blk in self.blocks:
-            d = len(blk.m)
-            if 2 * blk.start + d - 1 == self.n and d >= _SECTOR_MIN_DIM:
-                folded.append(blk)
-            else:
-                rest.append(blk)
-        if not folded or not _commutes_with_arm_swap(self):
+        channel of the smaller ones.  Only a channel of centred dense blocks
+        (2 start + d - 1 = N) with mirror-symmetric weights, W = W[::-1, ::-1]
+        to 1e-12, is split; rank-one rows or a block off the centre (loss
+        with a prior) keep it in the full space.  None also when no block is
+        wide enough (the full-space step is then as fast)."""
+        if len(self.amplitudes) or not all(
+                2 * blk.start + len(blk.m) - 1 == self.n
+                and np.max(np.abs(blk.weight - blk.weight[::-1, ::-1])) <= 1e-12
+                for blk in self.blocks):
+            return None
+        folded = [blk for blk in self.blocks if len(blk.m) >= _SECTOR_MIN_DIM]
+        if not folded:
             return None
         return ([_SectorBlock.fold(blk) for blk in folded],
-                Channel(self.n, rest, self.l0, self.l1, self.amplitudes))
+                Channel.dense(self.n, [blk for blk in self.blocks
+                                       if len(blk.m) < _SECTOR_MIN_DIM]))
 
     def dense_blocks(self) -> List[ChannelBlock]:
         """Every block in dense form: the dense blocks, then each row as the
@@ -419,6 +423,33 @@ def _sld_kernel(lam: np.ndarray, kp: np.ndarray,
     return float(np.sum(denom * lt * lt.conj()).real) / 2.0, lt
 
 
+def _eigenbasis_derivative(m: np.ndarray, span: float, k: np.ndarray,
+                           lr: np.ndarray, vr: np.ndarray,
+                           lc: np.ndarray, vc: np.ndarray) -> np.ndarray:
+    """The derivative k = M sigma - sigma M, M = diag(m), in sigma's
+    eigenbasis, as the block kp = vr^H k vc between two invariant subspaces
+    of sigma with eigenpairs (lr, vr) (rows) and (lc, vc) (columns).
+
+    M maps the column subspace into the first len(m) coordinates of the row
+    subspace, so kp = X lc - lr X with X = vr[:len(m)]^H diag(m) vc: one
+    GEMM instead of rotating k with two.  The rounding of each entry
+    X_ij (lc_j - lr_i) scales with its eigenvalue gap, whereas a rotated k
+    carries ~eps |k| in every entry, which swamps the pairs of small
+    eigenvalues and held the see-saw's residual near 2e-7 under dephasing.
+
+    X lc - lr X is the derivative of V Lam V^H, which differs from sigma by
+    the eigensolver's backward error, ~eps lambda_max.  When sigma is so
+    nearly diagonal that every |k_ij| < COHERENCE_RTOL span lambda_max, with
+    span = m_max - m_min over the whole block, that difference would swamp k
+    (at dephasing eta -> 0 it would give F ~ 1e-20 and <c|A|c> = +F), so k
+    itself is rotated, whose rounding stays relative to |k|.
+    """
+    if np.max(np.abs(k)) >= COHERENCE_RTOL * span * max(lr[-1], lc[-1]):
+        x = vr[:len(m)].conj().T @ (m[:, None] * vc)
+        return x * (lc - lr[:, None])
+    return vr.conj().T @ k @ vc
+
+
 def _rank_one_qfi(damping: np.ndarray, c: np.ndarray,
                   a_out: Optional[np.ndarray]) -> float:
     """QFI of all rank-one branches at once, real or complex c.
@@ -464,20 +495,9 @@ def _channel_qfi(channel: Channel, c: np.ndarray,
     A = channel_adjoint(L^2 - 2i [H, L]), for which <c|A|c> = -F; A is real
     symmetric for real c, else Hermitian.
 
-    A dense block's derivative is k = dm o sigma = M sigma - sigma M with
-    M = diag(m), so in sigma's eigenbasis it is kp = X Lam - Lam X with
-    X = V^H M V: one GEMM instead of rotating k with two.  The rounding of
-    each entry X_ij (lam_j - lam_i) scales with |lam_j - lam_i|, whereas a
-    rotated k carries ~eps |k| in every entry, which swamps the pairs of
-    small eigenvalues and held the see-saw's residual near 2e-7 under
-    dephasing.  L^2 = lmat lmat^H (a SYRK for real c).
-
-    X Lam - Lam X is the derivative of V Lam V^H, which differs from sigma
-    by the eigensolver's backward error, ~eps lambda_max.  When sigma is so
-    nearly diagonal that every |k_ij| < COHERENCE_RTOL (m_max - m_min)
-    lambda_max, that difference would swamp k (at dephasing eta -> 0 it
-    would give F ~ 1e-20 and <c|A|c> = +F), so such a block rotates k itself,
-    whose rounding stays relative to |k|.
+    A dense block's derivative k = dm o sigma = M sigma - sigma M enters
+    the SLD kernel in sigma's eigenbasis (`_eigenbasis_derivative`), and
+    L^2 = lmat lmat^H (a SYRK for real c).
     """
     f = 0.0
     for blk in channel.blocks:
@@ -486,11 +506,7 @@ def _channel_qfi(channel: Channel, c: np.ndarray,
         sigma = blk.weight * np.outer(cb, cb.conj())
         lam, vec = np.linalg.eigh(sigma)
         k = (m[:, None] - m[None, :]) * sigma
-        if np.max(np.abs(k)) >= COHERENCE_RTOL * (m[-1] - m[0]) * lam[-1]:
-            x = vec.conj().T @ (m[:, None] * vec)
-            kp = x * (lam - lam[:, None])
-        else:
-            kp = vec.conj().T @ k @ vec
+        kp = _eigenbasis_derivative(m, m[-1] - m[0], k, lam, vec, lam, vec)
         f_b, lt = _sld_kernel(lam, kp)
         f += f_b
         if a_out is not None:
@@ -504,44 +520,6 @@ def _channel_qfi(channel: Channel, c: np.ndarray,
 # ---------------------------------------------------------------------------
 # the arm-swap sectors
 # ---------------------------------------------------------------------------
-
-
-def _close(a: np.ndarray, b: np.ndarray) -> bool:
-    return float(np.max(np.abs(a - b), initial=0.0)) <= 1e-12
-
-
-def _commutes_with_arm_swap(channel: Channel) -> bool:
-    """Whether the channel commutes with the arm swap J: n -> N - n.
-
-    Every dense block needs a partner over the mirrored window (a centred
-    block is its own) whose weight is the block's W(-m, -m') and whose
-    generator steps run mirrored, and the row of every loss pattern
-    (l0, l1) must be the reverse of the row of (l1, l0).  Both hold to
-    1e-12 (the weights of a trace-preserving channel are at most 1, and the
-    dephasing coupling tables are mirror-symmetric to ~2e-15).
-    """
-    n = channel.n
-    windows = {(blk.start, len(blk.m)): blk for blk in channel.blocks}
-    if len(windows) < len(channel.blocks):
-        return False
-    for (start, d), blk in windows.items():
-        mate = windows.get((n + 1 - start - d, d))
-        if (mate is None or not _close(mate.weight, blk.weight[::-1, ::-1])
-                or not _close(np.diff(mate.m), np.diff(blk.m)[::-1])):
-            return False
-    rows = {key: r for r, key in enumerate(zip(channel.l0.tolist(),
-                                               channel.l1.tolist()))}
-    if len(rows) < len(channel.amplitudes):
-        return False
-    mirror = [rows.get((l1, l0), -1) for l0, l1 in rows]
-    if -1 in mirror:
-        return False
-    for lo in range(0, len(mirror), RANK_ONE_CHUNK):
-        chunk = slice(lo, lo + RANK_ONE_CHUNK)
-        if not _close(channel.amplitudes[mirror[chunk]],
-                      channel.amplitudes[chunk, ::-1]):
-            return False
-    return True
 
 
 def _mirror_parts(a: np.ndarray):
@@ -636,19 +614,15 @@ def _sector_sld(m: np.ndarray, sp: np.ndarray, sm: np.ndarray, k: np.ndarray):
     M = diag(m) anticommutes with J, so in the sector basis it only couples
     the sectors, through M+- = diag(m) (with a zero middle row when sp has
     one more row than sm), and so do the derivative and the SLD.  Hence
-    kp+- = X Lam- - Lam+ X with X = V+^H M+- V-, the same
-    COHERENCE_RTOL rule as `_channel_qfi` (tested on k+- = M+- sigma- -
-    sigma+ M+-), and lmat+- = V+ lt V-^H.  The sector blocks of
+    kp+- is `_eigenbasis_derivative` of k+- = M+- sigma- - sigma+ M+-,
+    from the odd sector (columns) to the even one (rows), with span -2 m_0,
+    and lmat+- = V+ lt V-^H.  The sector blocks of
     y = lmat lmat^H - 2 (M lmat - lmat M) follow with lmat-+ = -lmat+-^H.
     """
     h = len(m)
     lp, vp = np.linalg.eigh(sp)
     lm, vm = np.linalg.eigh(sm)
-    if np.max(np.abs(k)) >= COHERENCE_RTOL * -2.0 * m[0] * max(lp[-1], lm[-1]):
-        x = vp[:h].conj().T @ (m[:, None] * vm)
-        kp = x * (lm - lp[:, None])
-    else:
-        kp = vp.conj().T @ k @ vm
+    kp = _eigenbasis_derivative(m, -2.0 * m[0], k, lp, vp, lm, vm)
     f, lt = _sld_kernel(lp, kp, lm)
     lmat = vp @ lt @ vm.conj().T
     g = lmat * m
@@ -667,8 +641,8 @@ def _sector_qfi(channel: Channel, parity: int, ch: np.ndarray):
     `ch` holds the input's coordinates in sector `parity` (+1 even, -1 odd;
     see `_sector_coordinates`).  Returns (F, (A+, A-)) with A+ and A- the
     sector blocks of A, which commutes with J.  Each folded block costs two
-    eigensolves of about half its size.  Every other block and row runs
-    through `_channel_qfi` on the unfolded input, and its A is folded.
+    eigensolves of about half its size.  Every smaller block runs through
+    `_channel_qfi` on the unfolded input, and its A is folded.
     """
     folded, rest = channel.parity_split
     d = channel.n + 1

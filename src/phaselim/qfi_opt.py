@@ -21,11 +21,13 @@ caller's loop over `initial_state`.
 Every channel commutes with the arm swap J: m -> -m, so from a start with
 Jc = +-c, A(c) commutes with J, its lowest eigenvector lies in one parity
 sector and the gradient stays in c's sector.  Such a start, on a channel
-with a `parity_split`, runs in sector coordinates: each step is
-`qcore._sector_qfi`, the loop's eigenpair is the lower of the two sectors'
-lowest eigenpairs (so the state may change sector, as it may in the full
-space) and the polish runs on the half vector.  That is the full-space
-algorithm up to rounding; any other start runs in the full space.
+with a `parity_split` (centred dense blocks only: local or collective
+dephasing, with or without a prior), runs in sector coordinates: each step
+is `qcore._sector_qfi`, A comes as its two sector blocks keyed by parity,
+the loop's eigenpair is the lower of their lowest eigenpairs (so the state
+may change sector, as it may in the full space) and the polish runs on the
+half vector.  That is the full-space algorithm up to rounding; any other
+start or channel runs in the full space, with A keyed by parity 0.
 
 The map's contraction rate approaches one on flat landscapes (narrow
 collective dephasing is the worst case).  With `IterationConfig.polish`,
@@ -93,6 +95,8 @@ class IterationConfig:
             raise ValueError("max_iters must be >= 1")
         if self.rel_tol <= 0.0:
             raise ValueError("rel_tol must be > 0")
+        if self.polish_max_evals < 0:
+            raise ValueError("polish_max_evals must be >= 0")
 
 
 @dataclass
@@ -132,30 +136,25 @@ def _iteration_step(channel: Channel, c: np.ndarray):
 
 
 def _step(channel: Channel, parity: int, c: np.ndarray):
-    """(F, A) at the state c of the given parity: for parity 0, c holds all
-    N + 1 amplitudes and A is `_iteration_step`'s; otherwise c holds the
-    coordinates in that arm-swap sector and A is the pair (A+, A-) of its
-    sector blocks."""
+    """(F, A) at the state c of the given parity, with A keyed by parity:
+    for parity 0, c holds all N + 1 amplitudes and A is {0: A}; otherwise c
+    holds the coordinates in that arm-swap sector and A is {1: A+, -1: A-},
+    its two sector blocks.  A[parity] acts on c."""
     if parity == 0:
-        return _iteration_step(channel, c)
-    return _sector_qfi(channel, parity, c)
+        f, a = _iteration_step(channel, c)
+        return f, {0: a}
+    f, (a_p, a_m) = _sector_qfi(channel, parity, c)
+    return f, {1: a_p, -1: a_m}
 
 
-def _acting(a, parity: int) -> np.ndarray:
-    """The block of A that acts on a state of the given parity."""
-    if parity == 0:
-        return a
-    return a[0] if parity > 0 else a[1]
-
-
-def _see_saw_move(a, parity: int):
-    """(parity, state) of the lowest eigenvector of A.  On the sectors it is
-    the lower of the two sectors' lowest eigenpairs, as in the full space,
-    so the state may change sector."""
-    if parity == 0:
-        return 0, _fix_phase(_lowest_eigenpair(a)[1])
-    (w_p, v_p), (w_m, v_m) = map(_lowest_eigenpair, a)
-    return (1, _fix_phase(v_p)) if w_p <= w_m else (-1, _fix_phase(v_m))
+def _see_saw_move(a):
+    """(parity, state) of the lowest eigenvector of A, keyed as `_step`'s.
+    On the sectors it is the lower of the two sectors' lowest eigenpairs
+    (the even one on a tie), as in the full space, so the state may change
+    sector."""
+    pairs = {parity: _lowest_eigenpair(blk) for parity, blk in a.items()}
+    parity = min(pairs, key=lambda p: (pairs[p][0], -p))
+    return parity, _fix_phase(pairs[parity][1])
 
 
 def _start_parity(channel: Channel, c: np.ndarray) -> int:
@@ -213,7 +212,7 @@ def _lbfgs_direction(g: np.ndarray, pairs: np.ndarray, gamma: float) -> np.ndarr
 def _polish(channel: Channel, parity: int, c: np.ndarray, f: float,
             a: np.ndarray, max_evals: int):
     """L-BFGS ascent of F on the unit sphere from the unit vector c, where
-    F(c) = f and a is the block of A acting on c (`_step`, `_acting`).
+    F(c) = f and a is the block of A acting on c (`_step`'s A[parity]).
 
     The gradient of -F, g = 2 (A + F) c, is tangent because <c|A|c> = -F.
     A step retracts by c <- (c + t p) / |c + t p| with Armijo backtracking;
@@ -242,7 +241,7 @@ def _polish(channel: Channel, parity: int, c: np.ndarray, f: float,
             t *= 0.5
         else:
             break
-        c_new, a = x_new.view(dtype), _acting(a_new, parity)
+        c_new, a = x_new.view(dtype), a_new[parity]
         g_new = (2.0 * (a @ c_new + f_new * c_new)).view(np.float64)
         pairs = np.concatenate([pairs, [[x_new - x, g_new - g]]])
         pairs -= (pairs @ x_new)[..., None] * x_new
@@ -287,7 +286,7 @@ def maximize_qfi_over_states(n: int, blocks: Channel,
         f, a = _step(blocks, parity, c)
         history.append(f)
         if f > best_f:
-            best_f, best_c, best_parity, best_a = f, c, parity, _acting(a, parity)
+            best_f, best_c, best_parity, best_a = f, c, parity, a[parity]
         if len(history) >= 2 and f == 0.0 and history[-2] == 0.0:
             converged = True  # phase-blind channel: nothing to optimize
             break
@@ -304,7 +303,7 @@ def maximize_qfi_over_states(n: int, blocks: Channel,
                     break
                 if cfg.polish and rate >= _HANDOFF_RATE:
                     break
-        parity, c = _see_saw_move(a, parity)
+        parity, c = _see_saw_move(a)
     best_r = _residual(best_f, best_a, best_c)
     polish_evals = 0
     if cfg.polish and best_f > 0.0:

@@ -625,18 +625,25 @@ class TestArmSwapSymmetry:
         assert len(folded) + len(rest.blocks) == len(channel.blocks)
         assert sorted(len(b.m) + len(b.plus) for b in folded) == \
             sorted(len(b.m) for b in channel.blocks if len(b.m) >= _SECTOR_MIN_DIM)
-        # every channel with a wide centred block passes the symmetry check
+        # every channel with a wide centred block is split, except loss with
+        # a prior, whose off-centre loss patterns keep it in the full space
+        # (at eta = 1 only the centred pattern (0, 0) is left)
         for noise, prior, ch in _symmetric_channels(n):
             wide = any(2 * b.start + len(b.m) - 1 == n and len(b.m) >= _SECTOR_MIN_DIM
                        for b in ch.blocks)
-            assert (ch.parity_split is not None) == wide, (noise, prior)
-        # too small to gain, or not symmetric: the full space
+            lossy = isinstance(noise, Loss) and noise.eta < 1.0
+            assert (ch.parity_split is not None) == (wide and not lossy), (noise, prior)
+        # too small to gain, not symmetric, or mixed with rank-one rows: the
+        # full space
         assert channel_blocks(LocalDephasing(0.7), _SECTOR_MIN_DIM - 2).parity_split is None
         blk = max(channel.blocks, key=lambda b: len(b.m))
         assert Channel.dense(n, [blk]).parity_split is not None
         skewed = ChannelBlock(blk.key, blk.start, blk.m, blk.weight.copy())
         skewed.weight[0, 1] = skewed.weight[1, 0] = 0.5 * blk.weight[0, 1]
         assert Channel.dense(n, [skewed]).parity_split is None
+        rows = channel_blocks(NoiseFree(), n)
+        mixed = Channel(n, [blk], rows.l0, rows.l1, rows.amplitudes)
+        assert mixed.parity_split is None
         off = compose_collective(channel_blocks(Loss(0.7), n), 0.25)
         lopsided = Channel.dense(n, [b for b in off.blocks if b.key != (1, 0)])
         assert lopsided.parity_split is None
