@@ -13,8 +13,8 @@ Two evaluation routes coexist:
   rationals, stable for any quantum numbers that fit in memory;
 * bulk tables (`DephasingTables`, `coupling_blocks`) that build all transfer
   coefficients for one particle number at once, with one stacked eigensolve
-  of the small tridiagonal total-spin matrices per flip count and one matrix
-  product per coupling block, which is what sweeps over N use.
+  of the small tridiagonal total-spin matrices per matrix size and one
+  matrix product per coupling block, which is what sweeps over N use.
 
 Both routes are cross-checked against each other and against brute-force
 tensor-product oracles in the test suite.
@@ -234,9 +234,10 @@ class DephasingTables:
     For fixed (k, m) the coupled vectors |j, m> over the flipped/unflipped
     split are the eigenvectors of a small tridiagonal total-spin matrix whose
     eigenvalues j(j+1) are known, and one eigensolve yields every j at once.
-    Only k <= n/2 and m >= 0 are solved, all m of one k in a single stacked
-    eigensolve; the rest follow from exact sign symmetries.  The table is
-    read-only once built, so it is safe to share across threads and callers.
+    Only k <= n/2 and m >= 0 are solved, all (k, m) pairs of one matrix size
+    in a single stacked eigensolve; the rest follow from exact sign
+    symmetries.  The table is read-only once built, so it is safe to share
+    across threads and callers.
     """
 
     def __init__(self, n: int):
@@ -245,33 +246,35 @@ class DephasingTables:
         self.n = n
         # _c[k, j_index, m_index]; j_index = (2j - n%2)/2, m_index = (2m + n)/2
         self._c = np.zeros((n // 2 + 1, n // 2 + 1, n + 1))
-        for k in range(n // 2 + 1):
-            self._build_k(k)
+        # the (k, 2m) work list; position i of the flipped group (2mt = 2i - k)
+        # has an unflipped partner (2m - 2mt <= n - k) from i0 on, so the pair's
+        # J^2 matrix is the trailing block of size k + 1 - i0
+        k = np.repeat(np.arange(n // 2 + 1), n // 2 + 1)
+        tm = np.tile(np.arange(n % 2, n + 1, 2), n // 2 + 1)
+        size = k + 1 - np.maximum(0, (tm - n) // 2 + k)
+        for s in np.unique(size):
+            self._build_size(s, k[size == s, None], tm[size == s, None])
         self._c.setflags(write=False)
 
-    def _build_k(self, k: int) -> None:
-        """Fill _c[k] from one stacked eigensolve over every m >= 0.
+    def _build_size(self, s: int, k: np.ndarray, tm: np.ndarray) -> None:
+        """Fill the pairs (k, 2m) whose J^2 matrix has size s from one stacked
+        eigensolve; k and tm are columns, one row per pair.
 
-        Row r of the stack is 2m = tm[r]; position i is the flipped group's
-        2mt = 2i - k, so the top mt is always last.  Positions with no valid
-        unflipped partner (tmb > n - k) are padded with decoupled diagonal
-        entries above (n/2)(n/2+1): their eigenpairs sort last and are dropped.
+        Position i is the flipped group's 2mt = 2(i0 + i) - k, so the top mt is
+        always last, and eigenpair i (j ascending) is j-index n//2 - s + 1 + i.
         """
         n = self.n
-        tm = np.arange(n % 2, n + 1, 2)[:, None]
-        tmt = np.arange(-k, k + 1, 2)[None, :]
+        i = np.arange(s)
+        tmt = 2 * (k + 1 - s + i) - k
         tmb = tm - tmt
-        valid = tmb <= n - k
         # J^2 over |k/2, mt> x |(n-k)/2, mb>, in doubled quantum numbers: the
         # diagonal ja(ja+1) + jb(jb+1) + 2 mt mb, and the ladder terms that
         # couple mt to mt + 1
-        diag = (k * (k + 2) + (n - k) * (n - k + 2) + 2 * tmt * tmb) / 4.0
+        h = np.zeros((len(k), s, s))
+        h[:, i, i] = (k * (k + 2) + (n - k) * (n - k + 2) + 2 * tmt * tmb) / 4.0
         ladder = (k - tmt) * (k + tmt + 2) * (n - k + tmb) * (n - k - tmb + 2)
-        h = np.zeros((len(tm), k + 1, k + 1))
-        i = np.arange(k + 1)
-        h[:, i, i] = np.where(valid, diag, (n + 2) * (n + 4) / 4.0)
         # eigh reads the lower triangle only
-        h[:, i[1:], i[:-1]] = np.sqrt(np.where(valid, ladder, 0)[:, :-1]) / 4.0
+        h[:, i[1:], i[:-1]] = np.sqrt(ladder[:, :-1]) / 4.0
         vecs = np.linalg.eigh(h)[1]
         # Condon-Shortley: component at the top mt is positive
         vecs *= np.where(vecs[:, -1:, :] < 0.0, -1.0, 1.0)
@@ -279,22 +282,18 @@ class DephasingTables:
         # closed binomial-product form sqrt(C(k, a) C(n-k, b) / C(n, (n-2m)/2))
         lf = gammaln(np.arange(n + 1) + 1.0)
         a = (k - tmt) // 2
-        b = np.where(valid, (n - k - tmb) // 2, 0)
+        b = (n - k - tmb) // 2
         ln_u = (lf[k] - lf[a] - lf[k - a] + lf[n - k] - lf[b] - lf[n - k - b]
                 - lf[n] + lf[(n - tm) // 2] + lf[(n + tm) // 2])
         # weighted by the flip parity (-1)^(k/2 - mt)
-        u = np.where(valid, np.where(a % 2 == 0, 1.0, -1.0) * np.exp(0.5 * ln_u), 0)
+        u = np.where(a % 2 == 0, 1.0, -1.0) * np.exp(0.5 * ln_u)
         coeffs = np.einsum("ric,ri->rc", vecs, u)
-        # row r keeps its n_valid eigenpairs, j ascending up to n/2
-        n_valid = valid.sum(axis=1, keepdims=True)
-        jidx = n // 2 - n_valid + 1 + i
-        keep = i < n_valid
-        mcol = np.broadcast_to((tm + n) // 2, jidx.shape)
-        self._c[k, jidx[keep], mcol[keep]] = coeffs[keep]
-        # C(j, -m) = (-1)^(n/2 - j) (-1)^k C(j, m)
-        mirror = keep & (tm > 0)
+        jidx = n // 2 - s + 1 + i
+        mcol = (tm + n) // 2
+        # C(j, -m) = (-1)^(n/2 - j) (-1)^k C(j, m); m = 0 is then rewritten
         sign = np.where((n // 2 - jidx + k) % 2 == 0, 1.0, -1.0)
-        self._c[k, jidx[mirror], n - mcol[mirror]] = (sign * coeffs)[mirror]
+        self._c[k, jidx, n - mcol] = sign * coeffs
+        self._c[k, jidx, mcol] = coeffs
 
     def _rows(self, ks, tj: int, tms):
         """C(k; j, m) for (broadcast) flip counts ks and doubled projections

@@ -69,7 +69,7 @@ class GaussianPrior:
             warnings.warn(
                 f"Gaussian prior width delta0={self.delta0} is not narrow; "
                 "the quadratic-cost duality neglects tails beyond (-pi, pi]",
-                stacklevel=2)
+                stacklevel=3)  # past the dataclass __init__, to its caller
 
 
 Prior = Union[FlatPrior, GaussianPrior]

@@ -195,7 +195,8 @@ class TestTransferCoefficient:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 50, 51, 120, 200])
     def test_tables_match_dstev_reference(self, n):
-        # one stacked eigensolve per k against one tridiagonal solve per (k, m)
+        # one stacked eigensolve per matrix size against one tridiagonal solve
+        # per (k, m)
         got = dephasing_tables(n)._c
         assert np.max(np.abs(got - _dstev_half_table(n))) < 2e-12
 

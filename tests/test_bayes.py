@@ -237,6 +237,11 @@ class TestGaussianPriorCost:
     def test_wide_prior_warns(self):
         with pytest.warns(UserWarning):
             gaussian_prior_cost(2, 1.5, NoiseFree())
+        # the warning points at the line that built the prior, not at the
+        # dataclass-generated __init__
+        with pytest.warns(UserWarning) as record:
+            GaussianPrior(1.5)
+        assert [w.filename for w in record] == [__file__]
 
     def test_cost_is_the_solve_cost(self):
         noise = LocalDephasing(0.7)
