@@ -25,12 +25,11 @@ from __future__ import annotations
 import logging
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, sqrt
+from math import comb, factorial, log, sqrt
 from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 __all__ = [
     "clebsch_gordan",
@@ -45,6 +44,18 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+
+def _lgamma_table(size: int) -> np.ndarray:
+    """scipy.special.gammaln(0..size-1); scipy.special is imported on first
+    use (math.lgamma misses gammaln's bits at about half the integers)."""
+    from scipy.special import gammaln
+    return gammaln(np.arange(size, dtype=float))
+
+
+def _xlogy(k, p: float):
+    """k log p for counts k and a scalar p >= 0, 0 log 0 = 0: scipy's xlogy."""
+    return k * log(p) if p > 0.0 else np.where(np.equal(k, 0), 0.0, -np.inf)
 
 
 def _twice(value) -> int:
@@ -190,10 +201,11 @@ def dephasing_weight(n: int, k: int, eta: float) -> float:
 
 def _flip_probabilities(n: int, k, eta: float):
     """`dephasing_weight` for one or an array of flip counts k, in log space
-    so that it stays finite at large n; xlogy keeps 0 log 0 = 0, so eta = 1
-    gives exactly 1 at k = 0 and 0 elsewhere."""
-    return np.exp(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-                  + xlogy(k, (1.0 - eta) / 2.0) + xlogy(n - k, (1.0 + eta) / 2.0))
+    so that it stays finite at large n; 0 log 0 = 0, so eta = 1 gives
+    exactly 1 at k = 0 and 0 elsewhere."""
+    lg = _lgamma_table(n + 2)
+    return np.exp(lg[n + 1] - lg[k + 1] - lg[n - k + 1]
+                  + _xlogy(k, (1.0 - eta) / 2.0) + _xlogy(n - k, (1.0 + eta) / 2.0))
 
 
 def coupling_matrix_entry(n: int, j, m, m2, eta: float) -> float:
@@ -280,7 +292,7 @@ class DephasingTables:
         vecs *= np.where(vecs[:, -1:, :] < 0.0, -1.0, 1.0)
         # stretched column |n/2, m> over |k/2, mt> x |(n-k)/2, m-mt>: the
         # closed binomial-product form sqrt(C(k, a) C(n-k, b) / C(n, (n-2m)/2))
-        lf = gammaln(np.arange(n + 1) + 1.0)
+        lf = _lgamma_table(n + 2)[1:]
         a = (k - tmt) // 2
         b = (n - k - tmb) // 2
         ln_u = (lf[k] - lf[a] - lf[k - a] + lf[n - k] - lf[b] - lf[n - k - b]

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import List, Mapping, Optional, Tuple, Union
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 # the channel build and the optimizer are called through their modules, so
 # that a patched module attribute (a tracer, a test fake) sees every call
@@ -141,16 +140,13 @@ def covariant_m_matrix(n: int, noise: NoiseModel) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
     off = _m_offdiagonal(n, noise)
-    m = np.zeros((n + 1, n + 1))
-    idx = np.arange(n)
-    m[idx, idx + 1] = off
-    m[idx + 1, idx] = off
-    return m
+    return np.diag(off, 1) + np.diag(off, -1)
 
 
 def covariant_cost(n: int, noise: NoiseModel) -> CovariantResult:
     """Optimal flat-prior Bayesian cost over covariant measurements and input
     states: cost^2 = 2 - lambda_max(M), state = top eigenvector of M."""
+    from scipy.linalg import eigh_tridiagonal  # ~0.3 s to import; only here
     off = _m_offdiagonal(n, noise)
     lam, vec = eigh_tridiagonal(np.zeros(n + 1), off,
                                 select="i", select_range=(n, n))
@@ -171,8 +167,8 @@ def covariant_cost(n: int, noise: NoiseModel) -> CovariantResult:
 # ---------------------------------------------------------------------------
 
 
-def gaussian_prior_solve(n: int, delta0: float, noise: NoiseModel,
-                         cfg: Optional[IterationConfig] = None
+def gaussian_prior_solve(n: int, delta0: Union[float, GaussianPrior],
+                         noise: NoiseModel, cfg: Optional[IterationConfig] = None
                          ) -> Tuple[float, OptimizationTrace]:
     """Minimal quadratic-cost Bayesian error for a Gaussian prior of width
     delta0, with the optimization that produced it: the prior average acts
@@ -180,10 +176,10 @@ def gaussian_prior_solve(n: int, delta0: float, noise: NoiseModel,
     physical noise, the QFI of that averaged channel is maximized over
     inputs, and the duality cost = delta0 sqrt(1 - delta0^2 F) converts it
     to a cost.  The trace carries F, the optimal input state, `converged`
-    and the stationarity residual."""
-    prior = GaussianPrior(delta0)  # validates and warns when too wide
-    blocks = qcore.compose_collective(qcore.channel_blocks(noise, n),
-                                      prior.delta0 ** 2)
+    and the stationarity residual.  `delta0` may be a `GaussianPrior`."""
+    prior = delta0 if isinstance(delta0, GaussianPrior) else GaussianPrior(delta0)
+    delta0 = prior.delta0
+    blocks = qcore.compose_collective(qcore.channel_blocks(noise, n), delta0 ** 2)
     trace = qfi_opt.maximize_qfi_over_states(n, blocks, cfg)
     slack = 1.0 - delta0 ** 2 * trace.qfi
     if slack < 0.0:

@@ -131,16 +131,13 @@ def _asymptote_for(noise: NoiseModel, kind: str,
 
 
 def _sweep_row(cfg: SweepConfig, n: int, method: str,
-               warm: Dict[str, "qcore.SymmetricPureState"]) -> PrecisionRecord:
+               warm: Dict[str, "qcore.SymmetricPureState"],
+               prior: Optional[bayes.GaussianPrior]) -> PrecisionRecord:
     """One (N, method) row; `warm` carries the previous optimum per method."""
     t0 = time.perf_counter()
     rec = PrecisionRecord(n=n, method=method)
-    # tail-certified loop accuracy (rel_tol) is ample for sweep columns;
-    # the quasi-Newton polish is reserved for the prior-averaged rows whose
-    # cost formula amplifies QFI errors near the 1 - delta0^2 F = 0 edge; the
-    # see-saw hands over to it once it slows, and it stops at the residual
-    # |(A + F) c| / F <= qfi_opt.STATIONARITY_RTOL or when the run's one
-    # budget of max_iters + polish_max_evals evaluations runs out
+    # the loop's tail test (rel_tol) is ample for sweep columns; the polish is
+    # for prior-averaged rows, whose cost amplifies QFI errors near 1 - delta0^2 F = 0
     warm_state = warm.get(method)
     if warm_state is not None and warm_state.n_particles != n:
         warm_state = qcore.resample_state(warm_state, n)
@@ -156,12 +153,10 @@ def _sweep_row(cfg: SweepConfig, n: int, method: str,
         rec.bayes_cost = bayes.covariant_cost(n, cfg.noise).cost
         rec.converged = True
     else:  # bayes-gauss
-        rec.bayes_cost, trace = bayes.gaussian_prior_solve(
-            n, cfg.prior_width, cfg.noise, it_cfg)
+        rec.bayes_cost, trace = bayes.gaussian_prior_solve(n, prior, cfg.noise, it_cfg)
         # prior-aware C-R bound for the returned state under the physical noise
         rec.cr_bound = bayes.bayesian_cr_bound(
-            bayes.GaussianPrior(cfg.prior_width),
-            qcore.state_qfi(trace.final_state, cfg.noise))
+            prior, qcore.state_qfi(trace.final_state, cfg.noise))
     if trace is not None:
         warm[method] = trace.final_state
         rec.qfi = trace.qfi
@@ -184,10 +179,12 @@ def run_sweep(cfg: SweepConfig) -> List[PrecisionRecord]:
     on stderr.  Deterministic for a fixed config (timings aside)."""
     records: List[PrecisionRecord] = []
     warm: Dict[str, "qcore.SymmetricPureState"] = {}
+    prior = (bayes.GaussianPrior(cfg.prior_width)  # built, and warned about, once
+             if "bayes-gauss" in cfg.methods else None)
     for n in cfg.n_grid():
         for method in cfg.methods:
             try:
-                rec = _sweep_row(cfg, n, method, warm)
+                rec = _sweep_row(cfg, n, method, warm, prior)
             except Exception as exc:  # noqa: BLE001 -- per-row fault isolation
                 print(f"row (n={n}, {method}) failed: "
                       f"{type(exc).__name__}: {exc}", file=sys.stderr)

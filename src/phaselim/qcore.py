@@ -51,12 +51,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .angmom import coupling_blocks
+from .angmom import _lgamma_table, _xlogy, coupling_blocks
 
 __all__ = [
     "SymmetricPureState",
@@ -93,12 +93,6 @@ _TINY = np.finfo(float).tiny
 def m_grid(twice_j: int) -> np.ndarray:
     """Generator eigenvalues m = -j..j (ascending) for a spin-j block."""
     return np.arange(-twice_j, twice_j + 1, 2) / 2.0
-
-
-@lru_cache(maxsize=8)
-def _lgamma_table(size: int) -> np.ndarray:
-    from scipy.special import gammaln
-    return gammaln(np.arange(size, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +300,6 @@ def _loss_table(n: int, eta: float):
     i = 0..N, zero outside l0 <= i <= N-l1; the S = (N+1)(N+2)/2 patterns run
     over l0 + l1 <= N.  Built in log space, exact at eta in {0, 1}.
     """
-    from scipy.special import xlogy
     l0, l1 = np.triu_indices(n + 1)
     l1 = l1 - l0
     lg = _lgamma_table(n + 2)
@@ -314,7 +307,7 @@ def _loss_table(n: int, eta: float):
     lbin = np.full((n + 1, n + 1), -np.inf)
     i, k = np.tril_indices(n + 1)
     lbin[k, i] = lg[i + 1] - lg[k + 1] - lg[i - k + 1]
-    expo = xlogy(n - l0 - l1, eta) + xlogy(l0 + l1, 1.0 - eta)
+    expo = _xlogy(n - l0 - l1, eta) + _xlogy(l0 + l1, 1.0 - eta)
     # log binom(N - i, l1) is row l1 of lbin read backwards
     table = lbin[l0] + lbin[l1, ::-1]
     table += expo[:, None]

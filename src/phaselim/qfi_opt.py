@@ -8,8 +8,7 @@ derivative and the SLD L, assemble the Heisenberg-picture operator
 evaluated in the derivative convention under which that expression is the
 variational partner of the QFI, so that <psi|A|psi> = -F(psi) and replacing
 the state by the eigenvector of A with the smallest eigenvalue cannot
-decrease F.  Each step takes that one eigenpair from a single LAPACK
-?syevr/?heevr call.  The loop stops when the geometric-tail estimate of
+decrease F.  The loop stops when the geometric-tail estimate of
 the remaining QFI change (or the raw per-step change) drops below
 `rel_tol`, which makes an unpolished run `converged`; the best iterate is
 tracked throughout, so a non-converged run returns the best state seen.  A
@@ -49,7 +48,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .qcore import (Channel, NoiseModel, SymmetricPureState, _channel_qfi,
                     _sector_coordinates, _sector_qfi, _unfold, channel_blocks,
@@ -75,7 +73,6 @@ _HANDOFF_RATE = 0.5
 
 # Number of (s, y) pairs the L-BFGS polish keeps.
 _LBFGS_MEMORY = 30
-_TRTRS, = get_lapack_funcs(("trtrs",), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -147,12 +144,12 @@ def _step(channel: Channel, parity: int, c: np.ndarray):
     return f, {1: a_p, -1: a_m}
 
 
-def _see_saw_move(a):
+def _see_saw_move(a, one_pair: bool = False):
     """(parity, state) of the lowest eigenvector of A, keyed as `_step`'s.
     On the sectors it is the lower of the two sectors' lowest eigenpairs
     (the even one on a tie), as in the full space, so the state may change
-    sector."""
-    pairs = {parity: _lowest_eigenpair(blk) for parity, blk in a.items()}
+    sector.  `one_pair` is passed to `_lowest_eigenpair`."""
+    pairs = {parity: _lowest_eigenpair(blk, one_pair) for parity, blk in a.items()}
     parity = min(pairs, key=lambda p: (pairs[p][0], -p))
     return parity, _fix_phase(pairs[parity][1])
 
@@ -172,16 +169,18 @@ def _residual(f: float, a: np.ndarray, c: np.ndarray) -> float:
     return float(np.linalg.norm(a @ c + f * c)) / f if f > 0.0 else math.nan
 
 
-def _lowest_eigenpair(a: np.ndarray):
-    """Smallest eigenvalue and its eigenvector of a real symmetric or
-    Hermitian matrix, from one ?syevr/?heevr call that computes that pair
-    alone; the lower triangle is read, as numpy.linalg.eigh does."""
-    name = "heevr" if np.iscomplexobj(a) else "syevr"
-    evr, = get_lapack_funcs((name,), (a,))
-    w, z, _, _, info = evr(a, range="I", il=1, iu=1, lower=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"?{name} failed with info = {info}")
-    return float(w[0]), z[:, 0]
+def _lowest_eigenpair(a: np.ndarray, one_pair: bool = False):
+    """Lowest eigenpair of a Hermitian matrix from its lower triangle, by eigh
+    or, with `one_pair`, by one scipy ?syevr/?heevr call that computes it alone."""
+    if one_pair:
+        from scipy.linalg import get_lapack_funcs
+        evr, = get_lapack_funcs(("heevr" if np.iscomplexobj(a) else "syevr",), (a,))
+        w, z, _, _, info = evr(a, range="I", il=1, iu=1, lower=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"?syevr/?heevr failed with info = {info}")
+        return float(w[0]), z[:, 0]
+    w, z = np.linalg.eigh(a)
+    return float(w[0]), z[:, 0].copy()
 
 
 def _fix_phase(c: np.ndarray) -> np.ndarray:
@@ -204,8 +203,9 @@ def _lbfgs_direction(g: np.ndarray, pairs: np.ndarray, gamma: float) -> np.ndarr
         return -gamma * g
     s, y = pairs[:, 0], pairs[:, 1]
     sy = s @ y.T                  # its upper triangle is R, its diagonal D
-    w = _TRTRS(sy, s @ g)[0]
-    z = _TRTRS(sy, sy.diagonal() * w + gamma * (y @ (w @ y) - y @ g), trans=1)[0]
+    r = np.triu(sy)
+    w = np.linalg.solve(r, s @ g)
+    z = np.linalg.solve(r.T, sy.diagonal() * w + gamma * (y @ (w @ y) - y @ g))
     return gamma * (w @ y - g) - z @ s
 
 
@@ -279,6 +279,7 @@ def maximize_qfi_over_states(n: int, blocks: Channel,
     if parity:
         c = _sector_coordinates(c, parity)
         c = c / np.linalg.norm(c)
+    one_pair = len(blocks.amplitudes) > 1  # loss rows: their table loaded scipy
     history: List[float] = []
     best_f, best_c, best_parity, best_a = -np.inf, c, parity, None
     converged = False
@@ -303,7 +304,7 @@ def maximize_qfi_over_states(n: int, blocks: Channel,
                     break
                 if cfg.polish and rate >= _HANDOFF_RATE:
                     break
-        parity, c = _see_saw_move(a)
+        parity, c = _see_saw_move(a, one_pair)
     best_r = _residual(best_f, best_a, best_c)
     polish_evals = 0
     if cfg.polish and best_f > 0.0:

@@ -11,9 +11,11 @@ from math import comb, lgamma
 import numpy as np
 import pytest
 from scipy.linalg.lapack import dstev
+from scipy.special import gammaln, xlogy
 
 from phaselim import oracles
-from phaselim.angmom import (_twice, allowed_twice_j, clebsch_gordan,
+from phaselim.angmom import (_flip_probabilities, _lgamma_table, _twice, _xlogy,
+                             allowed_twice_j, clebsch_gordan,
                              coupling_blocks, coupling_matrix_entry,
                              dephasing_tables, dephasing_weight,
                              multiplicity_dimension, transfer_coefficient)
@@ -257,6 +259,33 @@ class TestDephasingWeight:
             dephasing_weight(3, 1, 1.2)
         with pytest.raises(ValueError):
             dephasing_weight(3, 5, 0.5)
+
+
+class TestScipyFreeLogTerms:
+    """The in-house log terms keep the bits of the scipy.special expressions
+    they replace, so the tables built from them do too."""
+
+    @pytest.mark.parametrize("p", [0.0, 0.15, 0.3, 0.35, 0.65, 0.85, 1.0])
+    def test_xlogy(self, p):
+        k = np.arange(300)
+        assert np.array_equal(_xlogy(k, p), xlogy(k, p))
+        assert all(_xlogy(int(i), p) == xlogy(i, p) for i in (0, 1, 299))
+
+    def test_lgamma_table(self):
+        for size in (3, 202, 50, 1000):
+            assert np.array_equal(_lgamma_table(size),
+                                  gammaln(np.arange(size, dtype=float)))
+
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.7, 1.0])
+    def test_flip_probabilities(self, eta):
+        for n in range(1, 201):
+            k = np.arange(n + 1)
+            want = np.exp(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+                          + xlogy(k, (1.0 - eta) / 2.0)
+                          + xlogy(n - k, (1.0 + eta) / 2.0))
+            assert np.array_equal(_flip_probabilities(n, k, eta), want)
+            assert [dephasing_weight(n, i, eta) for i in (0, n // 2, n)] == \
+                want[[0, n // 2, n]].tolist()
 
 
 class TestBulkTableInvariants:

@@ -415,6 +415,38 @@ class TestExitCodes:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False", "True", "False"]
 
+    def test_wide_prior_warns_once(self):
+        # the sweep builds its one GaussianPrior once, so a width above 1 is
+        # reported once, not once per solve and once per C-R bound
+        proc = subprocess.run(
+            [sys.executable, "-m", "phaselim.cli", "scan", "--noise",
+             "collective", "--gamma", "0.02", "--method", "bayes-gauss",
+             "--prior-width", "2", "--n-min", "2", "--n-max", "3",
+             "--no-timings"], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.count("is not narrow") == 1
+
+    @pytest.mark.parametrize("config", [
+        "n_min=10, n_max=40, noise=CollectiveDephasing(0.02), "
+        "methods=('bayes-gauss',), prior_width=0.5",
+        "n_min=1, n_max=12, noise=NoiseFree(), methods=('qfi-opt',)"],
+        ids=["collective-bayes-gauss", "noise-free-qfi-opt"])
+    def test_scans_without_scipy(self, config):
+        # importing scipy costs a process ~0.35 s of CPU, and collective and
+        # noise-free scans need none of it.  (A dephasing or loss row loads
+        # scipy.special for its log-gamma table, a loss row scipy.linalg for
+        # its see-saw, a bayes-flat row for its tridiagonal eigensolve.)
+        code = ("import sys\n"
+                "from phaselim.cli import SweepConfig, run_sweep\n"
+                "from phaselim.qcore import CollectiveDephasing, NoiseFree\n"
+                f"records = run_sweep(SweepConfig({config}, timings=False))\n"
+                "assert all(r.converged for r in records)\n"
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_closed_stdout_exits_2_quietly(self):
         # ~1 MB of rows: the writer is still writing when the reader leaves
         proc = subprocess.Popen(

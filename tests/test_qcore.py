@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import gammaln
+from scipy.special import gammaln, xlogy
 
 from phaselim import oracles
 from phaselim.bayes import covariant_m_matrix
@@ -704,6 +704,21 @@ class TestLossTable:
                 exact = (math.comb(i, l0) * math.comb(n - i, l1)
                          * q ** (n - l0 - l1) * (1 - q) ** (l0 + l1))
                 assert table[s, i] ** 2 == pytest.approx(float(exact), rel=5e-13)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.7, 1.0])
+    def test_bits_of_the_scipy_expression(self, eta):
+        # the table as built with scipy.special's gammaln and xlogy; N = 200
+        # alone meets every log term of N <= 200, the small N every edge
+        for n in [*range(1, 41), 63, 64, 99, 100, 150, 199, 200]:
+            l0, l1 = np.triu_indices(n + 1)
+            l1 = l1 - l0
+            lg = gammaln(np.arange(n + 2, dtype=float))
+            lbin = np.full((n + 1, n + 1), -np.inf)
+            i, k = np.tril_indices(n + 1)
+            lbin[k, i] = lg[i + 1] - lg[k + 1] - lg[i - k + 1]
+            expo = xlogy(n - l0 - l1, eta) + xlogy(l0 + l1, 1.0 - eta)
+            want = np.exp(0.5 * (lbin[l0] + lbin[l1, ::-1] + expo[:, None]))
+            assert np.array_equal(_loss_table(n, eta)[2], want)
 
     @pytest.mark.parametrize("eta", [0.0, 0.3, 0.7, 1.0])
     def test_trace_preserving_at_n200(self, eta):

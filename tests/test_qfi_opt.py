@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phaselim import cli, oracles, qcore
+from phaselim import cli, oracles, qcore, qfi_opt
 from phaselim.bayes import gaussian_prior_solve
 from phaselim.qcore import (EIG_SUPPORT_RTOL, Channel, CollectiveDephasing,
                             LocalDephasing, Loss, NoiseFree,
@@ -21,8 +21,9 @@ from phaselim.qcore import (EIG_SUPPORT_RTOL, Channel, CollectiveDephasing,
 from phaselim.qcore import (_channel_qfi, _sector_coordinates, _sector_qfi,
                             _unfold)
 from phaselim.qfi_opt import (STATIONARITY_RTOL, IterationConfig, _fix_phase,
-                              _iteration_step, _lowest_eigenpair, _residual,
-                              cr_bound, maximize_qfi_over_states, qfi_iterate)
+                              _iteration_step, _lbfgs_direction,
+                              _lowest_eigenpair, _residual, cr_bound,
+                              maximize_qfi_over_states, qfi_iterate)
 from references import block_sld, loss_qfi
 
 
@@ -406,7 +407,40 @@ def _random_hermitian(dim, rng, complex_):
 
 
 class TestLowestEigenpair:
-    """The one-pair LAPACK solve against the full numpy.linalg.eigh."""
+    """The see-saw's eigenpair: the lowest eigenvalue and a unit vector of
+    its eigenspace, for real symmetric and Hermitian matrices."""
+
+    @pytest.mark.parametrize("one_pair", [False, True])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_every_size_to_101(self, complex_, one_pair):
+        # d = 1..101, each also with its two lowest eigenvalues made equal
+        rng = np.random.default_rng(101)
+        for dim in range(1, 102):
+            a = _random_hermitian(dim, rng, complex_)
+            w, q = np.linalg.eigh(a)
+            w[1:2] = w[0]
+            for mat in (a, (q * w) @ q.conj().T):
+                mat = (mat + mat.conj().T) / 2.0
+                scale = np.linalg.norm(mat, 2)
+                lam, vec = _lowest_eigenpair(mat, one_pair)
+                assert abs(lam - np.linalg.eigvalsh(mat)[0]) <= 1e-13 * scale
+                assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-13)
+                assert np.linalg.norm(mat @ vec - lam * vec) <= 1e-12 * scale
+
+    def test_only_loss_rows_take_the_one_pair_solve(self, monkeypatch):
+        # a loss channel's table build has imported scipy; the dense and
+        # noise-free channels keep the see-saw on numpy's eigh
+        seen = set()
+        def spy(a, one_pair=False):
+            seen.add(one_pair)
+            return _lowest_eigenpair(a, one_pair)
+        monkeypatch.setattr(qfi_opt, "_lowest_eigenpair", spy)
+        for noise, want in ((Loss(0.7), {True}), (NoiseFree(), {False}),
+                            (CollectiveDephasing(0.05), {False}),
+                            (LocalDephasing(0.7), {False})):
+            seen.clear()
+            qfi_iterate(6, noise, IterationConfig(max_iters=5, polish=False))
+            assert seen == want, noise
 
     @pytest.mark.parametrize("complex_", [False, True])
     @pytest.mark.parametrize("dim", [1, 2, 26, 51, 201])
@@ -440,6 +474,41 @@ class TestLowestEigenpair:
         # the vector lies in the lowest eigenspace, spanned by q's first columns
         inside = q[:, :mult].conj().T @ vec
         assert np.linalg.norm(inside) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestLbfgsDirection:
+    """The compact L-BFGS product against the classical two-loop recursion
+    (Nocedal & Wright, Algorithm 7.4)."""
+
+    @staticmethod
+    def _two_loop(g, pairs, gamma):
+        q, alphas = g.copy(), []
+        for s, y in pairs[::-1]:
+            alphas.append((s @ q) / (y @ s))
+            q -= alphas[-1] * y
+        r = gamma * q
+        for (s, y), alpha in zip(pairs, alphas[::-1]):
+            r += s * (alpha - (y @ r) / (y @ s))
+        return -r
+
+    @pytest.mark.parametrize("memory", range(1, 31))
+    def test_matches_two_loop_recursion(self, memory):
+        # curvature pairs y = B s of an SPD model Hessian, so every s.y > 0
+        rng = np.random.default_rng(memory)
+        dim = 40
+        x = rng.standard_normal((dim, dim))
+        hess = x @ x.T / dim + np.eye(dim)
+        s = rng.standard_normal((memory, dim))
+        pairs = np.stack([s, s @ hess], axis=1)
+        g = rng.standard_normal(dim)
+        gamma = (s[-1] @ pairs[-1, 1]) / (pairs[-1, 1] @ pairs[-1, 1])
+        got = _lbfgs_direction(g, pairs, gamma)
+        want = self._two_loop(g, pairs, gamma)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_no_pairs_is_scaled_steepest_descent(self):
+        g = np.arange(5.0)
+        assert np.array_equal(_lbfgs_direction(g, np.empty((0, 2, 5)), 0.5), -0.5 * g)
 
 
 class TestStationarityStop:
