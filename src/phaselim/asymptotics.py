@@ -69,10 +69,10 @@ class CollectiveLimit:
     delta0: float = math.inf
 
     def __post_init__(self):
-        if self.gamma < 0.0:
-            raise ValueError("gamma must be >= 0")
-        if self.delta0 <= 0.0:
-            raise ValueError("delta0 must be positive")
+        if not 0.0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma={self.gamma} must be finite and >= 0")
+        if not self.delta0 > 0.0:  # inf is the prior-free floor
+            raise ValueError(f"delta0={self.delta0} must be positive")
 
 
 @dataclass(frozen=True)

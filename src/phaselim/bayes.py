@@ -62,8 +62,8 @@ class GaussianPrior:
     delta0: float
 
     def __post_init__(self):
-        if self.delta0 <= 0.0:
-            raise ValueError("delta0 must be positive")
+        if not 0.0 < self.delta0 < math.inf:
+            raise ValueError(f"delta0={self.delta0} must be finite and positive")
         if self.delta0 > 1.0:
             warnings.warn(
                 f"Gaussian prior width delta0={self.delta0} is not narrow; "
@@ -95,6 +95,8 @@ class ParticleNumberMixture:
             raise ValueError("mixture must contain at least one entry")
         total = 0.0
         for n, p in self.entries:
+            if not math.isfinite(p):
+                raise ValueError(f"non-finite weight {p} for N={n}")
             if n < 0:
                 raise ValueError(f"negative particle number {n}")
             if p < -1e-15:
@@ -245,8 +247,8 @@ def indefinite_bayes_bound(mix: ParticleNumberMixture, delta0: float) -> Indefin
     and its concavity relaxation with N replaced by the mean, and checks that
     the exact expression dominates the relaxed one.
     """
-    if delta0 <= 0.0:
-        raise ValueError("delta0 must be positive")
+    if not 0.0 < delta0 < math.inf:
+        raise ValueError(f"delta0={delta0} must be finite and positive")
     small = [n for n, p in mix.entries if n < 10 and p > 0.0]
     if small:
         logger.info(

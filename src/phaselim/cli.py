@@ -82,8 +82,9 @@ class SweepConfig:
             raise ValueError("bayes-gauss requires --prior-width")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if self.prior_width is not None and self.prior_width <= 0.0:
-            raise ValueError("prior width must be positive")
+        if self.prior_width is not None and not 0.0 < self.prior_width < math.inf:
+            raise ValueError(
+                f"prior width {self.prior_width} must be finite and positive")
 
     def n_grid(self) -> List[int]:
         if self.grid == "linear":
@@ -125,7 +126,7 @@ def _asymptote_for(noise: NoiseModel, kind: str,
     if isinstance(noise, Loss):
         return asymptotics.LossLimit(noise.eta)
     if isinstance(noise, CollectiveDephasing):
-        width = prior_width if (kind == "bayes" and prior_width) else math.inf
+        width = prior_width if (kind == "bayes" and prior_width is not None) else math.inf
         return asymptotics.CollectiveLimit(noise.gamma, width)
     raise ValueError(f"unsupported noise model {noise!r}")
 
@@ -136,8 +137,10 @@ def _sweep_row(cfg: SweepConfig, n: int, method: str,
     """One (N, method) row; `warm` carries the previous optimum per method."""
     t0 = time.perf_counter()
     rec = PrecisionRecord(n=n, method=method)
-    # the loop's tail test (rel_tol) is ample for sweep columns; the polish is
-    # for prior-averaged rows, whose cost amplifies QFI errors near 1 - delta0^2 F = 0
+    # qfi-opt rows stop on the loop's tail test (rel_tol), which left warm
+    # sweeps up to 5e-7 relative below the polished optimum (dephasing 0.9,
+    # N <= 20); the polish is for prior-averaged rows, whose cost amplifies
+    # QFI errors near 1 - delta0^2 F = 0
     warm_state = warm.get(method)
     if warm_state is not None and warm_state.n_particles != n:
         warm_state = qcore.resample_state(warm_state, n)
@@ -296,6 +299,8 @@ def parse_mixture_file(path: str) -> bayes.ParticleNumberMixture:
         except ValueError:
             raise ValueError(
                 f"{path}:{lineno}: could not parse numbers in {raw!r}") from None
+        if not math.isfinite(p):
+            raise ValueError(f"{path}:{lineno}: weight {parts[1]!r} is not finite")
         entries.append((n, p))
     if not entries:
         raise ValueError(f"{path}: mixture file contains no entries")

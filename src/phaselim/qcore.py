@@ -41,10 +41,10 @@ one block per parity sector while M = diag(m) only couples the sectors.
 `_sector_qfi` runs the step in the coordinates of one sector
 (`_sector_coordinates`) on a channel of centred blocks only (local or
 collective dephasing, with or without a prior; `Channel.parity_split`):
-each large block costs two eigensolves of about half its size, from weights
-folded once per channel, and the small blocks run through `_channel_qfi` on
-the unfolded input, with their share of A folded.  Loss, whose patterns sit
-off the centre, runs in the full space with or without a prior.
+every block costs two eigensolves of about half its size, from weights
+folded once per channel.  Loss, whose patterns sit off the centre, runs in
+the full space with or without a prior, and so does any channel on fewer
+than _SECTOR_MIN_DIM input amplitudes.
 """
 
 from __future__ import annotations
@@ -82,9 +82,11 @@ EIG_SUPPORT_RTOL = 1e-12     # SLD support cutoff relative to largest eigenvalue
 COHERENCE_RTOL = 1e-4        # below this, a dense block's derivative is rotated, not rebuilt
 WEIGHT_FLOOR = 1e-280        # rank-one branches with numerically zero weight are skipped
 RANK_ONE_CHUNK = 1024        # rank-one branches per pass of the batched step
-# Smallest centred block solved on the arm-swap sectors.  Below it the two
-# half-size eigensolves and the folding cost more than one full step: one
-# block broke even at d ~ 20, whole dephasing solves at N ~ 30
+# Fewest input amplitudes N + 1 solved on the arm-swap sectors; below it the
+# folding and two half-size eigensolves per block cost more than one full
+# step.  Step plus see-saw move broke even at N ~ 15-20 for collective or
+# noise-free with a prior, and at N ~ 30-35 for dephasing (one BLAS thread
+# on a 2-core Xeon)
 _SECTOR_MIN_DIM = 32
 _SQRT_HALF = math.sqrt(0.5)
 _TINY = np.finfo(float).tiny
@@ -196,8 +198,8 @@ class CollectiveDephasing:
     gamma: float
 
     def __post_init__(self):
-        if self.gamma < 0.0:
-            raise ValueError(f"gamma={self.gamma} must be >= 0")
+        if not 0.0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma={self.gamma} must be finite and >= 0")
 
 
 NoiseModel = Union[NoiseFree, LocalDephasing, Loss, CollectiveDephasing]
@@ -260,25 +262,19 @@ class Channel:
         return self.amplitudes ** 2
 
     @cached_property
-    def parity_split(self) -> Optional[Tuple[List["_SectorBlock"], "Channel"]]:
-        """The channel prepared for `_sector_qfi`: its dense blocks of
-        dimension >= _SECTOR_MIN_DIM folded onto the arm-swap sectors, and a
-        channel of the smaller ones.  Only a channel of centred dense blocks
-        (2 start + d - 1 = N) with mirror-symmetric weights, W = W[::-1, ::-1]
-        to 1e-12, is split; rank-one rows or a block off the centre (loss
-        with a prior) keep it in the full space.  None also when no block is
-        wide enough (the full-space step is then as fast)."""
-        if len(self.amplitudes) or not all(
+    def parity_split(self) -> Optional[List["_SectorBlock"]]:
+        """The channel's blocks folded onto the arm-swap sectors for
+        `_sector_qfi`, less those of one entry (a single m: zero derivative,
+        nothing added to F or A); None, for the full space, on fewer than
+        _SECTOR_MIN_DIM input amplitudes, with rank-one rows, or with a block
+        off the centre (2 start + d - 1 != N: loss with a prior) or not
+        mirror-symmetric (W != W[::-1, ::-1] to 1e-12)."""
+        if self.n + 1 < _SECTOR_MIN_DIM or len(self.amplitudes) or not all(
                 2 * blk.start + len(blk.m) - 1 == self.n
                 and np.max(np.abs(blk.weight - blk.weight[::-1, ::-1])) <= 1e-12
                 for blk in self.blocks):
             return None
-        folded = [blk for blk in self.blocks if len(blk.m) >= _SECTOR_MIN_DIM]
-        if not folded:
-            return None
-        return ([_SectorBlock.fold(blk) for blk in folded],
-                Channel.dense(self.n, [blk for blk in self.blocks
-                                       if len(blk.m) < _SECTOR_MIN_DIM]))
+        return [_SectorBlock.fold(blk) for blk in self.blocks if len(blk.m) > 1]
 
     def dense_blocks(self) -> List[ChannelBlock]:
         """Every block in dense form: the dense blocks, then each row as the
@@ -353,8 +349,8 @@ def compose_collective(blocks: Channel, gamma: float) -> Channel:
     rank-one row becomes a dense block over its window).  Every block's m
     grid has unit spacing, so its factor is the leading corner of one
     `collective_weight` table."""
-    if gamma < 0.0:
-        raise ValueError(f"gamma={gamma} must be >= 0")
+    if not 0.0 <= gamma < math.inf:
+        raise ValueError(f"gamma={gamma} must be finite and >= 0")
     if gamma == 0.0:
         return blocks
     kick = collective_weight(blocks.n, gamma)
@@ -633,17 +629,15 @@ def _sector_qfi(channel: Channel, parity: int, ch: np.ndarray):
 
     `ch` holds the input's coordinates in sector `parity` (+1 even, -1 odd;
     see `_sector_coordinates`).  Returns (F, (A+, A-)) with A+ and A- the
-    sector blocks of A, which commutes with J.  Each folded block costs two
-    eigensolves of about half its size.  Every smaller block runs through
-    `_channel_qfi` on the unfolded input, and its A is folded.
+    sector blocks of A, which commutes with J.  Each block costs two
+    eigensolves of about half its size.
     """
-    folded, rest = channel.parity_split
     d = channel.n + 1
     h = d // 2
     a_p = np.zeros((d - h, d - h), dtype=ch.dtype)
     a_m = np.zeros((h, h), dtype=ch.dtype)
     f = 0.0
-    for blk in folded:
+    for blk in channel.parity_split:
         cs = ch[blk.start:]
         hb = len(blk.m)
         cc = np.outer(cs, cs.conj())
@@ -661,12 +655,6 @@ def _sector_qfi(channel: Channel, parity: int, ch: np.ndarray):
         a_p[top, top] += blk.plus[:len(sp), :len(sp)] * yp
         a_p[blk.start:h, blk.start:h] += blk.minus * ym
         a_m[blk.start:, blk.start:] += blk.minus * yp[:hb, :hb] + blk.plus[:hb, :hb] * ym
-    if len(rest):
-        a = np.zeros((d, d), dtype=ch.dtype)
-        f += _channel_qfi(rest, _unfold(ch, parity, d), a)
-        rest_p, rest_m = _fold(a)
-        a_p += rest_p
-        a_m += rest_m
     return f, (a_p, a_m)
 
 

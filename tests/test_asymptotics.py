@@ -72,8 +72,12 @@ class TestEvaluate:
             LossLimit(0.0)
         with pytest.raises(ValueError):
             DephasingLimit(1.2)
-        with pytest.raises(ValueError):
-            CollectiveLimit(-0.1)
+        for gamma in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="gamma"):
+                CollectiveLimit(gamma)
+        with pytest.raises(ValueError, match="delta0"):
+            CollectiveLimit(0.1, math.nan)
+        assert CollectiveLimit(0.1, math.inf) == CollectiveLimit(0.1)
         with pytest.raises(ValueError):
             GeneralUnitary(0.0, 0.0)
         with pytest.raises(ValueError):

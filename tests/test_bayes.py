@@ -327,8 +327,9 @@ class TestBayesianCrBound:
             bayesian_cr_bound(FlatPrior(), 0.0)
         with pytest.raises(ValueError):
             bayesian_cr_bound(GaussianPrior(0.3), -1.0)
-        with pytest.raises(ValueError):
-            GaussianPrior(0.0)
+        for width in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="delta0"):
+                GaussianPrior(width)
 
 
 class TestMixtures:
@@ -339,6 +340,10 @@ class TestMixtures:
             ParticleNumberMixture([(2, 1.2), (3, -0.2)])
         with pytest.raises(ValueError):
             ParticleNumberMixture([])
+        # NaN fails every comparison, so the sign and sum tests alone pass it
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                ParticleNumberMixture([(0, bad), (1000, 0.01)])
 
     def test_mean_particle_number(self):
         mix = ParticleNumberMixture([(0, 0.99), (1000, 0.01)])
@@ -396,5 +401,6 @@ class TestIndefiniteBound:
         assert any("small sectors" in rec.message for rec in caplog.records)
 
     def test_domain_error(self):
-        with pytest.raises(ValueError):
-            indefinite_bayes_bound(ParticleNumberMixture([(5, 1.0)]), 0.0)
+        for delta0 in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="delta0"):
+                indefinite_bayes_bound(ParticleNumberMixture([(5, 1.0)]), delta0)

@@ -41,8 +41,8 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             SweepConfig(n_min=1, n_max=5, noise=NoiseFree(),
                         methods=("bayes-gauss",))  # needs prior width
-        for width in (0.0, -0.5):
-            with pytest.raises(ValueError):
+        for width in (0.0, -0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="prior width"):
                 SweepConfig(n_min=1, n_max=5, noise=NoiseFree(),
                             methods=("bayes-gauss",), prior_width=width)
         for step in (0, -1):
@@ -291,6 +291,22 @@ class TestIndefinite:
         report = json.loads(capsys.readouterr().out)
         assert report["mean_n"] == pytest.approx(10.0)
 
+    @pytest.mark.parametrize("text,width,message", [
+        ("0 nan\n1000 0.01\n", "0.3", "mix.txt:1: weight 'nan' is not finite"),
+        ("0 0.99\n1000 inf\n", "0.3", "mix.txt:2: weight 'inf' is not finite"),
+        ("0 0.99\n1000 0.01\n", "nan", "delta0=nan"),
+        ("0 0.99\n1000 0.01\n", "inf", "delta0=inf")])
+    def test_non_finite_input_is_a_config_error(self, tmp_path, capsys, text,
+                                                width, message):
+        # unchecked, a NaN weight passes the sum test and trips the concavity
+        # assertion, and a NaN width is written into the report
+        path = tmp_path / "mix.txt"
+        path.write_text(text)
+        assert cli.main(["indefinite", str(path), "--prior-width", width]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("configuration error") and message in captured.err
+
     def test_missing_file_is_io_error(self):
         assert cli.main(["indefinite", "/nonexistent/mix.txt",
                          "--prior-width", "0.3"]) == 2
@@ -354,6 +370,25 @@ class TestExitCodes:
         assert cli.main(["scan", "--n-max", "4", "--noise", "dephasing"]) == 1
         assert "--noise dephasing requires --eta" in capsys.readouterr().err
         assert cli.main(["scan", "--n-max", "4", "--method", "bayes-gauss"]) == 1
+        # non-finite strengths and widths: NaN fails every sign test, and
+        # unchecked it fails every row or prints NaN cells; inf prints
+        # qfi = -inf
+        for argv, message in [
+                (["scan", "--noise", "collective", "--gamma", "nan",
+                  "--n-min", "2", "--n-max", "3"], "gamma=nan"),
+                (["scan", "--noise", "collective", "--gamma", "inf",
+                  "--n-min", "2", "--n-max", "3"], "gamma=inf"),
+                (["scan", "--noise", "none", "--method", "bayes-gauss",
+                  "--prior-width", "inf", "--n-max", "3"], "prior width inf"),
+                (["asymptote", "--noise", "collective", "--gamma", "nan",
+                  "--n-max", "2"], "gamma=nan"),
+                (["asymptote", "--noise", "collective", "--gamma", "0.02",
+                  "--prior-width", "nan", "--n-max", "2"], "delta0=nan"),
+                (["asymptote", "--noise", "collective", "--gamma", "0.02",
+                  "--prior-width", "0", "--n-max", "2"], "delta0=0.0")]:
+            assert cli.main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error") and message in err, argv
 
     @pytest.mark.parametrize("width", ["0", "-0.5"])
     def test_nonpositive_prior_width_rejected(self, width, capsys):

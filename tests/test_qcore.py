@@ -18,8 +18,8 @@ from phaselim.qcore import (Channel, CollectiveDephasing, LocalDephasing, Loss,
                             compose_collective, fidelity_qfi_check, m_grid,
                             noon_state, product_plus_state, resample_state,
                             sine_profile_state, state_qfi, _loss_table)
-from phaselim.qcore import (_SECTOR_MIN_DIM, ChannelBlock, _fold, _phase_shift,
-                            _unfold, _sector_coordinates)
+from phaselim.qcore import (_SECTOR_MIN_DIM, ChannelBlock, _channel_qfi, _fold,
+                            _phase_shift, _unfold, _sector_coordinates)
 from references import block_sld, loss_qfi
 
 
@@ -78,8 +78,9 @@ class TestStates:
             LocalDephasing(1.3)
         with pytest.raises(ValueError):
             Loss(-0.1)
-        with pytest.raises(ValueError):
-            CollectiveDephasing(-1e-3)
+        for gamma in (-1e-3, math.nan, math.inf):
+            with pytest.raises(ValueError, match="gamma"):
+                CollectiveDephasing(gamma)
 
 
 def _blocks(state, noise):
@@ -229,9 +230,11 @@ class TestCollectiveDephasing:
     def test_compose_rejects_negative_gamma(self, noise):
         # a negative strength makes the kick exp(+|gamma| k^2 / 2) > 1: the
         # composed noise-free channel is not PSD and the uniform state at
-        # N = 6 would get F = 197 > N^2
-        with pytest.raises(ValueError, match="gamma"):
-            compose_collective(channel_blocks(noise, 6), -0.1)
+        # N = 6 would get F = 197 > N^2; NaN or inf puts NaN on the kick's
+        # diagonal (inf * 0)
+        for gamma in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="gamma"):
+                compose_collective(channel_blocks(noise, 6), gamma)
 
 
 class TestGeneratorCommutator:
@@ -619,23 +622,29 @@ class TestArmSwapSymmetry:
 
     def test_parity_split(self):
         n = 2 * _SECTOR_MIN_DIM
-        # centred blocks at least _SECTOR_MIN_DIM wide are folded, the rest kept
+        # every centred block of two or more entries is folded; the one-entry
+        # block j = 0 of even N adds nothing (test_one_entry_block_adds_nothing)
         channel = channel_blocks(LocalDephasing(0.7), n)
-        folded, rest = channel.parity_split
-        assert len(folded) + len(rest.blocks) == len(channel.blocks)
-        assert sorted(len(b.m) + len(b.plus) for b in folded) == \
-            sorted(len(b.m) for b in channel.blocks if len(b.m) >= _SECTOR_MIN_DIM)
-        # every channel with a wide centred block is split, except loss with
-        # a prior, whose off-centre loss patterns keep it in the full space
-        # (at eta = 1 only the centred pattern (0, 0) is left)
+        folded = channel.parity_split
+        assert any(len(b.m) == 1 for b in channel.blocks)
+        assert sorted((b.start, len(b.m) + len(b.plus)) for b in folded) == \
+            sorted((b.start, len(b.m)) for b in channel.blocks if len(b.m) > 1)
+        # on N + 1 >= _SECTOR_MIN_DIM amplitudes every channel is split, except
+        # those with rank-one rows and loss with a prior, whose off-centre
+        # loss patterns keep it in the full space (at eta = 1 only the
+        # centred pattern (0, 0) is left)
         for noise, prior, ch in _symmetric_channels(n):
-            wide = any(2 * b.start + len(b.m) - 1 == n and len(b.m) >= _SECTOR_MIN_DIM
-                       for b in ch.blocks)
-            lossy = isinstance(noise, Loss) and noise.eta < 1.0
-            assert (ch.parity_split is not None) == (wide and not lossy), (noise, prior)
-        # too small to gain, not symmetric, or mixed with rank-one rows: the
-        # full space
+            off = any(2 * b.start + len(b.m) - 1 != n for b in ch.blocks)
+            assert off == (isinstance(noise, Loss) and noise.eta < 1.0 and prior > 0)
+            assert (ch.parity_split is None) == (off or len(ch.amplitudes) > 0), \
+                (noise, prior)
+        # too few amplitudes to gain: the full space, whatever the blocks
         assert channel_blocks(LocalDephasing(0.7), _SECTOR_MIN_DIM - 2).parity_split is None
+        assert channel_blocks(LocalDephasing(0.7), _SECTOR_MIN_DIM - 1).parity_split
+        # one narrow centred block is folded; not symmetric, or mixed with
+        # rank-one rows: the full space
+        small = min((b for b in channel.blocks if len(b.m) > 1), key=lambda b: len(b.m))
+        assert len(Channel.dense(n, [small]).parity_split) == 1
         blk = max(channel.blocks, key=lambda b: len(b.m))
         assert Channel.dense(n, [blk]).parity_split is not None
         skewed = ChannelBlock(blk.key, blk.start, blk.m, blk.weight.copy())
@@ -647,6 +656,20 @@ class TestArmSwapSymmetry:
         off = compose_collective(channel_blocks(Loss(0.7), n), 0.25)
         lopsided = Channel.dense(n, [b for b in off.blocks if b.key != (1, 0)])
         assert lopsided.parity_split is None
+
+    @pytest.mark.parametrize("m", [0.0, 2.5])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_one_entry_block_adds_nothing(self, m, complex_):
+        # a single m: the derivative (m_i - m_j) sigma is zero, so the full
+        # step adds exactly 0.0 to F and to A, which lets the split skip it
+        n = 6
+        rng = np.random.default_rng(3)
+        c = rng.standard_normal(n + 1) + (1j * rng.standard_normal(n + 1) if complex_ else 0)
+        c /= np.linalg.norm(c)
+        blk = ChannelBlock(("j", 0), n // 2, np.array([m]), np.array([[0.37]]))
+        a_out = np.zeros((n + 1, n + 1), dtype=c.dtype)
+        assert _channel_qfi(Channel.dense(n, [blk]), c, a_out) == 0.0
+        assert not np.any(a_out)
 
     @pytest.mark.parametrize("d", [1, 2, 7, 8])
     @pytest.mark.parametrize("complex_", [False, True])

@@ -873,14 +873,14 @@ class TestParitySectors:
                  "loss": Loss(strength),
                  "collective": CollectiveDephasing(strength)}[kind]
         with pytest.MonkeyPatch.context() as mp:
-            # fold every centred block of two or more entries
+            # split channels of every size
             mp.setattr(qcore, "_SECTOR_MIN_DIM", 2)
             channel = compose_collective(channel_blocks(noise, n), prior)
             if channel.parity_split is None:
-                # rank-one rows, blocks of one entry only, or the off-centre
-                # patterns of loss with a prior: nothing to fold
-                assert (kind == "loss" and prior and strength < 1.0) or \
-                    all(len(b.m) == 1 for b in channel.blocks)
+                # rank-one rows, or the off-centre patterns of loss with a
+                # prior: the full space
+                assert len(channel.amplitudes) or \
+                    (kind == "loss" and prior and strength < 1.0)
                 return
         c = _sector_vector(n, seed, complex_, parity)
         ch = _sector_coordinates(c, parity)
@@ -896,6 +896,29 @@ class TestParitySectors:
         assert np.linalg.norm(_unfold(a_s @ ch, parity, n + 1) - grad) <= \
             (1e-11 + slack) * np.linalg.norm(grad) + floor
         assert np.vdot(ch, a_s @ ch).real == pytest.approx(-f_s, rel=1e-11, abs=floor)
+
+    @pytest.mark.parametrize("parity", [1, -1])
+    def test_sector_step_runs_no_full_step(self, monkeypatch, parity):
+        # dephasing at N = 40 has centred blocks of every size 1, 3, .., 41;
+        # each of two or more entries is folded, and none goes back through
+        # the full-space step
+        n = 40
+        channel = channel_blocks(LocalDephasing(0.7), n)
+        assert sorted(len(b.m) for b in channel.blocks) == list(range(1, n + 2, 2))
+        c = _sector_vector(n, 7, False, parity)
+        f, a = _iteration_step(channel, c)
+
+        def full_step(*args, **kwargs):
+            raise AssertionError("the sector step ran the full-space step")
+
+        monkeypatch.setattr(qcore, "_channel_qfi", full_step)
+        ch = _sector_coordinates(c, parity)
+        f_s, (a_p, a_m) = _sector_qfi(channel, parity, ch)
+        a_s = a_p if parity > 0 else a_m
+        assert f_s == pytest.approx(f, rel=1e-13)
+        grad = a @ c
+        assert np.linalg.norm(_unfold(a_s @ ch, parity, n + 1) - grad) <= \
+            1e-11 * np.linalg.norm(grad)
 
     @pytest.mark.parametrize("name, n", [
         ("dephasing-0.7", 40), ("dephasing-0.7", 120), ("collective-0.27", 40),
