@@ -12,9 +12,10 @@ Two evaluation routes coexist:
   `coupling_matrix_entry`) via the closed Racah sum with big-integer
   rationals, stable for any quantum numbers that fit in memory;
 * bulk tables (`DephasingTables`, `coupling_blocks`) that build all transfer
-  coefficients for one particle number at once, with one stacked eigensolve
-  of the small tridiagonal total-spin matrices per matrix size and one
-  matrix product per coupling block, which is what sweeps over N use.
+  coefficients for one particle number at once, from the table for one
+  particle fewer by a closed-form one-particle recoupling (O(N^3) work per
+  step, no eigensolve), and one matrix product per coupling block, which is
+  what sweeps over N use.
 
 Both routes are cross-checked against each other and against brute-force
 tensor-product oracles in the test suite.
@@ -23,6 +24,7 @@ tensor-product oracles in the test suite.
 from __future__ import annotations
 
 import logging
+import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, log, sqrt
@@ -240,72 +242,101 @@ def multiplicity_dimension(n: int, j) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _next_half_table(h: np.ndarray, n: int) -> np.ndarray:
+    """The half table for n + 1 particles from the one for n particles.
+
+    h[k, j_index, i] is C(k; j, m) at 2m = 2i + n%2, for k <= n/2 and m >= 0.
+    Appending one unflipped particle, |(n+1)/2, M> is a sum over s = +-1/2 of
+    D_s |n/2, M-s> |s>, and the flips do not act on that particle.  Coupling
+    |(k/2, (n-k)/2) j, M-s> with |s> to j' = j +- 1/2 and recoupling it to
+    (k/2, (n+1-k)/2) j' (a 6j symbol with a 1/2 in it; Edmonds, Table 5)
+    makes each new entry a sum of four old ones, at j = j' -+ 1/2 and
+    m = M -+ 1/2, with closed-form weights.  Old entries outside the table
+    are zero and every weight is finite, so entries outside the new
+    triangle and |m| > j come out exactly zero.
+    """
+    n1 = n + 1
+    p = n1 % 2
+    size = n1 // 2 + 1  # rows k, spins j and projections m >= 0 for n + 1
+    kk, jj, mm = h.shape
+    # h with a zero at either end of j and of m; odd n adds the row and the
+    # column that its half table keeps only by symmetry
+    ext = np.zeros((size, jj + 2, mm + 2))
+    ext[:kk, 1:-1, 1:-1] = h
+    if p == 0:
+        j_index = np.arange(jj)[:, None]
+        # row k = (n+1)/2 by C(n-k; j, m) = (-1)^(n/2-j) (-1)^(n/2-m) C(k; j, m)
+        # from k = (n-1)/2: the sign is (-1)^(j_index + i)
+        mirror = np.where((j_index + np.arange(mm)) % 2 == 0, 1.0, -1.0)
+        ext[kk, 1:-1, 1:-1] = mirror * h[kk - 1]
+        # the m = -1/2 column by C(k; j, -m) = (-1)^(n/2-j) (-1)^k C(k; j, m)
+        flip = (kk - 1 + j_index.T + np.arange(size)[:, None]) % 2
+        ext[:, 1:-1, 0] = np.where(flip, -1.0, 1.0) * ext[:, 1:-1, 1]
+    # doubled new quantum numbers: 2j' = tj and 2M' = tm >= 0
+    k = np.arange(size)[:, None]
+    tj = np.arange(p, n1 + 1, 2)
+    tm = tj
+    # recoupling weights over (k, j') of the terms j = j' - 1/2 and j' + 1/2
+    den = 4.0 * (n1 - k) * (tj + 1)
+    u_lo = np.sqrt((n1 + tj + 2) * (n1 + tj - 2 * k) / den)[:, :, None]
+    u_hi = np.sqrt(np.maximum((tj - n1 + 2 * k + 2) * (n1 - tj), 0) / den)[:, :, None]
+    # over (j', M'): the new particle's weight D_s times the coupling
+    # coefficient <j, M'-s; 1/2, s | j', M'>, for s = +1/2 (up) and -1/2 (down)
+    tj = tj[:, None]
+    d_up = np.sqrt((n1 + tm) / (2.0 * n1))
+    d_down = np.sqrt((n1 - tm) / (2.0 * n1))
+    lo_up = np.sqrt((tj + tm) / (2.0 * np.maximum(tj, 1))) * d_up
+    lo_down = np.sqrt(np.maximum(tj - tm, 0) / (2.0 * np.maximum(tj, 1))) * d_down
+    hi_up = -np.sqrt(np.maximum(tj - tm + 2, 0) / (2.0 * tj + 4)) * d_up
+    hi_down = np.sqrt((tj + tm + 2) / (2.0 * tj + 4)) * d_down
+    # old j = j' - 1/2 has ext's j index p + (2j' - p)/2, and old m = M' - 1/2
+    # its m index p + (2M' - p)/2
+    lo = ext[:, p:p + size]
+    hi = ext[:, p + 1:p + 1 + size]
+    out = lo_up * lo[:, :, p:p + size]
+    out += lo_down * lo[:, :, p + 1:p + 1 + size]
+    out *= u_lo
+    rest = hi_up * hi[:, :, p:p + size]
+    rest += hi_down * hi[:, :, p + 1:p + 1 + size]
+    rest *= u_hi
+    out += rest
+    return out
+
+
 class DephasingTables:
     """All transfer coefficients C(k; j, m) for one particle number.
 
-    For fixed (k, m) the coupled vectors |j, m> over the flipped/unflipped
-    split are the eigenvectors of a small tridiagonal total-spin matrix whose
-    eigenvalues j(j+1) are known, and one eigensolve yields every j at once.
-    Only k <= n/2 and m >= 0 are solved, all (k, m) pairs of one matrix size
-    in a single stacked eigensolve; the rest follow from exact sign
-    symmetries.  The table is read-only once built, so it is safe to share
-    across threads and callers.
+    The table for n comes from the one for n - 1 by adding one unflipped
+    particle (`_next_half_table`), O(n^3) elementwise work with no
+    eigensolve; a cold build runs that recurrence from n = 0.  Only k <= n/2
+    and m >= 0 are computed; the rest follow from exact sign symmetries.  The
+    table is read-only once built, so it is safe to share across threads and
+    callers.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, start: DephasingTables | None = None):
+        """Tables for n particles, continued from the tables `start` for
+        fewer particles when given.  Every table comes out of the same chain
+        of steps from n = 0, so its bits do not depend on `start`."""
         if n < 1:
             raise ValueError("need at least one particle")
+        if start is not None and start.n > n:
+            raise ValueError(f"cannot continue from N={start.n} down to N={n}")
         self.n = n
+        # the half table (m >= 0) to continue from; n = 0 holds C = 1
+        done, h = (0, np.ones((1, 1, 1))) if start is None else \
+            (start.n, start._c[:, :, (start.n + 1) // 2:])
+        for m in range(done, n):
+            h = _next_half_table(h, m)
         # _c[k, j_index, m_index]; j_index = (2j - n%2)/2, m_index = (2m + n)/2
-        self._c = np.zeros((n // 2 + 1, n // 2 + 1, n + 1))
-        # the (k, 2m) work list; position i of the flipped group (2mt = 2i - k)
-        # has an unflipped partner (2m - 2mt <= n - k) from i0 on, so the pair's
-        # J^2 matrix is the trailing block of size k + 1 - i0
-        k = np.repeat(np.arange(n // 2 + 1), n // 2 + 1)
-        tm = np.tile(np.arange(n % 2, n + 1, 2), n // 2 + 1)
-        size = k + 1 - np.maximum(0, (tm - n) // 2 + k)
-        for s in np.unique(size):
-            self._build_size(s, k[size == s, None], tm[size == s, None])
+        self._c = np.empty((n // 2 + 1, n // 2 + 1, n + 1))
+        top = (n + 1) // 2  # m_index of the smallest m >= 0
+        self._c[:, :, top:] = h
+        # C(j, -m) = (-1)^(n/2 - j) (-1)^k C(j, m)
+        k_plus_j = np.arange(n // 2 + 1)[:, None] + np.arange(n // 2 + 1)
+        sign = np.where((n // 2 + k_plus_j) % 2 == 0, 1.0, -1.0)
+        self._c[:, :, :top] = sign[:, :, None] * np.flip(h, 2)[:, :, :top]
         self._c.setflags(write=False)
-
-    def _build_size(self, s: int, k: np.ndarray, tm: np.ndarray) -> None:
-        """Fill the pairs (k, 2m) whose J^2 matrix has size s from one stacked
-        eigensolve; k and tm are columns, one row per pair.
-
-        Position i is the flipped group's 2mt = 2(i0 + i) - k, so the top mt is
-        always last, and eigenpair i (j ascending) is j-index n//2 - s + 1 + i.
-        """
-        n = self.n
-        i = np.arange(s)
-        tmt = 2 * (k + 1 - s + i) - k
-        tmb = tm - tmt
-        # J^2 over |k/2, mt> x |(n-k)/2, mb>, in doubled quantum numbers: the
-        # diagonal ja(ja+1) + jb(jb+1) + 2 mt mb, and the ladder terms that
-        # couple mt to mt + 1
-        h = np.zeros((len(k), s, s))
-        h[:, i, i] = (k * (k + 2) + (n - k) * (n - k + 2) + 2 * tmt * tmb) / 4.0
-        ladder = (k - tmt) * (k + tmt + 2) * (n - k + tmb) * (n - k - tmb + 2)
-        # eigh reads the lower triangle only
-        h[:, i[1:], i[:-1]] = np.sqrt(ladder[:, :-1]) / 4.0
-        vecs = np.linalg.eigh(h)[1]
-        # Condon-Shortley: component at the top mt is positive
-        vecs *= np.where(vecs[:, -1:, :] < 0.0, -1.0, 1.0)
-        # stretched column |n/2, m> over |k/2, mt> x |(n-k)/2, m-mt>: the
-        # closed binomial-product form sqrt(C(k, a) C(n-k, b) / C(n, (n-2m)/2))
-        lf = _lgamma_table(n + 2)[1:]
-        a = (k - tmt) // 2
-        b = (n - k - tmb) // 2
-        ln_u = (lf[k] - lf[a] - lf[k - a] + lf[n - k] - lf[b] - lf[n - k - b]
-                - lf[n] + lf[(n - tm) // 2] + lf[(n + tm) // 2])
-        # weighted by the flip parity (-1)^(k/2 - mt)
-        u = np.where(a % 2 == 0, 1.0, -1.0) * np.exp(0.5 * ln_u)
-        coeffs = np.einsum("ric,ri->rc", vecs, u)
-        jidx = n // 2 - s + 1 + i
-        mcol = (tm + n) // 2
-        # C(j, -m) = (-1)^(n/2 - j) (-1)^k C(j, m); m = 0 is then rewritten
-        sign = np.where((n // 2 - jidx + k) % 2 == 0, 1.0, -1.0)
-        self._c[k, jidx, n - mcol] = sign * coeffs
-        self._c[k, jidx, mcol] = coeffs
 
     def _rows(self, ks, tj: int, tms):
         """C(k; j, m) for (broadcast) flip counts ks and doubled projections
@@ -332,10 +363,39 @@ class DephasingTables:
         return r.T @ (_flip_probabilities(n, ks, eta) * r)
 
 
-@lru_cache(maxsize=4)
+_TABLES_KEPT = 4
+_tables: dict[int, DephasingTables] = {}  # in order of last use, oldest first
+_tables_lock = threading.Lock()
+
+
 def dephasing_tables(n: int) -> DephasingTables:
-    """Memoized per-N transfer tables (small cache; sweeps run N in order)."""
-    return DephasingTables(n)
+    """Memoized per-N transfer tables (small cache; sweeps run N in order).
+
+    A miss continues from the largest cached table below n, so a sweep pays
+    one recurrence step per N; the bits are those of a cold build.
+    """
+    with _tables_lock:
+        if n in _tables:
+            _tables[n] = _tables.pop(n)
+            return _tables[n]
+        below = [m for m in _tables if m < n]
+        start = _tables[max(below)] if below else None
+    tables = DephasingTables(n, start)
+    with _tables_lock:
+        # a concurrent caller may have stored the same table meanwhile
+        tables = _tables[n] = _tables.pop(n, tables)
+        while len(_tables) > _TABLES_KEPT:
+            del _tables[next(iter(_tables))]
+    return tables
+
+
+def _clear_tables() -> None:
+    """Drop every cached table, so the next build starts from n = 0."""
+    with _tables_lock:
+        _tables.clear()
+
+
+dephasing_tables.cache_clear = _clear_tables
 
 
 @lru_cache(maxsize=4)

@@ -117,6 +117,8 @@ def _asymptote_for(noise: NoiseModel, kind: str,
     """The closed-form limit of a `kind` ('cr' or 'bayes') curve; a prior
     width, when given, applies to the Bayesian curve.  Loss and dephasing
     at eta = 1 and collective dephasing at gamma = 0 are noise-free."""
+    if prior_width is not None and not prior_width > 0.0:  # inf means no prior
+        raise ValueError(f"prior width delta0={prior_width} must be positive")
     if noise in (NoiseFree(), LocalDephasing(1.0), Loss(1.0),
                  CollectiveDephasing(0.0)):
         return asymptotics.HeisenbergCR() if kind == "cr" \

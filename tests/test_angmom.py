@@ -5,6 +5,8 @@ and against a per-(k, m) LAPACK tridiagonal reference.
 """
 
 import math
+import sys
+import threading
 from fractions import Fraction
 from math import comb, lgamma
 
@@ -13,8 +15,8 @@ import pytest
 from scipy.linalg.lapack import dstev
 from scipy.special import gammaln, xlogy
 
-from phaselim import oracles
-from phaselim.angmom import (_flip_probabilities, _lgamma_table, _twice, _xlogy,
+from phaselim import angmom, oracles
+from phaselim.angmom import (DephasingTables, _flip_probabilities, _lgamma_table, _twice, _xlogy,
                              allowed_twice_j, clebsch_gordan,
                              coupling_blocks, coupling_matrix_entry,
                              dephasing_tables, dephasing_weight,
@@ -197,7 +199,7 @@ class TestTransferCoefficient:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 50, 51, 120, 200])
     def test_tables_match_dstev_reference(self, n):
-        # one stacked eigensolve per matrix size against one tridiagonal solve
+        # the one-particle recurrence against one tridiagonal solve
         # per (k, m)
         got = dephasing_tables(n)._c
         assert np.max(np.abs(got - _dstev_half_table(n))) < 2e-12
@@ -213,6 +215,92 @@ class TestTransferCoefficient:
                     for tj in allowed_twice_j(n)
                     if tj >= abs(n - 2 * k) and tj >= abs(tm))
                 assert total == pytest.approx(1.0, abs=1e-12)
+
+
+class TestRecurrence:
+    """The tables come from the table for one particle fewer; a cold build
+    runs that recurrence from N = 0."""
+
+    @pytest.mark.parametrize("n", [60, 121, 200])
+    def test_sampled_entries_match_exact_path(self, n):
+        rng = np.random.default_rng(n)
+        tables = dephasing_tables(n)
+        for _ in range(40):
+            k = int(rng.integers(0, n + 1))
+            tj = int(rng.choice(np.arange(abs(n - 2 * k), n + 1, 2)))
+            tm = int(rng.choice(np.arange(-tj, tj + 1, 2)))
+            exact = transfer_coefficient(n, k, tj / 2, tm / 2)
+            assert abs(tables.transfer(k, tj, tm) - exact) < 1e-14, (k, tj, tm)
+
+    @pytest.mark.parametrize("n,start", [(60, 59), (60, 45), (61, 60), (61, 2)])
+    def test_continued_table_has_the_cold_bits(self, n, start):
+        dephasing_tables.cache_clear()
+        dephasing_tables(start)
+        continued = dephasing_tables(n)
+        assert np.array_equal(continued._c, DephasingTables(n)._c)
+        assert not continued._c.flags.writeable
+        with pytest.raises(ValueError, match="cannot continue"):
+            DephasingTables(start, continued)
+
+    def test_cache_clear_leaves_nothing_to_continue_from(self, monkeypatch):
+        steps = []
+        step = angmom._next_half_table
+
+        def counted(h, n):
+            steps.append(n)
+            return step(h, n)
+
+        monkeypatch.setattr(angmom, "_next_half_table", counted)
+        dephasing_tables.cache_clear()
+        dephasing_tables(30)
+        assert steps == list(range(30))
+        del steps[:]
+        dephasing_tables(30)
+        dephasing_tables(32)
+        assert steps == [30, 31]
+        dephasing_tables.cache_clear()
+        del steps[:]
+        dephasing_tables(32)
+        assert steps == list(range(32))
+
+    def test_keeps_four_tables(self):
+        dephasing_tables.cache_clear()
+        for n in range(1, 8):
+            dephasing_tables(n)
+        assert list(angmom._tables) == [4, 5, 6, 7]
+        dephasing_tables(5)
+        assert list(angmom._tables) == [4, 6, 7, 5]
+
+    def test_concurrent_callers(self):
+        # more threads than cores, switching often: every caller gets the
+        # cold bits of its own N, and the cache never holds more than four
+        want = {n: DephasingTables(n)._c for n in range(1, 25)}
+        dephasing_tables.cache_clear()
+        errors, seen = [], []
+
+        def work(seed):
+            try:
+                for n in np.random.default_rng(seed).integers(1, 25, size=40):
+                    tables = dephasing_tables(int(n))
+                    if tables.n != n or not np.array_equal(tables._c, want[n]):
+                        errors.append((seed, int(n)))
+                    with angmom._tables_lock:
+                        seen.append(len(angmom._tables))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == [] and len(seen) == 8 * 40 and max(seen) <= 4
 
 
 class TestDephasingWeight:

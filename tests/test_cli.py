@@ -385,7 +385,13 @@ class TestExitCodes:
                 (["asymptote", "--noise", "collective", "--gamma", "0.02",
                   "--prior-width", "nan", "--n-max", "2"], "delta0=nan"),
                 (["asymptote", "--noise", "collective", "--gamma", "0.02",
-                  "--prior-width", "0", "--n-max", "2"], "delta0=0.0")]:
+                  "--prior-width", "0", "--n-max", "2"], "delta0=0.0"),
+                # the width is checked under every noise, not only where a
+                # collective limit reads it
+                (["asymptote", "--noise", "none", "--prior-width", "-5",
+                  "--n-max", "2"], "delta0=-5.0"),
+                (["asymptote", "--noise", "dephasing", "--eta", "0.7",
+                  "--prior-width", "nan", "--n-max", "2"], "delta0=nan")]:
             assert cli.main(argv) == 1, argv
             err = capsys.readouterr().err
             assert err.startswith("configuration error") and message in err, argv
