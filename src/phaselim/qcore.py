@@ -82,6 +82,8 @@ EIG_SUPPORT_RTOL = 1e-12     # SLD support cutoff relative to largest eigenvalue
 COHERENCE_RTOL = 1e-4        # below this, a dense block's derivative is rotated, not rebuilt
 WEIGHT_FLOOR = 1e-280        # rank-one branches with numerically zero weight are skipped
 RANK_ONE_CHUNK = 1024        # rank-one branches per pass of the batched step
+STACK_PAD_CUBES = 10_000     # most padding D^3 - d^3 a dense block takes in a size class
+STACK_ENTRIES = 1 << 17      # most entries B D^2 of one size class
 # Fewest input amplitudes N + 1 solved on the arm-swap sectors; below it the
 # folding and two half-size eigensolves per block cost more than one full
 # step.  Step plus see-saw move broke even at N ~ 15-20 for collective or
@@ -276,6 +278,24 @@ class Channel:
             return None
         return [_SectorBlock.fold(blk) for blk in self.blocks if len(blk.m) > 1]
 
+    @cached_property
+    def size_classes(self) -> List["_BlockStack"]:
+        """The blocks of two or more entries, largest first, stacked into
+        size classes for `_channel_qfi`.  A class of largest size D takes
+        the next smaller block of size d while D^3 - d^3 <= STACK_PAD_CUBES
+        (the padding's extra eigensolve work stays below about one `eigh`
+        call's overhead) and the stack stays within STACK_ENTRIES entries;
+        blocks of equal size stack with no padding."""
+        classes: List[List[ChannelBlock]] = []
+        for blk in sorted((b for b in self.blocks if len(b.m) > 1),
+                          key=lambda b: -len(b.m)):
+            top = len(classes[-1][0].m) if classes else 0
+            if (not classes or top ** 3 - len(blk.m) ** 3 > STACK_PAD_CUBES
+                    or (len(classes[-1]) + 1) * top * top > STACK_ENTRIES):
+                classes.append([])
+            classes[-1].append(blk)
+        return [_BlockStack.build(self.n, group) for group in classes]
+
     def dense_blocks(self) -> List[ChannelBlock]:
         """Every block in dense form: the dense blocks, then each row as the
         block W = b b^T over its window, keyed (l0, l1)."""
@@ -386,6 +406,11 @@ def channel_output(state: SymmetricPureState,
 # ---------------------------------------------------------------------------
 
 
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose over the last two axes."""
+    return a.conj().swapaxes(-1, -2)
+
+
 def _sld_kernel(lam: np.ndarray, kp: np.ndarray,
                 lam_col: Optional[np.ndarray] = None):
     """SLD of one Hermitian block in its eigenbasis, in the convention
@@ -405,11 +430,11 @@ def _sld_kernel(lam: np.ndarray, kp: np.ndarray,
     is half the share of tr(rho L^2) of that block and its adjoint.
     """
     lam_col = lam if lam_col is None else lam_col
-    denom = lam[:, None] + lam_col[None, :]
-    cut = max(EIG_SUPPORT_RTOL * max(float(lam[-1]), float(lam_col[-1])), _TINY)
-    mask = denom > cut
+    denom = lam[..., :, None] + lam_col[..., None, :]
+    top = np.maximum(lam[..., -1:, None], lam_col[..., None, -1:])
+    mask = denom > np.maximum(EIG_SUPPORT_RTOL * top, _TINY)
     lt = np.where(mask, 2.0 * kp / np.where(mask, denom, 1.0), 0.0)
-    return float(np.sum(denom * lt * lt.conj()).real) / 2.0, lt
+    return np.sum(denom * lt * lt.conj(), axis=(-2, -1)).real / 2.0, lt
 
 
 def _eigenbasis_derivative(m: np.ndarray, span: float, k: np.ndarray,
@@ -433,10 +458,13 @@ def _eigenbasis_derivative(m: np.ndarray, span: float, k: np.ndarray,
     (at dephasing eta -> 0 it would give F ~ 1e-20 and <c|A|c> = +F), so k
     itself is rotated, whose rounding stays relative to |k|.
     """
-    if np.max(np.abs(k)) >= COHERENCE_RTOL * span * max(lr[-1], lc[-1]):
-        x = vr[:len(m)].conj().T @ (m[:, None] * vc)
-        return x * (lc - lr[:, None])
-    return vr.conj().T @ k @ vc
+    x = _adjoint(vr[..., :m.shape[-1], :]) @ (m[..., :, None] * vc)
+    kp = x * (lc[..., None, :] - lr[..., :, None])
+    rotate = np.max(np.abs(k), axis=(-2, -1)) < (
+        COHERENCE_RTOL * span * np.maximum(lr[..., -1], lc[..., -1]))
+    if np.any(rotate):
+        kp = np.where(rotate[..., None, None], _adjoint(vr) @ k @ vc, kp)
+    return kp
 
 
 def _rank_one_qfi(damping: np.ndarray, c: np.ndarray,
@@ -476,6 +504,41 @@ def _rank_one_qfi(damping: np.ndarray, c: np.ndarray,
     return f
 
 
+@dataclass
+class _BlockStack:
+    """The dense blocks of one size class, zero-padded to the largest size D
+    and stacked, so that `_channel_qfi` treats them with one call per stage.
+
+    Block b reads the input amplitudes `index[b]`: its window, then its
+    first amplitude again on each of its D - d pad coordinates.  `m` holds
+    its generator eigenvalues (0 on pads), `span` m_max - m_min, `weight` W
+    (0 on pad rows and columns) and `pad` 1.0 on its pad coordinates.
+    `target` holds the flat position in the (N + 1)^2 matrix A of every
+    entry of the stack (B D^2 of them), for one scatter-add."""
+
+    index: np.ndarray
+    m: np.ndarray
+    span: np.ndarray
+    weight: np.ndarray
+    pad: np.ndarray
+    target: np.ndarray
+
+    @classmethod
+    def build(cls, n: int, blocks: List[ChannelBlock]) -> "_BlockStack":
+        d = len(blocks[0].m)
+        m = np.zeros((len(blocks), d))
+        weight = np.zeros((len(blocks), d, d))
+        for b, blk in enumerate(blocks):
+            m[b, :len(blk.m)] = blk.m
+            weight[b, :len(blk.m), :len(blk.m)] = blk.weight
+        pad = np.arange(d) >= np.array([len(blk.m) for blk in blocks])[:, None]
+        start = np.array([blk.start for blk in blocks])[:, None]
+        span = np.array([blk.m[-1] - blk.m[0] for blk in blocks])
+        index = np.where(pad, start, start + np.arange(d))
+        target = (n + 1) * index[:, :, None] + index[:, None, :]
+        return cls(index, m, span, weight, pad.astype(float), target.ravel())
+
+
 def _channel_qfi(channel: Channel, c: np.ndarray,
                  a_out: Optional[np.ndarray] = None) -> float:
     """QFI of the channel output for input amplitudes c, real or complex.
@@ -484,25 +547,36 @@ def _channel_qfi(channel: Channel, c: np.ndarray,
     A = channel_adjoint(L^2 - 2i [H, L]), for which <c|A|c> = -F; A is real
     symmetric for real c, else Hermitian.
 
-    A dense block's derivative k = dm o sigma = M sigma - sigma M enters
-    the SLD kernel in sigma's eigenbasis (`_eigenbasis_derivative`), and
-    L^2 = lmat lmat^H (a SYRK for real c).
+    The dense blocks run by size class (`Channel.size_classes`): each class
+    is one stack of sigma_b = W_b o c_b c_b^H, zero-padded to its largest
+    size, and every stage below is one call over the stack.  A pad
+    coordinate gets -tr sigma_b on its diagonal: an eigenvalue that sums
+    with any of sigma_b's to at most 0, below the support cut, so the pads
+    drop out of the SLD and cannot mix with sigma_b's own null space.  A
+    block's derivative k = dm o sigma = M sigma - sigma M enters the SLD
+    kernel in sigma's eigenbasis (`_eigenbasis_derivative`), and
+    L^2 = lmat lmat^H.
     """
+    if a_out is not None and not a_out.flags.c_contiguous:
+        raise ValueError("a_out must be C-contiguous")
+    a_flat = None if a_out is None else a_out.reshape(-1)
     f = 0.0
-    for blk in channel.blocks:
-        win, m = blk.window, blk.m
-        cb = c[win]
-        sigma = blk.weight * np.outer(cb, cb.conj())
+    for st in channel.size_classes:
+        cb = c[st.index]
+        sigma = st.weight * (cb[:, :, None] * cb.conj()[:, None, :])
+        diag = sigma.reshape(len(sigma), -1)[:, ::sigma.shape[-1] + 1]
+        diag -= st.pad * diag.sum(axis=1, keepdims=True).real
         lam, vec = np.linalg.eigh(sigma)
-        k = (m[:, None] - m[None, :]) * sigma
-        kp = _eigenbasis_derivative(m, m[-1] - m[0], k, lam, vec, lam, vec)
+        k = (st.m[:, :, None] - st.m[:, None, :]) * sigma
+        kp = _eigenbasis_derivative(st.m, st.span, k, lam, vec, lam, vec)
         f_b, lt = _sld_kernel(lam, kp)
-        f += f_b
+        f += float(np.sum(f_b))
         if a_out is not None:
-            lmat = vec @ lt @ vec.conj().T
-            y = lmat @ lmat.conj().T
-            y -= 2.0 * (m[:, None] * lmat - lmat * m[None, :])
-            a_out[win, win] += blk.weight * y
+            lmat = vec @ lt @ _adjoint(vec)
+            y = lmat @ _adjoint(lmat)
+            y -= 2.0 * (st.m[:, :, None] * lmat - lmat * st.m[:, None, :])
+            y *= st.weight
+            np.add.at(a_flat, st.target, y.ravel())
     return f + _rank_one_qfi(channel.damping, c, a_out)
 
 

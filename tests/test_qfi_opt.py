@@ -5,6 +5,7 @@ dominance over the standard reference states, and the half-size solve on the
 arm-swap sectors against the full space."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -728,6 +729,100 @@ class TestDenseKernel:
         f, _ = _iteration_step(channel, c)
         # seen <= 1.8e-15
         assert f == pytest.approx(_mp_dense_qfi(channel, c), rel=1e-14)
+
+
+def _reference_step(channel, c):
+    """(F, A c) of the per-block reference steps, block by block."""
+    step = _step_dense_complex if np.iscomplexobj(c) else _step_dense_real
+    a_ref = np.zeros((channel.n + 1, channel.n + 1), dtype=c.dtype)
+    f_ref = sum(step(blk, c[blk.indices], a_ref) for blk in channel.blocks)
+    return f_ref, a_ref @ c
+
+
+class TestStackedStep:
+    """The dense step runs each size class of blocks (`Channel.size_classes`)
+    as one zero-padded stack; against the per-block reference steps, F to
+    1e-13 and A c to 1e-12 relative."""
+
+    @staticmethod
+    def _check(channel, c):
+        f, a = _iteration_step(channel, c)
+        f_ref, grad_ref = _reference_step(channel, c)
+        assert np.isfinite(f) and np.all(np.isfinite(a))
+        assert f == pytest.approx(f_ref, rel=1e-13, abs=1e-300)
+        assert np.linalg.norm(a @ c - grad_ref) <= 1e-12 * np.linalg.norm(grad_ref)
+
+    @pytest.mark.parametrize("n", [7, 20, 50, 120])
+    def test_classes_follow_the_padding_rule(self, n):
+        channel = channel_blocks(LocalDephasing(0.7), n)
+        sizes = [(1.0 - st.pad).sum(axis=1).astype(int) for st in channel.size_classes]
+        # every block of two or more entries, once, largest first, each
+        # padded to the first of its class
+        assert np.concatenate(sizes).tolist() == list(range(n + 1, 1, -2))
+        for d, st in zip(sizes, channel.size_classes):
+            assert st.weight.shape == (len(d), d[0], d[0])
+            assert np.all(d[0] ** 3 - d ** 3 <= qcore.STACK_PAD_CUBES)
+        # the blocks of N + 1 >= 43 (D^3 - (D - 2)^3 > 10^4) stay alone, and
+        # the next smaller block would have broken its class's rule
+        assert all(len(d) == 1 for d in sizes if d[0] >= 43)
+        for d, after in zip(sizes, sizes[1:]):
+            assert d[0] ** 3 - after[0] ** 3 > qcore.STACK_PAD_CUBES
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_class_with_both_derivative_branches(self, complex_):
+        # dephasing at eta = 1e-5 (every block nearly diagonal, |k| <
+        # COHERENCE_RTOL span lambda_max: k rotated) plus one coherent block
+        # (eigenbasis derivative), all in one class of size 21; the coherent
+        # block is scaled to about the others' share of F.  A class-wide
+        # choice of the eigenbasis form moves F by 2e-12 and A c by 4e-12
+        n = 20
+        c = _random_amplitudes(n, 3, complex_)
+        coherent = qcore.ChannelBlock(("c",), 3, qcore.m_grid(4),
+                                      1e-9 * qcore.collective_weight(4, 0.3))
+        channel = Channel.dense(
+            n, channel_blocks(LocalDephasing(1e-5), n).blocks + [coherent])
+        (st,) = channel.size_classes
+        assert st.weight.shape == (11, 21, 21)
+        rotated = []
+        for blk in channel.blocks[-2:]:
+            cb = c[blk.window]
+            sigma = blk.weight * np.outer(cb, cb.conj())
+            k = (blk.m[:, None] - blk.m[None, :]) * sigma
+            top = np.linalg.eigvalsh(sigma)[-1]
+            rotated.append(bool(np.max(np.abs(k)) <
+                                qcore.COHERENCE_RTOL * (blk.m[-1] - blk.m[0]) * top))
+        assert rotated == [True, False]
+        self._check(channel, c)
+
+    @pytest.mark.parametrize("n", [20, 41])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_zero_weight_blocks(self, n, complex_):
+        # a N00N input under dephasing feeds only the block of j = N/2; the
+        # class stacks hold the other blocks with sigma_b = 0 (pad shift 0)
+        c = noon_state(n).amplitudes * (np.exp(0.3j) if complex_ else 1.0)
+        c = c if complex_ else c.real
+        channel = channel_blocks(LocalDephasing(0.7), n)
+        assert max(st.weight.shape[0] for st in channel.size_classes) > 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            self._check(channel, c)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_loss_prior_equal_size_classes(self, complex_):
+        # loss 0.7 under a delta0 = 0.5 prior at N = 40: the S = 861 blocks
+        # of two or more entries come in equal-size stacks of up to 40; each
+        # size, stacked with no padding, against the per-block steps
+        n = 40
+        c = _random_amplitudes(n, 11, complex_)
+        channel = compose_collective(channel_blocks(Loss(0.7), n), 0.25)
+        sizes = sorted({len(b.m) for b in channel.blocks if len(b.m) > 1})
+        assert sizes == list(range(2, n + 2))
+        for d in sizes:
+            same = Channel.dense(n, [b for b in channel.blocks if len(b.m) == d])
+            (st,) = same.size_classes
+            assert st.weight.shape == (n + 2 - d, d, d) and not st.pad.any()
+            self._check(same, c)
+        self._check(channel, c)
 
 
 class TestSeeSawFloor:
