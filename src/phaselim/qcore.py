@@ -32,7 +32,20 @@ optimizer's dense step and the sector step, and one rule,
 `_eigenbasis_derivative`, gives both steps the derivative dm o sigma in that
 basis: X Lam - Lam X with X = V^H diag(m) V, which takes one GEMM and keeps
 the rounding of each entry proportional to its eigenvalue gap, or, for a
-nearly diagonal block, dm o sigma rotated.
+nearly diagonal block, dm o sigma rotated.  Both take a leading batch axis.
+
+The dense step, `_channel_qfi`, runs a channel's blocks by size class
+(`Channel.size_classes`, built once per channel on first use): the blocks
+of two or more entries, largest first, each class taking the next smaller
+block of size d while D^3 - d^3 <= STACK_PAD_CUBES for its largest size D,
+so that the padding's extra eigensolve work stays below about one `eigh`
+call's overhead.  A class is one stack, the smaller blocks zero-padded to D,
+and costs one `eigh` and one set of array operations however many blocks
+it holds.  A pad coordinate gets -tr sigma_b on its diagonal, an eigenvalue
+that the support cut drops, so it cannot mix with sigma_b's null space.
+Under local dephasing the blocks of N + 1 >= 43 entries stay alone and the
+smaller ones share classes; equal-size blocks (loss under a prior) stack
+with no padding.
 
 Every channel here commutes with the arm swap J: n -> N - n (m -> -m).  A
 centred block (window symmetric about the middle of the grid) has
@@ -83,12 +96,13 @@ COHERENCE_RTOL = 1e-4        # below this, a dense block's derivative is rotated
 WEIGHT_FLOOR = 1e-280        # rank-one branches with numerically zero weight are skipped
 RANK_ONE_CHUNK = 1024        # rank-one branches per pass of the batched step
 STACK_PAD_CUBES = 10_000     # most padding D^3 - d^3 a dense block takes in a size class
-STACK_ENTRIES = 1 << 17      # most entries B D^2 of one size class
-# Fewest input amplitudes N + 1 solved on the arm-swap sectors; below it the
-# folding and two half-size eigensolves per block cost more than one full
-# step.  Step plus see-saw move broke even at N ~ 15-20 for collective or
-# noise-free with a prior, and at N ~ 30-35 for dephasing (one BLAS thread
-# on a 2-core Xeon)
+# Fewest input amplitudes N + 1 solved on the arm-swap sectors.  Step plus
+# see-saw move on the sectors against the stacked full step (one BLAS
+# thread on a 2-core Xeon): under dephasing the sectors took 1.4x as long
+# at N + 1 = 32 and broke even at N + 1 ~ 44-48, since the full step
+# stacks the small blocks and the sector step does not; under collective
+# dephasing, with or without a prior (one block), they broke even at
+# N + 1 ~ 16-20 and took 0.7-0.8x at 32
 _SECTOR_MIN_DIM = 32
 _SQRT_HALF = math.sqrt(0.5)
 _TINY = np.finfo(float).tiny
@@ -284,14 +298,12 @@ class Channel:
         size classes for `_channel_qfi`.  A class of largest size D takes
         the next smaller block of size d while D^3 - d^3 <= STACK_PAD_CUBES
         (the padding's extra eigensolve work stays below about one `eigh`
-        call's overhead) and the stack stays within STACK_ENTRIES entries;
-        blocks of equal size stack with no padding."""
+        call's overhead); blocks of equal size stack with no padding."""
         classes: List[List[ChannelBlock]] = []
         for blk in sorted((b for b in self.blocks if len(b.m) > 1),
                           key=lambda b: -len(b.m)):
-            top = len(classes[-1][0].m) if classes else 0
-            if (not classes or top ** 3 - len(blk.m) ** 3 > STACK_PAD_CUBES
-                    or (len(classes[-1]) + 1) * top * top > STACK_ENTRIES):
+            if (not classes
+                    or len(classes[-1][0].m) ** 3 - len(blk.m) ** 3 > STACK_PAD_CUBES):
                 classes.append([])
             classes[-1].append(blk)
         return [_BlockStack.build(self.n, group) for group in classes]
@@ -413,16 +425,17 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
 
 def _sld_kernel(lam: np.ndarray, kp: np.ndarray,
                 lam_col: Optional[np.ndarray] = None):
-    """SLD of one Hermitian block in its eigenbasis, in the convention
-    drho = i k, L = i lmat.
+    """SLD of a Hermitian block in its eigenbasis, in the convention
+    drho = i k, L = i lmat; leading axes of `lam` and `kp` index a stack of
+    blocks, each with its own lambda_max.
 
     `lam` holds the block's eigenvalues (ascending) and kp = V^H k V the
     derivative in that basis.  Returns (tr(rho L^2), lt) with lmat =
-    V lt V^H; both are real antisymmetric for real input.  Matrix elements
-    between eigenvectors whose eigenvalue sum falls below
-    EIG_SUPPORT_RTOL * lambda_max are set to zero (null-space convention),
-    and so are those below the smallest normal double, since dividing a
-    complex kp by a subnormal sum overflows.
+    V lt V^H, tr(rho L^2) per block of a stack; lt is real antisymmetric for
+    real input.  Matrix elements between eigenvectors whose eigenvalue sum
+    falls below EIG_SUPPORT_RTOL * lambda_max are set to zero (null-space
+    convention), and so are those below the smallest normal double, since
+    dividing a complex kp by a subnormal sum overflows.
 
     With `lam_col`, kp is the rectangular block between two invariant
     subspaces of rho with eigenvalues `lam` (rows) and `lam_col` (columns),
@@ -456,7 +469,9 @@ def _eigenbasis_derivative(m: np.ndarray, span: float, k: np.ndarray,
     nearly diagonal that every |k_ij| < COHERENCE_RTOL span lambda_max, with
     span = m_max - m_min over the whole block, that difference would swamp k
     (at dephasing eta -> 0 it would give F ~ 1e-20 and <c|A|c> = +F), so k
-    itself is rotated, whose rounding stays relative to |k|.
+    itself is rotated, whose rounding stays relative to |k|.  Over a stack
+    (leading axes of every argument, `span` one value per block) the choice
+    is made block by block.
     """
     x = _adjoint(vr[..., :m.shape[-1], :]) @ (m[..., :, None] * vc)
     kp = x * (lc[..., None, :] - lr[..., :, None])
@@ -512,7 +527,7 @@ class _BlockStack:
     Block b reads the input amplitudes `index[b]`: its window, then its
     first amplitude again on each of its D - d pad coordinates.  `m` holds
     its generator eigenvalues (0 on pads), `span` m_max - m_min, `weight` W
-    (0 on pad rows and columns) and `pad` 1.0 on its pad coordinates.
+    (0 on pad rows and columns) and `pad` marks its pad coordinates.
     `target` holds the flat position in the (N + 1)^2 matrix A of every
     entry of the stack (B D^2 of them), for one scatter-add."""
 
@@ -536,7 +551,7 @@ class _BlockStack:
         span = np.array([blk.m[-1] - blk.m[0] for blk in blocks])
         index = np.where(pad, start, start + np.arange(d))
         target = (n + 1) * index[:, :, None] + index[:, None, :]
-        return cls(index, m, span, weight, pad.astype(float), target.ravel())
+        return cls(index, m, span, weight, pad, target.ravel())
 
 
 def _channel_qfi(channel: Channel, c: np.ndarray,
@@ -547,15 +562,18 @@ def _channel_qfi(channel: Channel, c: np.ndarray,
     A = channel_adjoint(L^2 - 2i [H, L]), for which <c|A|c> = -F; A is real
     symmetric for real c, else Hermitian.
 
-    The dense blocks run by size class (`Channel.size_classes`): each class
-    is one stack of sigma_b = W_b o c_b c_b^H, zero-padded to its largest
-    size, and every stage below is one call over the stack.  A pad
-    coordinate gets -tr sigma_b on its diagonal: an eigenvalue that sums
-    with any of sigma_b's to at most 0, below the support cut, so the pads
-    drop out of the SLD and cannot mix with sigma_b's own null space.  A
-    block's derivative k = dm o sigma = M sigma - sigma M enters the SLD
-    kernel in sigma's eigenbasis (`_eigenbasis_derivative`), and
-    L^2 = lmat lmat^H.
+    The dense blocks run by size class (`Channel.size_classes`; a class of
+    largest size D holds the blocks of size d with D^3 - d^3 <=
+    STACK_PAD_CUBES that follow it in size).  Each class is one stack of
+    sigma_b = W_b o c_b c_b^H, zero-padded to D, and every stage below is one
+    call over the stack: sigma, its eigensolve, the derivative, the SLD
+    kernel, y = lmat lmat^H - 2 (M lmat - lmat M), W o y and the scatter-add
+    into A (`a_out` must be C-contiguous).  A pad coordinate gets
+    -tr sigma_b on its diagonal: an eigenvalue that sums with any of
+    sigma_b's to at most 0, below the support cut, so the pads drop out of
+    the SLD and cannot mix with sigma_b's own null space.  A block's
+    derivative k = dm o sigma = M sigma - sigma M enters the SLD kernel in
+    sigma's eigenbasis (`_eigenbasis_derivative`).
     """
     if a_out is not None and not a_out.flags.c_contiguous:
         raise ValueError("a_out must be C-contiguous")
@@ -729,7 +747,7 @@ def _sector_qfi(channel: Channel, parity: int, ch: np.ndarray):
         a_p[top, top] += blk.plus[:len(sp), :len(sp)] * yp
         a_p[blk.start:h, blk.start:h] += blk.minus * ym
         a_m[blk.start:, blk.start:] += blk.minus * yp[:hb, :hb] + blk.plus[:hb, :hb] * ym
-    return f, (a_p, a_m)
+    return float(f), (a_p, a_m)
 
 
 def state_qfi(state: SymmetricPureState, noise: NoiseModel) -> float:

@@ -755,7 +755,7 @@ class TestStackedStep:
     @pytest.mark.parametrize("n", [7, 20, 50, 120])
     def test_classes_follow_the_padding_rule(self, n):
         channel = channel_blocks(LocalDephasing(0.7), n)
-        sizes = [(1.0 - st.pad).sum(axis=1).astype(int) for st in channel.size_classes]
+        sizes = [(~st.pad).sum(axis=1) for st in channel.size_classes]
         # every block of two or more entries, once, largest first, each
         # padded to the first of its class
         assert np.concatenate(sizes).tolist() == list(range(n + 1, 1, -2))
