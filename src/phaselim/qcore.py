@@ -447,7 +447,7 @@ def _sld_kernel(lam: np.ndarray, kp: np.ndarray,
     top = np.maximum(lam[..., -1:, None], lam_col[..., None, -1:])
     mask = denom > np.maximum(EIG_SUPPORT_RTOL * top, _TINY)
     lt = np.where(mask, 2.0 * kp / np.where(mask, denom, 1.0), 0.0)
-    return np.sum(denom * lt * lt.conj(), axis=(-2, -1)).real / 2.0, lt
+    return (denom * lt * lt.conj()).sum(axis=(-2, -1)).real / 2.0, lt
 
 
 def _eigenbasis_derivative(m: np.ndarray, span: float, k: np.ndarray,
@@ -475,9 +475,9 @@ def _eigenbasis_derivative(m: np.ndarray, span: float, k: np.ndarray,
     """
     x = _adjoint(vr[..., :m.shape[-1], :]) @ (m[..., :, None] * vc)
     kp = x * (lc[..., None, :] - lr[..., :, None])
-    rotate = np.max(np.abs(k), axis=(-2, -1)) < (
+    rotate = np.abs(k).max(axis=(-2, -1)) < (
         COHERENCE_RTOL * span * np.maximum(lr[..., -1], lc[..., -1]))
-    if np.any(rotate):
+    if rotate.any():
         kp = np.where(rotate[..., None, None], _adjoint(vr) @ k @ vc, kp)
     return kp
 
