@@ -294,11 +294,9 @@ class Channel:
 
     @cached_property
     def size_classes(self) -> List["_BlockStack"]:
-        """The blocks of two or more entries, largest first, stacked into
-        size classes for `_channel_qfi`.  A class of largest size D takes
-        the next smaller block of size d while D^3 - d^3 <= STACK_PAD_CUBES
-        (the padding's extra eigensolve work stays below about one `eigh`
-        call's overhead); blocks of equal size stack with no padding."""
+        """The blocks of two or more entries, largest first, as the stacks
+        of `_channel_qfi`: a class of largest size D takes the next smaller
+        block of size d while D^3 - d^3 <= STACK_PAD_CUBES."""
         classes: List[List[ChannelBlock]] = []
         for blk in sorted((b for b in self.blocks if len(b.m) > 1),
                           key=lambda b: -len(b.m)):
