@@ -102,7 +102,9 @@ STACK_PAD_CUBES = 10_000     # most padding D^3 - d^3 a dense block takes in a s
 # at N + 1 = 32 and broke even at N + 1 ~ 44-48, since the full step
 # stacks the small blocks and the sector step does not; under collective
 # dephasing, with or without a prior (one block), they broke even at
-# N + 1 ~ 16-20 and took 0.7-0.8x at 32
+# N + 1 ~ 16-20 and took 0.7-0.8x at 32.  It stays 32: a larger value would
+# move rows of the README plateau scan (N >= 40) off the sectors and change
+# their last bits
 _SECTOR_MIN_DIM = 32
 _SQRT_HALF = math.sqrt(0.5)
 _TINY = np.finfo(float).tiny
@@ -586,7 +588,7 @@ def _channel_qfi(channel: Channel, c: np.ndarray,
         k = (st.m[:, :, None] - st.m[:, None, :]) * sigma
         kp = _eigenbasis_derivative(st.m, st.span, k, lam, vec, lam, vec)
         f_b, lt = _sld_kernel(lam, kp)
-        f += float(np.sum(f_b))
+        f += float(f_b.sum())
         if a_out is not None:
             lmat = vec @ lt @ _adjoint(vec)
             y = lmat @ _adjoint(lmat)
