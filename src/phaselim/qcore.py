@@ -49,15 +49,17 @@ with no padding.
 
 Every channel here commutes with the arm swap J: n -> N - n (m -> -m).  A
 centred block (window symmetric about the middle of the grid) has
-W(m, m') = W(-m, -m'), and for an input with Jc = +-c its sigma splits into
+W(m, m') = W(-m, -m'), and for an input with Jc = c its sigma splits into
 one block per parity sector while M = diag(m) only couples the sectors.
-`_sector_qfi` runs the step in the coordinates of one sector
-(`_sector_coordinates`) on a channel of centred blocks only (local or
-collective dephasing, with or without a prior; `Channel.parity_split`):
-every block costs two eigensolves of about half its size, from weights
-folded once per channel.  Loss, whose patterns sit off the centre, runs in
-the full space with or without a prior, and so does any channel on fewer
-than _SECTOR_MIN_DIM input amplitudes.
+The optimizer needs only such even inputs, real and non-negative (see
+`qfi_opt`), so `_sector_qfi` runs the step in the even sector's
+coordinates (`_sector_coordinates`) on a channel of centred blocks only
+(local or collective dephasing, with or without a prior;
+`Channel.parity_split`) and returns the even block of A alone: every block
+costs two real eigensolves of about half its size, from weights folded
+once per channel.  Loss, whose patterns sit off the centre, runs in the
+full space with or without a prior, and so does any channel on fewer than
+_SECTOR_MIN_DIM input amplitudes.
 """
 
 from __future__ import annotations
@@ -629,22 +631,22 @@ def _fold(a: np.ndarray):
     return a_p, diag - cross
 
 
-def _sector_coordinates(c: np.ndarray, parity: int) -> np.ndarray:
-    """Coordinates of c in the arm-swap sector `parity` (+1 even, -1 odd),
-    in the basis of `_fold`; exact for Jc = parity c."""
+def _sector_coordinates(c: np.ndarray) -> np.ndarray:
+    """Coordinates of c in the even arm-swap sector, in the basis of
+    `_fold`; exact for Jc = c."""
     h = len(c) // 2
-    half = _SQRT_HALF * (c[:h] + parity * c[::-1][:h])
-    if parity > 0 and len(c) > 2 * h:
+    half = _SQRT_HALF * (c[:h] + c[::-1][:h])
+    if len(c) > 2 * h:
         return np.append(half, c[h])
     return half
 
 
-def _unfold(ch: np.ndarray, parity: int, d: int) -> np.ndarray:
+def _unfold(ch: np.ndarray, d: int) -> np.ndarray:
     """The d amplitudes whose `_sector_coordinates` are ch."""
     h = d // 2
     c = np.zeros(d, dtype=ch.dtype)
     c[:h] = _SQRT_HALF * ch[:h]
-    c[d - h:] = parity * c[:h][::-1]
+    c[d - h:] = c[:h][::-1]
     if len(ch) > h:
         c[h] = ch[h]
     return c
@@ -654,25 +656,24 @@ def _unfold(ch: np.ndarray, parity: int, d: int) -> np.ndarray:
 class _SectorBlock:
     """A centred dense block (2 start + d - 1 = N) folded onto the sectors.
 
-    Its sector coordinates are the trailing slice start: of the global ones.
-    `m` holds its first h = d // 2 generator eigenvalues, centred, so that
-    the rest are their negatives in reverse (and the middle one of odd d is
-    0).  For an input c of parity s with sector coordinates c_s, sigma's
-    sector blocks are W+ o c_s c_s^H in sector s and W- o c_s c_s^H (over
-    the first h coordinates) in the other: `plus` holds W+ ((d - h) square)
-    and `minus` W- (h square), which are (D +- C)/2 on the first h
+    Its even-sector coordinates are the trailing slice start: of the global
+    ones.  `m` holds its first h = d // 2 generator eigenvalues, centred, so
+    that the rest are their negatives in reverse (and the middle one of odd
+    d is 0).  For an even input with sector coordinates c_s, sigma's sector
+    blocks are W+ o c_s c_s^T in the even sector and W- o c_s c_s^T (over
+    the first h coordinates) in the odd one: `plus` holds W+ ((d - h)
+    square) and `minus` W- (h square), which are (D +- C)/2 on the first h
     coordinates (see `_mirror_parts`).  The derivative's block k+- is
-    ((m_i - m_j) D/2 - s (m_i + m_j) C/2) o c_s c_s^H there; `k_diag` and
-    `k_cross` hold the two factors, so that k is not the difference
-    m sigma- - sigma+ m of two nearly equal diagonals.
+    k o c_s c_s^T there, with `k` = ((m_i - m_j) D - (m_i + m_j) C)/2
+    precomputed, so that it is not the difference m sigma- - sigma+ m of
+    two nearly equal diagonals.
     """
 
     start: int
     m: np.ndarray
     plus: np.ndarray
     minus: np.ndarray
-    k_diag: np.ndarray
-    k_cross: np.ndarray
+    k: np.ndarray
 
     @classmethod
     def fold(cls, blk: ChannelBlock) -> "_SectorBlock":
@@ -684,12 +685,12 @@ class _SectorBlock:
         diag, cross = _mirror_parts(blk.weight)
         m = blk.m[:h] - 0.5 * (blk.m[0] + blk.m[-1])
         return cls(blk.start, m, plus, 0.5 * minus,
-                   0.5 * (m[:, None] - m) * diag, 0.5 * (m[:, None] + m) * cross)
+                   0.5 * (m[:, None] - m) * diag - 0.5 * (m[:, None] + m) * cross)
 
 
 def _sector_sld(m: np.ndarray, sp: np.ndarray, sm: np.ndarray, k: np.ndarray):
-    """One folded block's share of the step, from sigma's sector blocks sp
-    (even) and sm (odd) and the derivative's block k = k+-: returns
+    """One folded block's share of the step, from sigma's real sector blocks
+    sp (even) and sm (odd) and the derivative's block k = k+-: returns
     (F_b, y+, y-).
 
     M = diag(m) anticommutes with J, so in the sector basis it only couples
@@ -697,57 +698,51 @@ def _sector_sld(m: np.ndarray, sp: np.ndarray, sm: np.ndarray, k: np.ndarray):
     one more row than sm), and so do the derivative and the SLD.  Hence
     kp+- is `_eigenbasis_derivative` of k+- = M+- sigma- - sigma+ M+-,
     from the odd sector (columns) to the even one (rows), with span -2 m_0,
-    and lmat+- = V+ lt V-^H.  The sector blocks of
-    y = lmat lmat^H - 2 (M lmat - lmat M) follow with lmat-+ = -lmat+-^H.
+    and lmat+- = V+ lt V-^T.  The sector blocks of
+    y = lmat lmat^T - 2 (M lmat - lmat M) follow with lmat-+ = -lmat+-^T.
     """
     h = len(m)
     lp, vp = np.linalg.eigh(sp)
     lm, vm = np.linalg.eigh(sm)
     kp = _eigenbasis_derivative(m, -2.0 * m[0], k, lp, vp, lm, vm)
     f, lt = _sld_kernel(lp, kp, lm)
-    lmat = vp @ lt @ vm.conj().T
+    lmat = vp @ lt @ vm.T
     g = lmat * m
-    yp = lmat @ lmat.conj().T
+    yp = lmat @ lmat.T
     yp[:, :h] += 2.0 * g
-    yp[:h] += 2.0 * g.conj().T
+    yp[:h] += 2.0 * g.T
     g = m[:, None] * lmat[:h]
-    ym = lmat.conj().T @ lmat - 2.0 * (g + g.conj().T)
+    ym = lmat.T @ lmat - 2.0 * (g + g.T)
     return 2.0 * f, yp, ym
 
 
-def _sector_qfi(channel: Channel, parity: int, ch: np.ndarray):
-    """`_channel_qfi` on half-size blocks, for an input in one arm-swap
-    sector; the channel must have a `parity_split`.
+def _sector_qfi(channel: Channel, ch: np.ndarray):
+    """`_channel_qfi` on half-size blocks, for a real input in the even
+    arm-swap sector; the channel must have a `parity_split`.
 
-    `ch` holds the input's coordinates in sector `parity` (+1 even, -1 odd;
-    see `_sector_coordinates`).  Returns (F, (A+, A-)) with A+ and A- the
-    sector blocks of A, which commutes with J.  Each block costs two
-    eigensolves of about half its size.
+    `ch` holds the input's even-sector coordinates (see
+    `_sector_coordinates`).  Returns (F, A+) with A+ the even-sector block
+    of A, which commutes with J.  Each block costs two eigensolves of about
+    half its size, since sigma has a block in each sector.
     """
     d = channel.n + 1
     h = d // 2
-    a_p = np.zeros((d - h, d - h), dtype=ch.dtype)
-    a_m = np.zeros((h, h), dtype=ch.dtype)
+    a_p = np.zeros((d - h, d - h))
     f = 0.0
     for blk in channel.parity_split:
         cs = ch[blk.start:]
         hb = len(blk.m)
-        cc = np.outer(cs, cs.conj())
+        cc = np.outer(cs, cs)
         core = cc[:hb, :hb]
-        if parity > 0:
-            sp, sm = blk.plus * cc, blk.minus * core
-        else:
-            sp, sm = blk.minus * core, blk.plus[:hb, :hb] * core
-        k = np.empty((len(sp), hb), dtype=cc.dtype)
-        k[:hb] = (blk.k_diag - parity * blk.k_cross) * core
+        sp, sm = blk.plus * cc, blk.minus * core
+        k = np.empty((len(sp), hb))
+        k[:hb] = blk.k * core
         k[hb:] = -sp[hb:, :hb] * blk.m
         f_b, yp, ym = _sector_sld(blk.m, sp, sm, k)
         f += f_b
-        top = slice(blk.start, blk.start + len(sp))
-        a_p[top, top] += blk.plus[:len(sp), :len(sp)] * yp
+        a_p[blk.start:, blk.start:] += blk.plus * yp
         a_p[blk.start:h, blk.start:h] += blk.minus * ym
-        a_m[blk.start:, blk.start:] += blk.minus * yp[:hb, :hb] + blk.plus[:hb, :hb] * ym
-    return float(f), (a_p, a_m)
+    return float(f), a_p
 
 
 def state_qfi(state: SymmetricPureState, noise: NoiseModel) -> float:

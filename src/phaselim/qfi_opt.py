@@ -17,16 +17,18 @@ sine profile): F never decreases along the loop, and from those starts one
 run reaches the optimum that perturbed starts reach, so a multi-start is a
 caller's loop over `initial_state`.
 
-Every channel commutes with the arm swap J: m -> -m, so from a start with
-Jc = +-c, A(c) commutes with J, its lowest eigenvector lies in one parity
-sector and the gradient stays in c's sector.  Such a start, on a channel
-with a `parity_split` (centred dense blocks only: local or collective
-dephasing, with or without a prior), runs in sector coordinates: each step
-is `qcore._sector_qfi`, A comes as its two sector blocks keyed by parity,
-the loop's eigenpair is the lower of their lowest eigenpairs (so the state
-may change sector, as it may in the full space) and the polish runs on the
-half vector.  That is the full-space algorithm up to rounding; any other
-start or channel runs in the full space, with A keyed by parity 0.
+Every channel here has Kraus operators diagonal in n, which commute with
+the generator, so F(Dc) = F(c) and A(Dc) = D A(c) D^H for every diagonal
+unitary D: a run from c is the run from |c| conjugated by D.  So the loop
+starts from |c| and runs on real vectors, and the returned state is the
+modulus of the best iterate, entrywise >= 0.  When |c| is also arm-swap
+even (J: m -> -m, J|c| = |c| to 1e-12 of |c|) and the channel has a
+`parity_split` (centred dense blocks only: local or collective dephasing,
+with or without a prior), the run stays in the even sector: each step is
+`qcore._sector_qfi`, which returns A's even block A+, each move is A+'s
+lowest eigenvector v, and the polish runs on the half vector.  F stays
+monotone, because F(v) >= -<v|A+|v> >= -<c|A+|c> = F(c).  Any other start
+or channel runs in the full space.
 
 The map's contraction rate approaches one on flat landscapes (narrow
 collective dephasing is the worst case).  With `IterationConfig.polish`,
@@ -106,10 +108,10 @@ class OptimizationTrace:
     returned state (nan when F = 0) and `polish_evals` the number of channel
     evaluations the polish spent (0 when it was skipped).  `converged` is
     residual <= STATIONARITY_RTOL for a polished run and the loop's tail
-    test otherwise (true on a phase-blind channel).
-    `parity` is the arm-swap sector of the returned state, +1 (even) or -1
-    (odd), when the run was solved on the sectors' half-size blocks, and 0
-    when it ran in the full space.
+    test otherwise (true on a phase-blind channel).  `final_state` holds
+    real amplitudes >= 0 (see the module docstring).  `parity` is 1 when
+    the run was solved on the even sector's half-size blocks and 0 when it
+    ran in the full space.
     """
 
     qfi_values: np.ndarray
@@ -132,36 +134,11 @@ def _iteration_step(channel: Channel, c: np.ndarray):
     return _channel_qfi(channel, c, a_out), a_out
 
 
-def _step(channel: Channel, parity: int, c: np.ndarray):
-    """(F, A) at the state c of the given parity, with A keyed by parity:
-    for parity 0, c holds all N + 1 amplitudes and A is {0: A}; otherwise c
-    holds the coordinates in that arm-swap sector and A is {1: A+, -1: A-},
-    its two sector blocks.  A[parity] acts on c."""
-    if parity == 0:
-        f, a = _iteration_step(channel, c)
-        return f, {0: a}
-    f, (a_p, a_m) = _sector_qfi(channel, parity, c)
-    return f, {1: a_p, -1: a_m}
-
-
-def _see_saw_move(a, one_pair: bool = False):
-    """(parity, state) of the lowest eigenvector of A, keyed as `_step`'s.
-    On the sectors it is the lower of the two sectors' lowest eigenpairs
-    (the even one on a tie), as in the full space, so the state may change
-    sector.  `one_pair` is passed to `_lowest_eigenpair`."""
-    pairs = {parity: _lowest_eigenpair(blk, one_pair) for parity, blk in a.items()}
-    parity = min(pairs, key=lambda p: (pairs[p][0], -p))
-    return parity, _fix_phase(pairs[parity][1])
-
-
-def _start_parity(channel: Channel, c: np.ndarray) -> int:
-    """The arm-swap sector, +1 or -1, that c lies in to 1e-12 of |c| when
-    the channel can be solved there (`Channel.parity_split`), else 0."""
-    nrm = np.linalg.norm(c)
-    for parity in (1, -1):
-        if np.linalg.norm(c - parity * c[::-1]) <= 1e-12 * nrm:
-            return parity if channel.parity_split is not None else 0
-    return 0
+def _step(channel: Channel, sector: bool, c: np.ndarray):
+    """(F, A) at the real state c: on the sectors (`sector`) c holds the
+    even-sector coordinates and A is the even block A+, else c holds all
+    N + 1 amplitudes and A is the full operator."""
+    return _sector_qfi(channel, c) if sector else _iteration_step(channel, c)
 
 
 def _residual(f: float, a: np.ndarray, c: np.ndarray) -> float:
@@ -170,28 +147,18 @@ def _residual(f: float, a: np.ndarray, c: np.ndarray) -> float:
 
 
 def _lowest_eigenpair(a: np.ndarray, one_pair: bool = False):
-    """Lowest eigenpair of a Hermitian matrix from its lower triangle, by eigh
-    or, with `one_pair`, by one scipy ?syevr/?heevr call that computes it alone."""
+    """Lowest eigenpair of a real symmetric matrix from its lower triangle,
+    by eigh or, with `one_pair`, by one scipy ?syevr call that computes it
+    alone."""
     if one_pair:
         from scipy.linalg import get_lapack_funcs
-        evr, = get_lapack_funcs(("heevr" if np.iscomplexobj(a) else "syevr",), (a,))
-        w, z, _, _, info = evr(a, range="I", il=1, iu=1, lower=1)
+        syevr, = get_lapack_funcs(("syevr",), (a,))
+        w, z, _, _, info = syevr(a, range="I", il=1, iu=1, lower=1)
         if info != 0:
-            raise np.linalg.LinAlgError(f"?syevr/?heevr failed with info = {info}")
+            raise np.linalg.LinAlgError(f"?syevr failed with info = {info}")
         return float(w[0]), z[:, 0]
     w, z = np.linalg.eigh(a)
     return float(w[0]), z[:, 0].copy()
-
-
-def _fix_phase(c: np.ndarray) -> np.ndarray:
-    """Make the first non-negligible amplitude real and positive."""
-    idx = int(np.argmax(np.abs(c) > 1e-8))
-    pivot = c[idx]
-    if pivot == 0:
-        return c
-    if np.iscomplexobj(c):
-        return c * (np.conj(pivot) / abs(pivot))
-    return -c if pivot < 0 else c
 
 
 def _lbfgs_direction(g: np.ndarray, pairs: np.ndarray, gamma: float) -> np.ndarray:
@@ -209,24 +176,21 @@ def _lbfgs_direction(g: np.ndarray, pairs: np.ndarray, gamma: float) -> np.ndarr
     return gamma * (w @ y - g) - z @ s
 
 
-def _polish(channel: Channel, parity: int, c: np.ndarray, f: float,
+def _polish(channel: Channel, sector: bool, x: np.ndarray, f: float,
             a: np.ndarray, max_evals: int):
-    """L-BFGS ascent of F on the unit sphere from the unit vector c, where
-    F(c) = f and a is the block of A acting on c (`_step`'s A[parity]).
+    """L-BFGS ascent of F on the unit sphere from the real unit vector x,
+    where F(x) = f and a is A at x as `_step` gives it.
 
-    The gradient of -F, g = 2 (A + F) c, is tangent because <c|A|c> = -F.
-    A step retracts by c <- (c + t p) / |c + t p| with Armijo backtracking;
+    The gradient of -F, g = 2 (A + F) x, is tangent because <x|A|x> = -F.
+    A step retracts by x <- (x + t p) / |x + t p| with Armijo backtracking;
     the (s, y) pairs are projected onto the tangent space at every new
-    point.  Vectors enter through their real views, so every inner product
-    is Re<x, y> and the same code serves real, complex and sector vectors.
-    Returns (F, c, residual, evaluations) at the last accepted state; stops
-    at residual <= STATIONARITY_RTOL, after `max_evals` channel evaluations
-    (line-search trials included) or when a line search fails.
+    point.  Returns (F, x, residual, evaluations) at the last accepted
+    state; stops at residual <= STATIONARITY_RTOL, after `max_evals` channel
+    evaluations (line-search trials included) or when a line search fails.
     """
-    dtype, x = c.dtype, c.view(np.float64)
-    g = (2.0 * (a @ c + f * c)).view(np.float64)
-    gc = g.view(dtype)  # first step: the line minimum of the model 2 (A + F),
-    gamma = (g @ g) / abs(2.0 * np.vdot(gc, a @ gc + f * gc).real)  # kept > 0
+    g = 2.0 * (a @ x + f * x)
+    # first step: the line minimum of the model 2 (A + F), kept > 0
+    gamma = (g @ g) / abs(2.0 * (g @ (a @ g + f * g)))
     pairs, evals = np.empty((0, 2, len(x))), 0
     while np.linalg.norm(g) > 2.0 * f * STATIONARITY_RTOL and evals < max_evals:
         p = _lbfgs_direction(g, pairs, gamma)
@@ -234,15 +198,14 @@ def _polish(channel: Channel, parity: int, c: np.ndarray, f: float,
         slope, t = g @ p, 1.0
         while evals < max_evals and t > 1e-10:
             x_new = (x + t * p) / np.linalg.norm(x + t * p)
-            f_new, a_new = _step(channel, parity, x_new.view(dtype))
+            f_new, a = _step(channel, sector, x_new)
             evals += 1
             if f_new >= f - 1e-4 * t * slope:
                 break
             t *= 0.5
         else:
             break
-        c_new, a = x_new.view(dtype), a_new[parity]
-        g_new = (2.0 * (a @ c_new + f_new * c_new)).view(np.float64)
+        g_new = 2.0 * (a @ x_new + f_new * x_new)
         pairs = np.concatenate([pairs, [[x_new - x, g_new - g]]])
         pairs -= (pairs @ x_new)[..., None] * x_new
         s, y = pairs[-1]
@@ -252,7 +215,7 @@ def _polish(channel: Channel, parity: int, c: np.ndarray, f: float,
             pairs = pairs[:-1]
         x, f, g = x_new, f_new, g_new
     r = float(np.linalg.norm(g)) / (2.0 * f)
-    return f, _fix_phase(x.view(dtype)), r, evals
+    return f, x, r, evals
 
 
 def maximize_qfi_over_states(n: int, blocks: Channel,
@@ -261,9 +224,10 @@ def maximize_qfi_over_states(n: int, blocks: Channel,
     possibly composed with `compose_collective`).
 
     This is the engine behind `qfi_iterate`; the Bayesian module reuses it
-    with prior-averaged channels.  A start in an arm-swap sector (Jc = +-c)
-    of a channel with a `parity_split` runs in that sector's coordinates;
-    any other start runs in the full space.
+    with prior-averaged channels.  The run starts from the modulus |c| of
+    the start's amplitudes; when |c| is arm-swap even (J|c| = |c| to 1e-12)
+    and the channel has a `parity_split`, it runs in the even sector's
+    coordinates, else in the full space.
     """
     cfg = cfg or IterationConfig()
     if blocks.n != n:
@@ -273,21 +237,22 @@ def maximize_qfi_over_states(n: int, blocks: Channel,
         start = sine_profile_state(n)
     elif start.n_particles != n:
         raise ValueError("initial state has the wrong particle number")
-    c = start.amplitudes.real if start.is_real() else start.amplitudes
+    c = np.abs(start.amplitudes)
     c = c / np.linalg.norm(c)
-    parity = _start_parity(blocks, c)
-    if parity:
-        c = _sector_coordinates(c, parity)
+    sector = bool(np.linalg.norm(c - c[::-1]) <= 1e-12 * np.linalg.norm(c)
+                  and blocks.parity_split is not None)
+    if sector:
+        c = _sector_coordinates(c)
         c = c / np.linalg.norm(c)
     one_pair = len(blocks.amplitudes) > 1  # loss rows: their table loaded scipy
     history: List[float] = []
-    best_f, best_c, best_parity, best_a = -np.inf, c, parity, None
+    best_f, best_c, best_a = -np.inf, c, None
     converged = False
     for _ in range(cfg.max_iters):
-        f, a = _step(blocks, parity, c)
+        f, a = _step(blocks, sector, c)
         history.append(f)
         if f > best_f:
-            best_f, best_c, best_parity, best_a = f, c, parity, a[parity]
+            best_f, best_c, best_a = f, c, a
         if len(history) >= 2 and f == 0.0 and history[-2] == 0.0:
             converged = True  # phase-blind channel: nothing to optimize
             break
@@ -304,21 +269,21 @@ def maximize_qfi_over_states(n: int, blocks: Channel,
                     break
                 if cfg.polish and rate >= _HANDOFF_RATE:
                     break
-        parity, c = _see_saw_move(a, one_pair)
+        c = _lowest_eigenpair(a, one_pair)[1]
     best_r = _residual(best_f, best_a, best_c)
     polish_evals = 0
     if cfg.polish and best_f > 0.0:
         if best_r > STATIONARITY_RTOL:
             budget = cfg.polish_max_evals + cfg.max_iters - len(history)
             best_f, best_c, best_r, polish_evals = _polish(
-                blocks, best_parity, best_c, best_f, best_a, budget)
+                blocks, sector, best_c, best_f, best_a, budget)
         converged = best_r <= STATIONARITY_RTOL
-    if best_parity:
-        best_c = _unfold(best_c, best_parity, n + 1)
-    state = SymmetricPureState(n, _fix_phase(best_c), normalize=True)
+    if sector:
+        best_c = _unfold(best_c, n + 1)
+    state = SymmetricPureState(n, np.abs(best_c), normalize=True)
     return OptimizationTrace(qfi_values=np.asarray(history), converged=converged,
                              final_state=state, qfi=best_f, residual=best_r,
-                             polish_evals=polish_evals, parity=best_parity)
+                             polish_evals=polish_evals, parity=int(sector))
 
 
 def qfi_iterate(n: int, noise: NoiseModel,

@@ -21,7 +21,7 @@ from phaselim.qcore import (EIG_SUPPORT_RTOL, Channel, CollectiveDephasing,
                             product_plus_state, state_qfi)
 from phaselim.qcore import (_channel_qfi, _sector_coordinates, _sector_qfi,
                             _unfold)
-from phaselim.qfi_opt import (STATIONARITY_RTOL, IterationConfig, _fix_phase,
+from phaselim.qfi_opt import (STATIONARITY_RTOL, IterationConfig,
                               _iteration_step, _lbfgs_direction,
                               _lowest_eigenpair, _residual, cr_bound,
                               maximize_qfi_over_states, qfi_iterate)
@@ -409,10 +409,11 @@ def _random_hermitian(dim, rng, complex_):
 
 class TestLowestEigenpair:
     """The see-saw's eigenpair: the lowest eigenvalue and a unit vector of
-    its eigenspace, for real symmetric and Hermitian matrices."""
+    its eigenspace, for real symmetric matrices (numpy's path also takes
+    Hermitian ones; the one-pair ?syevr call only real ones)."""
 
-    @pytest.mark.parametrize("one_pair", [False, True])
-    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("complex_, one_pair",
+                             [(False, False), (False, True), (True, False)])
     def test_every_size_to_101(self, complex_, one_pair):
         # d = 1..101, each also with its two lowest eigenvalues made equal
         rng = np.random.default_rng(101)
@@ -831,7 +832,7 @@ class TestSeeSawFloor:
         for _ in range(400):
             f, a = _iteration_step(channel, c)
             best = min(best, _residual(f, a, c))
-            c = _fix_phase(_lowest_eigenpair(a)[1])
+            c = _lowest_eigenpair(a)[1]
         # seen: 2.3e-8; rotating dm o sigma plateaus at 2.1e-7
         assert best <= 1e-7
 
@@ -910,10 +911,10 @@ class TestRankOneKernel:
         assert f <= 2.0 * eta * eta * n + 1e-20
 
 
-def _sector_vector(n, seed, complex_, parity):
-    """A random unit vector with Jc = parity c."""
-    c = _random_amplitudes(n, seed, complex_)
-    c = c + parity * c[::-1]
+def _even_vector(n, seed):
+    """A random real unit vector with Jc = c."""
+    c = _random_amplitudes(n, seed, False)
+    c = c + c[::-1]
     return c / np.linalg.norm(c)
 
 
@@ -932,9 +933,23 @@ TRAJECTORY_CHANNELS = {
 
 
 class TestParitySectors:
-    """Starts with Jc = +-c (J: n -> N - n) solve on the arm-swap sectors'
-    half-size blocks; the full-space loop from the same start is the same
-    algorithm up to rounding.  Every other start runs in the full space."""
+    """Runs start from |c|; when J|c| = |c| (J: n -> N - n) they solve on
+    the even sector's half-size blocks, and the full-space loop from the
+    same start is the same algorithm up to rounding.  Every other start
+    runs in the full space.  Every run returns real amplitudes >= 0."""
+
+    @pytest.fixture(autouse=True)
+    def _states_are_nonnegative(self, monkeypatch):
+        # every OptimizationTrace a test of this class makes, through any
+        # entry point (qfi_iterate, gaussian_prior_solve, the full space)
+        trace_type = qfi_opt.OptimizationTrace
+
+        def checked(**fields):
+            amps = fields["final_state"].amplitudes
+            assert not amps.imag.any() and np.all(amps.real >= 0.0)
+            return trace_type(**fields)
+
+        monkeypatch.setattr(qfi_opt, "OptimizationTrace", checked)
 
     # A nearly dephased block has coherences ~eta^2 of its diagonal, and both
     # steps round its eigenvalue gaps to ~1e-16 of the diagonal (the sector
@@ -950,10 +965,8 @@ class TestParitySectors:
     @given(n=st.integers(1, 60), kind=st.sampled_from(
                ["none", "dephasing", "loss", "collective"]),
            strength=st.floats(0.0, 1.0), prior=st.sampled_from([0.0, 0.25]),
-           parity=st.sampled_from([1, -1]), complex_=st.booleans(),
            seed=st.integers(0, 2 ** 16))
-    def test_sector_step_matches_full_step(self, n, kind, strength, prior,
-                                           parity, complex_, seed):
+    def test_sector_step_matches_full_step(self, n, kind, strength, prior, seed):
         noise = {"none": NoiseFree(), "dephasing": LocalDephasing(strength),
                  "loss": Loss(strength),
                  "collective": CollectiveDephasing(strength)}[kind]
@@ -967,42 +980,39 @@ class TestParitySectors:
                 assert len(channel.amplitudes) or \
                     (kind == "loss" and prior and strength < 1.0)
                 return
-        c = _sector_vector(n, seed, complex_, parity)
-        ch = _sector_coordinates(c, parity)
+        c = _even_vector(n, seed)
+        ch = _sector_coordinates(c)
         floor, slack = 1e-250, 0.0
         if kind == "dephasing":
             floor, slack = 1e-20, min(1e-14 / max(strength, 1e-7) ** 2, 1.0)
         f, a = _iteration_step(channel, c)
-        f_s, (a_p, a_m) = _sector_qfi(channel, parity, ch)
-        a_s = a_p if parity > 0 else a_m
-        assert a_s.dtype == a.dtype
+        f_s, a_p = _sector_qfi(channel, ch)
+        assert a_p.dtype == a.dtype
         assert f_s == pytest.approx(f, rel=1e-13 + slack, abs=floor)
         grad = a @ c
-        assert np.linalg.norm(_unfold(a_s @ ch, parity, n + 1) - grad) <= \
+        assert np.linalg.norm(_unfold(a_p @ ch, n + 1) - grad) <= \
             (1e-11 + slack) * np.linalg.norm(grad) + floor
-        assert np.vdot(ch, a_s @ ch).real == pytest.approx(-f_s, rel=1e-11, abs=floor)
+        assert ch @ a_p @ ch == pytest.approx(-f_s, rel=1e-11, abs=floor)
 
-    @pytest.mark.parametrize("parity", [1, -1])
-    def test_sector_step_runs_no_full_step(self, monkeypatch, parity):
+    def test_sector_step_runs_no_full_step(self, monkeypatch):
         # dephasing at N = 40 has centred blocks of every size 1, 3, .., 41;
         # each of two or more entries is folded, and none goes back through
         # the full-space step
         n = 40
         channel = channel_blocks(LocalDephasing(0.7), n)
         assert sorted(len(b.m) for b in channel.blocks) == list(range(1, n + 2, 2))
-        c = _sector_vector(n, 7, False, parity)
+        c = _even_vector(n, 7)
         f, a = _iteration_step(channel, c)
 
         def full_step(*args, **kwargs):
             raise AssertionError("the sector step ran the full-space step")
 
         monkeypatch.setattr(qcore, "_channel_qfi", full_step)
-        ch = _sector_coordinates(c, parity)
-        f_s, (a_p, a_m) = _sector_qfi(channel, parity, ch)
-        a_s = a_p if parity > 0 else a_m
+        ch = _sector_coordinates(c)
+        f_s, a_p = _sector_qfi(channel, ch)
         assert f_s == pytest.approx(f, rel=1e-13)
         grad = a @ c
-        assert np.linalg.norm(_unfold(a_s @ ch, parity, n + 1) - grad) <= \
+        assert np.linalg.norm(_unfold(a_p @ ch, n + 1) - grad) <= \
             1e-11 * np.linalg.norm(grad)
 
     @pytest.mark.parametrize("name, n", [
@@ -1057,7 +1067,8 @@ class TestParitySectors:
 
     @pytest.mark.parametrize("parity", [1, -1])
     def test_complex_sector_start(self, monkeypatch, parity):
-        # a chirped sine profile, times m for the odd sector.  (From random
+        # a chirped sine profile, times m for an odd start (Jc = -c): either
+        # way |c| is even, so the run is on the even sector.  (From random
         # sector vectors the first steps' eigenvectors are ill-conditioned,
         # and the two F sequences drift apart by up to 2e-10 there.)
         n = 41
@@ -1065,13 +1076,39 @@ class TestParitySectors:
         m = np.arange(n + 1) - n / 2.0
         c = qcore.sine_profile_state(n).amplitudes * np.exp(0.3j * m * m)
         c = c if parity > 0 else m * c
+        assert np.allclose(c[::-1], parity * c, rtol=0, atol=1e-12)
         cfg = IterationConfig(initial_state=SymmetricPureState(n, c, normalize=True),
                               polish=False)
         split = maximize_qfi_over_states(n, build(n), cfg)
         full = _full_space(monkeypatch, n, build, cfg)
-        assert split.parity != 0 and split.final_state.amplitudes.dtype == complex
+        assert split.parity == 1 and full.parity == 0
         assert len(split.qfi_values) == len(full.qfi_values)
         assert np.allclose(split.qfi_values, full.qfi_values, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("noise, n", [(CollectiveDephasing(0.27), 41), (Loss(0.7), 12)],
+                             ids=["collective-0.27", "loss-0.7"])
+    @pytest.mark.parametrize("kind", ["complex", "mixed-sign", "odd"])
+    def test_start_runs_as_its_modulus(self, noise, n, kind):
+        # F and A are covariant under diagonal unitaries, so a start runs as
+        # |c|, bit for bit: on the even sector (collective) and in the full
+        # space with the one-pair eigensolve (loss)
+        channel = channel_blocks(noise, n)
+        rng = np.random.default_rng(3)
+        m = np.arange(n + 1) - n / 2.0
+        c = qcore.sine_profile_state(n).amplitudes.real
+        c = {"complex": c * np.exp(2j * np.pi * rng.random(n + 1)),
+             "mixed-sign": c * rng.choice([-1.0, 1.0], n + 1),
+             "odd": m * c}[kind]
+        start = SymmetricPureState(n, c, normalize=True)
+        modulus = SymmetricPureState(n, np.abs(start.amplitudes))
+        got, ref = (maximize_qfi_over_states(
+            n, channel, IterationConfig(max_iters=30, initial_state=s))
+            for s in (start, modulus))
+        assert got.parity == ref.parity == (noise != Loss(0.7))
+        assert np.array_equal(got.qfi_values, ref.qfi_values)
+        assert got.qfi == ref.qfi and got.polish_evals == ref.polish_evals
+        assert np.array_equal(got.residual, ref.residual)
+        assert np.array_equal(got.final_state.amplitudes, ref.final_state.amplitudes)
 
     @pytest.mark.parametrize("n", [1, 2, 40])
     @pytest.mark.parametrize("noise", [LocalDephasing(0.0), LocalDephasing(1.0),
