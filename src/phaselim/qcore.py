@@ -99,14 +99,14 @@ WEIGHT_FLOOR = 1e-280        # rank-one branches with numerically zero weight ar
 RANK_ONE_CHUNK = 1024        # rank-one branches per pass of the batched step
 STACK_PAD_CUBES = 10_000     # most padding D^3 - d^3 a dense block takes in a size class
 # Fewest input amplitudes N + 1 solved on the arm-swap sectors.  Step plus
-# see-saw move on the sectors against the stacked full step (one BLAS
-# thread on a 2-core Xeon): under dephasing the sectors took 1.4x as long
-# at N + 1 = 32 and broke even at N + 1 ~ 44-48, since the full step
-# stacks the small blocks and the sector step does not; under collective
-# dephasing, with or without a prior (one block), they broke even at
-# N + 1 ~ 16-20 and took 0.7-0.8x at 32.  It stays 32: a larger value would
-# move rows of the README plateau scan (N >= 40) off the sectors and change
-# their last bits
+# see-saw move on the sectors against the stacked full step (min of 80, one
+# BLAS thread on one vCPU of a 2-core Xeon): under dephasing 0.7 the sectors
+# took 1.3-2.9x as long at N + 1 = 16..31, 1.0-1.15x at 32..36 and
+# 0.6-0.95x at 40..64, since the full step stacks the small blocks and the
+# sector step does not; under collective dephasing 0.02 with a prior of
+# width 0.5 (one block) 0.5-0.75x at 16..33 and 0.3-0.5x above.  It stays
+# 32: a larger value would move rows of the README plateau scan (N >= 40)
+# off the sectors and change their last bits
 _SECTOR_MIN_DIM = 32
 _SQRT_HALF = math.sqrt(0.5)
 _TINY = np.finfo(float).tiny

@@ -21,14 +21,15 @@ Every channel here has Kraus operators diagonal in n, which commute with
 the generator, so F(Dc) = F(c) and A(Dc) = D A(c) D^H for every diagonal
 unitary D: a run from c is the run from |c| conjugated by D.  So the loop
 starts from |c| and runs on real vectors, and the returned state is the
-modulus of the best iterate, entrywise >= 0.  When |c| is also arm-swap
-even (J: m -> -m, J|c| = |c| to 1e-12 of |c|) and the channel has a
-`parity_split` (centred dense blocks only: local or collective dephasing,
-with or without a prior), the run stays in the even sector: each step is
-`qcore._sector_qfi`, which returns A's even block A+, each move is A+'s
-lowest eigenvector v, and the polish runs on the half vector.  F stays
-monotone, because F(v) >= -<v|A+|v> >= -<c|A+|c> = F(c).  Any other start
-or channel runs in the full space.
+modulus of the best iterate, entrywise >= 0.  F depends on c through
+p = |c|^2 alone, concavely (Escher, de Matos Filho & Davidovich, Nat. Phys.
+7, 406 (2011)), and every channel commutes with the arm swap J: n -> N - n,
+so sqrt((p + Jp)/2) never lowers F.  On a channel with a `parity_split`
+(centred dense blocks: local or collective dephasing, any prior) a run
+starts there and stays in the even sector: each step is `_sector_qfi`,
+which returns A's even block A+, each move is A+'s lowest eigenvector v,
+and the polish runs on the half vector; F(v) >= -<v|A+|v> >= -<c|A+|c> =
+F(c).  Every other channel runs in the full space.
 
 The map's contraction rate approaches one on flat landscapes (narrow
 collective dephasing is the worst case).  With `IterationConfig.polish`,
@@ -110,8 +111,8 @@ class OptimizationTrace:
     residual <= STATIONARITY_RTOL for a polished run and the loop's tail
     test otherwise (true on a phase-blind channel).  `final_state` holds
     real amplitudes >= 0 (see the module docstring).  `parity` is 1 when
-    the run was solved on the even sector's half-size blocks and 0 when it
-    ran in the full space.
+    the run was solved on the even sector (the channel has a `parity_split`)
+    and 0 when it ran in the full space.
     """
 
     qfi_values: np.ndarray
@@ -134,11 +135,12 @@ def _iteration_step(channel: Channel, c: np.ndarray):
     return _channel_qfi(channel, c, a_out), a_out
 
 
-def _step(channel: Channel, sector: bool, c: np.ndarray):
-    """(F, A) at the real state c: on the sectors (`sector`) c holds the
-    even-sector coordinates and A is the even block A+, else c holds all
+def _step(channel: Channel, c: np.ndarray):
+    """(F, A) at the real state c: on a channel with a `parity_split` c holds
+    the even-sector coordinates and A is the even block A+, else c holds all
     N + 1 amplitudes and A is the full operator."""
-    return _sector_qfi(channel, c) if sector else _iteration_step(channel, c)
+    return (_iteration_step(channel, c) if channel.parity_split is None
+            else _sector_qfi(channel, c))
 
 
 def _residual(f: float, a: np.ndarray, c: np.ndarray) -> float:
@@ -176,8 +178,8 @@ def _lbfgs_direction(g: np.ndarray, pairs: np.ndarray, gamma: float) -> np.ndarr
     return gamma * (w @ y - g) - z @ s
 
 
-def _polish(channel: Channel, sector: bool, x: np.ndarray, f: float,
-            a: np.ndarray, max_evals: int):
+def _polish(channel: Channel, x: np.ndarray, f: float, a: np.ndarray,
+            max_evals: int):
     """L-BFGS ascent of F on the unit sphere from the real unit vector x,
     where F(x) = f and a is A at x as `_step` gives it.
 
@@ -198,7 +200,7 @@ def _polish(channel: Channel, sector: bool, x: np.ndarray, f: float,
         slope, t = g @ p, 1.0
         while evals < max_evals and t > 1e-10:
             x_new = (x + t * p) / np.linalg.norm(x + t * p)
-            f_new, a = _step(channel, sector, x_new)
+            f_new, a = _step(channel, x_new)
             evals += 1
             if f_new >= f - 1e-4 * t * slope:
                 break
@@ -225,9 +227,8 @@ def maximize_qfi_over_states(n: int, blocks: Channel,
 
     This is the engine behind `qfi_iterate`; the Bayesian module reuses it
     with prior-averaged channels.  The run starts from the modulus |c| of
-    the start's amplitudes; when |c| is arm-swap even (J|c| = |c| to 1e-12)
-    and the channel has a `parity_split`, it runs in the even sector's
-    coordinates, else in the full space.
+    the start's amplitudes, on a channel with a `parity_split` symmetrized to
+    sqrt((p + Jp)/2) and folded onto the even sector (module docstring).
     """
     cfg = cfg or IterationConfig()
     if blocks.n != n:
@@ -238,18 +239,16 @@ def maximize_qfi_over_states(n: int, blocks: Channel,
     elif start.n_particles != n:
         raise ValueError("initial state has the wrong particle number")
     c = np.abs(start.amplitudes)
-    c = c / np.linalg.norm(c)
-    sector = bool(np.linalg.norm(c - c[::-1]) <= 1e-12 * np.linalg.norm(c)
-                  and blocks.parity_split is not None)
+    sector = blocks.parity_split is not None
     if sector:
-        c = _sector_coordinates(c)
-        c = c / np.linalg.norm(c)
+        c = _sector_coordinates(np.sqrt(0.5 * (c * c + c[::-1] * c[::-1])))
+    c = c / np.linalg.norm(c)
     one_pair = len(blocks.amplitudes) > 1  # loss rows: their table loaded scipy
     history: List[float] = []
     best_f, best_c, best_a = -np.inf, c, None
     converged = False
     for _ in range(cfg.max_iters):
-        f, a = _step(blocks, sector, c)
+        f, a = _step(blocks, c)
         history.append(f)
         if f > best_f:
             best_f, best_c, best_a = f, c, a
@@ -276,7 +275,7 @@ def maximize_qfi_over_states(n: int, blocks: Channel,
         if best_r > STATIONARITY_RTOL:
             budget = cfg.polish_max_evals + cfg.max_iters - len(history)
             best_f, best_c, best_r, polish_evals = _polish(
-                blocks, sector, best_c, best_f, best_a, budget)
+                blocks, best_c, best_f, best_a, budget)
         converged = best_r <= STATIONARITY_RTOL
     if sector:
         best_c = _unfold(best_c, n + 1)

@@ -933,10 +933,12 @@ TRAJECTORY_CHANNELS = {
 
 
 class TestParitySectors:
-    """Runs start from |c|; when J|c| = |c| (J: n -> N - n) they solve on
+    """Runs start from |c|; on a channel with a `parity_split` they start
+    from its symmetrization sqrt((p + Jp)/2) (J: n -> N - n) and solve on
     the even sector's half-size blocks, and the full-space loop from the
-    same start is the same algorithm up to rounding.  Every other start
-    runs in the full space.  Every run returns real amplitudes >= 0."""
+    same even start is the same algorithm up to rounding.  Every other
+    channel runs in the full space.  Every run returns real amplitudes
+    >= 0."""
 
     @pytest.fixture(autouse=True)
     def _states_are_nonnegative(self, monkeypatch):
@@ -1048,27 +1050,78 @@ class TestParitySectors:
         amps = split.final_state.amplitudes
         assert amps.shape == (n + 1,) and np.array_equal(amps, amps[::-1])
 
+    # F depends on c through p = |c|^2 alone, concavely, and every channel
+    # commutes with J, so F(sqrt((p + Jp)/2)) >= (F(c) + F(Jc))/2 = F(c).
+    # The absolute floor is the spurious F (up to ~1e-16) that the dense
+    # dephasing step leaves at small eta (TestChannelExtensionBound)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(n=st.integers(1, 40), kind=st.sampled_from(
+               ["none", "dephasing", "loss", "collective"]),
+           strength=st.floats(0.0, 1.0), prior=st.sampled_from([0.0, 0.25]),
+           complex_=st.booleans(), seed=st.integers(0, 2 ** 16))
+    def test_symmetrization_never_lowers_f(self, n, kind, strength, prior,
+                                           complex_, seed):
+        noise = {"none": NoiseFree(), "dephasing": LocalDephasing(strength),
+                 "loss": Loss(strength),
+                 "collective": CollectiveDephasing(strength)}[kind]
+        channel = compose_collective(channel_blocks(noise, n), prior)
+        c = _random_amplitudes(n, seed, complex_)
+        p = np.abs(c) ** 2
+        f, _ = _iteration_step(channel, c)
+        f_sym, _ = _iteration_step(channel, np.sqrt(0.5 * (p + p[::-1])))
+        floor = 1e-14 if kind == "dephasing" else 1e-250
+        assert f_sym >= f * (1.0 - 1e-12) - floor
+
     @pytest.mark.parametrize("kind", ["perturbed", "complex"])
-    def test_asymmetric_start_runs_in_the_full_space(self, monkeypatch, kind):
+    def test_asymmetric_start_runs_from_its_symmetrization(self, kind):
+        # on a split channel the run from c is the run from sqrt((p + Jp)/2),
+        # p = |c|^2, up to the rounding of the normalization
         n = 40
-        build = TRAJECTORY_CHANNELS["collective-0.27"]
+        channel = TRAJECTORY_CHANNELS["collective-0.27"](n)
         rng = np.random.default_rng(5)
         c = qcore.sine_profile_state(n).amplitudes
         c = c + (1e-3 * rng.standard_normal(n + 1) if kind == "perturbed"
                  else 0.3j * rng.standard_normal(n + 1))
-        cfg = IterationConfig(initial_state=SymmetricPureState(n, c, normalize=True))
-        trace = maximize_qfi_over_states(n, build(n), cfg)
-        ref = _full_space(monkeypatch, n, build, cfg)
-        assert trace.parity == 0
-        assert np.array_equal(trace.qfi_values, ref.qfi_values)
-        assert np.array_equal(trace.final_state.amplitudes, ref.final_state.amplitudes)
-        assert (trace.qfi, trace.residual, trace.polish_evals) == \
-            (ref.qfi, ref.residual, ref.polish_evals)
+        start = SymmetricPureState(n, c, normalize=True)
+        p = np.abs(start.amplitudes) ** 2
+        symmetrized = SymmetricPureState(n, np.sqrt(0.5 * (p + p[::-1])),
+                                         normalize=True)
+        trace, ref = (maximize_qfi_over_states(
+            n, channel, IterationConfig(initial_state=s, polish=False))
+            for s in (start, symmetrized))
+        assert trace.parity == ref.parity == 1
+        assert len(trace.qfi_values) == len(ref.qfi_values)
+        assert np.allclose(trace.qfi_values, ref.qfi_values, rtol=1e-12, atol=0)
+
+    def test_warm_sweep_runs_on_the_sectors(self, monkeypatch):
+        # criterion 3's sweep, shortened: row 31's warm start inherits the
+        # arm-swap asymmetry of the full-space rows before it (|c - Jc| =
+        # 2.4e-11 |c|), yet every row with N + 1 >= _SECTOR_MIN_DIM runs on
+        # the sectors and reaches the full-space sweep's F
+        def sweep():
+            warm, rows = None, []
+            for n in range(26, 41):
+                init = qcore.resample_state(warm, n) if warm is not None else None
+                trace = qfi_iterate(n, LocalDephasing(0.7), IterationConfig(
+                    max_iters=3000, rel_tol=1e-9, initial_state=init, polish=False))
+                warm = trace.final_state
+                rows.append(trace)
+            return rows
+
+        split = sweep()
+        with monkeypatch.context() as mp:
+            mp.setattr(qcore, "_SECTOR_MIN_DIM", 42)  # above every N + 1 here
+            full = sweep()
+        for n, got, ref in zip(range(26, 41), split, full):
+            assert got.parity == (n + 1 >= qcore._SECTOR_MIN_DIM), n
+            assert ref.parity == 0
+            assert got.qfi == pytest.approx(ref.qfi, rel=1e-12), n
 
     @pytest.mark.parametrize("parity", [1, -1])
     def test_complex_sector_start(self, monkeypatch, parity):
         # a chirped sine profile, times m for an odd start (Jc = -c): either
-        # way |c| is even, so the run is on the even sector.  (From random
+        # way |c| is even, so its symmetrization is |c| itself and the run on
+        # the even sector follows the full-space run from |c|.  (From random
         # sector vectors the first steps' eigenvectors are ill-conditioned,
         # and the two F sequences drift apart by up to 2e-10 there.)
         n = 41
