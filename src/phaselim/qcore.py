@@ -54,12 +54,12 @@ one block per parity sector while M = diag(m) only couples the sectors.
 The optimizer needs only such even inputs, real and non-negative (see
 `qfi_opt`), so `_sector_qfi` runs the step in the even sector's
 coordinates (`_sector_coordinates`) on a channel of centred blocks only
-(local or collective dephasing, with or without a prior;
-`Channel.parity_split`) and returns the even block of A alone: every block
-costs two real eigensolves of about half its size, from weights folded
-once per channel.  Loss, whose patterns sit off the centre, runs in the
-full space with or without a prior, and so does any channel on fewer than
-_SECTOR_MIN_DIM input amplitudes.
+(local or collective dephasing, any prior, or no noise with a prior;
+`Channel.parity_split`) and returns the even block of A alone.  It stacks
+the folded blocks by the dense step's rule on their folded size, and a
+class costs one `eigh` per sector of about half its size.  Loss, whose
+patterns sit off the centre, and every channel with rank-one rows run in
+the full space.
 """
 
 from __future__ import annotations
@@ -98,16 +98,6 @@ COHERENCE_RTOL = 1e-4        # below this, a dense block's derivative is rotated
 WEIGHT_FLOOR = 1e-280        # rank-one branches with numerically zero weight are skipped
 RANK_ONE_CHUNK = 1024        # rank-one branches per pass of the batched step
 STACK_PAD_CUBES = 10_000     # most padding D^3 - d^3 a dense block takes in a size class
-# Fewest input amplitudes N + 1 solved on the arm-swap sectors.  Step plus
-# see-saw move on the sectors against the stacked full step (min of 80, one
-# BLAS thread on one vCPU of a 2-core Xeon): under dephasing 0.7 the sectors
-# took 1.3-2.9x as long at N + 1 = 16..31, 1.0-1.15x at 32..36 and
-# 0.6-0.95x at 40..64, since the full step stacks the small blocks and the
-# sector step does not; under collective dephasing 0.02 with a prior of
-# width 0.5 (one block) 0.5-0.75x at 16..33 and 0.3-0.5x above.  It stays
-# 32: a larger value would move rows of the README plateau scan (N >= 40)
-# off the sectors and change their last bits
-_SECTOR_MIN_DIM = 32
 _SQRT_HALF = math.sqrt(0.5)
 _TINY = np.finfo(float).tiny
 
@@ -282,33 +272,26 @@ class Channel:
         return self.amplitudes ** 2
 
     @cached_property
-    def parity_split(self) -> Optional[List["_SectorBlock"]]:
-        """The channel's blocks folded onto the arm-swap sectors for
-        `_sector_qfi`, less those of one entry (a single m: zero derivative,
-        nothing added to F or A); None, for the full space, on fewer than
-        _SECTOR_MIN_DIM input amplitudes, with rank-one rows, or with a block
-        off the centre (2 start + d - 1 != N: loss with a prior) or not
-        mirror-symmetric (W != W[::-1, ::-1] to 1e-12)."""
-        if self.n + 1 < _SECTOR_MIN_DIM or len(self.amplitudes) or not all(
+    def parity_split(self) -> Optional[List["_SectorStack"]]:
+        """The blocks of `size_classes`, by folded size, folded onto the
+        arm-swap sectors for `_sector_qfi`; None, for the full space, with
+        rank-one rows, or with a block off the centre (2 start + d - 1 != N:
+        loss with a prior) or not mirror-symmetric (W != W[::-1, ::-1] to
+        1e-12)."""
+        if len(self.amplitudes) or not all(
                 2 * blk.start + len(blk.m) - 1 == self.n
                 and np.max(np.abs(blk.weight - blk.weight[::-1, ::-1])) <= 1e-12
                 for blk in self.blocks):
             return None
-        return [_SectorBlock.fold(blk) for blk in self.blocks if len(blk.m) > 1]
+        return [_SectorStack.fold(self.n, group) for group in
+                _size_classes(self.blocks, lambda b: len(b.m) - len(b.m) // 2)]
 
     @cached_property
     def size_classes(self) -> List["_BlockStack"]:
-        """The blocks of two or more entries, largest first, as the stacks
-        of `_channel_qfi`: a class of largest size D takes the next smaller
-        block of size d while D^3 - d^3 <= STACK_PAD_CUBES."""
-        classes: List[List[ChannelBlock]] = []
-        for blk in sorted((b for b in self.blocks if len(b.m) > 1),
-                          key=lambda b: -len(b.m)):
-            if (not classes
-                    or len(classes[-1][0].m) ** 3 - len(blk.m) ** 3 > STACK_PAD_CUBES):
-                classes.append([])
-            classes[-1].append(blk)
-        return [_BlockStack.build(self.n, group) for group in classes]
+        """The blocks of two or more entries as the stacks of `_channel_qfi`
+        (`_size_classes` by block size)."""
+        return [_BlockStack.build(self.n, group)
+                for group in _size_classes(self.blocks, lambda b: len(b.m))]
 
     def dense_blocks(self) -> List[ChannelBlock]:
         """Every block in dense form: the dense blocks, then each row as the
@@ -320,6 +303,19 @@ class Channel:
             out.append(ChannelBlock((l0, l1), l0, full_m[win] - (l0 - l1) / 2.0,
                                     np.outer(b[win], b[win])))
         return out
+
+
+def _size_classes(blocks: List[ChannelBlock], size) -> List[List[ChannelBlock]]:
+    """The blocks of two or more entries (one entry: a single m, zero
+    derivative, nothing added to F or A), largest `size(blk)` first, in
+    classes: a class whose first block has size D takes the next smaller
+    block of size d while D^3 - d^3 <= STACK_PAD_CUBES."""
+    classes: List[List[ChannelBlock]] = []
+    for blk in sorted((b for b in blocks if len(b.m) > 1), key=lambda b: -size(b)):
+        if not classes or size(classes[-1][0]) ** 3 - size(blk) ** 3 > STACK_PAD_CUBES:
+            classes.append([])
+        classes[-1].append(blk)
+    return classes
 
 
 def _loss_table(n: int, eta: float):
@@ -653,67 +649,56 @@ def _unfold(ch: np.ndarray, d: int) -> np.ndarray:
 
 
 @dataclass
-class _SectorBlock:
-    """A centred dense block (2 start + d - 1 = N) folded onto the sectors.
+class _SectorStack:
+    """The centred dense blocks (2 start + d - 1 = N) of one size class,
+    folded onto the sectors and stacked for `_sector_qfi`.
 
-    Its even-sector coordinates are the trailing slice start: of the global
-    ones.  `m` holds its first h = d // 2 generator eigenvalues, centred, so
-    that the rest are their negatives in reverse (and the middle one of odd
-    d is 0).  For an even input with sector coordinates c_s, sigma's sector
-    blocks are W+ o c_s c_s^T in the even sector and W- o c_s c_s^T (over
-    the first h coordinates) in the odd one: `plus` holds W+ ((d - h)
-    square) and `minus` W- (h square), which are (D +- C)/2 on the first h
-    coordinates (see `_mirror_parts`).  The derivative's block k+- is
-    k o c_s c_s^T there, with `k` = ((m_i - m_j) D - (m_i + m_j) C)/2
-    precomputed, so that it is not the difference m sigma- - sigma+ m of
-    two nearly equal diagonals.
+    A block's even-sector coordinates are the trailing slice start: of the
+    global ones (the h = d // 2 it shares with the odd sector, then the
+    middle one of odd d), so it is zero-extended at the front to the class's
+    widest window lo:, and `pad` marks its first start - lo coordinates.
+    `m` holds its first h generator eigenvalues, centred, and `span`
+    m_max - m_min.  For an even input with sector coordinates c_s, sigma's
+    sector blocks are `plus` o c_s c_s^T and `minus` o c_s c_s^T (the first
+    h coordinates), (D +- C)/2 there (`_mirror_parts`), and the derivative's
+    block is `k` o c_s c_s^T, with k = ((m_i - m_j) D - (m_i + m_j) C)/2,
+    not a difference of two nearly equal diagonals, and -W+ m on odd d's
+    middle row.
     """
 
-    start: int
+    lo: int
     m: np.ndarray
+    span: np.ndarray
     plus: np.ndarray
     minus: np.ndarray
     k: np.ndarray
+    pad: np.ndarray
 
     @classmethod
-    def fold(cls, blk: ChannelBlock) -> "_SectorBlock":
-        h = len(blk.m) // 2
-        plus, minus = _fold(blk.weight)
-        plus[:h, :h] *= 0.5
-        plus[:h, h:] *= _SQRT_HALF
-        plus[h:, :h] *= _SQRT_HALF
-        diag, cross = _mirror_parts(blk.weight)
-        m = blk.m[:h] - 0.5 * (blk.m[0] + blk.m[-1])
-        return cls(blk.start, m, plus, 0.5 * minus,
-                   0.5 * (m[:, None] - m) * diag - 0.5 * (m[:, None] + m) * cross)
-
-
-def _sector_sld(m: np.ndarray, sp: np.ndarray, sm: np.ndarray, k: np.ndarray):
-    """One folded block's share of the step, from sigma's real sector blocks
-    sp (even) and sm (odd) and the derivative's block k = k+-: returns
-    (F_b, y+, y-).
-
-    M = diag(m) anticommutes with J, so in the sector basis it only couples
-    the sectors, through M+- = diag(m) (with a zero middle row when sp has
-    one more row than sm), and so do the derivative and the SLD.  Hence
-    kp+- is `_eigenbasis_derivative` of k+- = M+- sigma- - sigma+ M+-,
-    from the odd sector (columns) to the even one (rows), with span -2 m_0,
-    and lmat+- = V+ lt V-^T.  The sector blocks of
-    y = lmat lmat^T - 2 (M lmat - lmat M) follow with lmat-+ = -lmat+-^T.
-    """
-    h = len(m)
-    lp, vp = np.linalg.eigh(sp)
-    lm, vm = np.linalg.eigh(sm)
-    kp = _eigenbasis_derivative(m, -2.0 * m[0], k, lp, vp, lm, vm)
-    f, lt = _sld_kernel(lp, kp, lm)
-    lmat = vp @ lt @ vm.T
-    g = lmat * m
-    yp = lmat @ lmat.T
-    yp[:, :h] += 2.0 * g
-    yp[:h] += 2.0 * g.T
-    g = m[:, None] * lmat[:h]
-    ym = lmat.T @ lmat - 2.0 * (g + g.T)
-    return 2.0 * f, yp, ym
+    def fold(cls, n: int, blocks: List[ChannelBlock]) -> "_SectorStack":
+        lo = min(blk.start for blk in blocks)
+        q = (n + 1) // 2 - lo
+        p = n + 1 - 2 * lo - q
+        m = np.zeros((len(blocks), q))
+        plus = np.zeros((len(blocks), p, p))
+        minus = np.zeros((len(blocks), q, q))
+        k = np.zeros((len(blocks), p, q))
+        for b, blk in enumerate(blocks):
+            o, h = blk.start - lo, len(blk.m) // 2
+            plus_b, minus_b = _fold(blk.weight)
+            plus_b[:h, :h] *= 0.5
+            plus_b[:h, h:] *= _SQRT_HALF
+            plus_b[h:, :h] *= _SQRT_HALF
+            diag, cross = _mirror_parts(blk.weight)
+            m[b, o:] = m_b = blk.m[:h] - 0.5 * (blk.m[0] + blk.m[-1])
+            plus[b, o:, o:] = plus_b
+            minus[b, o:, o:] = 0.5 * minus_b
+            k[b, o:q, o:] = 0.5 * ((m_b[:, None] - m_b) * diag
+                                   - (m_b[:, None] + m_b) * cross)
+            k[b, q:, o:] = -plus_b[h:, :h] * m_b
+        pad = np.arange(p) < np.array([blk.start - lo for blk in blocks])[:, None]
+        # a row's first nonzero m, -span / 2, is its minimum
+        return cls(lo, m, -2.0 * m.min(axis=1), plus, minus, k, pad)
 
 
 def _sector_qfi(channel: Channel, ch: np.ndarray):
@@ -722,27 +707,39 @@ def _sector_qfi(channel: Channel, ch: np.ndarray):
 
     `ch` holds the input's even-sector coordinates (see
     `_sector_coordinates`).  Returns (F, A+) with A+ the even-sector block
-    of A, which commutes with J.  Each block costs two eigensolves of about
-    half its size, since sigma has a block in each sector.
+    of A, which commutes with J.  Each size class (`_SectorStack`) is one
+    `eigh` per sector and one call per stage; as in `_channel_qfi`, pad
+    coordinates get -tr sigma_b on their diagonals.  M = diag(m)
+    anticommutes with J, so it only couples the sectors, through M+- =
+    diag(m) (with a zero middle row for odd N + 1), and so do k and the SLD:
+    kp+- is `_eigenbasis_derivative` of k+- from the odd sector (columns)
+    to the even one (rows), lmat+- = V+ lt V-^T and lmat-+ = -lmat+-^T.
     """
-    d = channel.n + 1
-    h = d // 2
-    a_p = np.zeros((d - h, d - h))
+    a_p = np.zeros((len(ch), len(ch)))
     f = 0.0
-    for blk in channel.parity_split:
-        cs = ch[blk.start:]
-        hb = len(blk.m)
-        cc = np.outer(cs, cs)
-        core = cc[:hb, :hb]
-        sp, sm = blk.plus * cc, blk.minus * core
-        k = np.empty((len(sp), hb))
-        k[:hb] = blk.k * core
-        k[hb:] = -sp[hb:, :hb] * blk.m
-        f_b, yp, ym = _sector_sld(blk.m, sp, sm, k)
-        f += f_b
-        a_p[blk.start:, blk.start:] += blk.plus * yp
-        a_p[blk.start:h, blk.start:h] += blk.minus * ym
-    return float(f), a_p
+    for st in channel.parity_split:
+        q = st.m.shape[1]
+        cc = np.outer(ch[st.lo:], ch[st.lo:])
+        sp, sm = st.plus * cc, st.minus * cc[:q, :q]
+        diag_p, diag_m = np.einsum("bii->bi", sp), np.einsum("bii->bi", sm)
+        shift = st.pad * (diag_p.sum(axis=1) + diag_m.sum(axis=1))[:, None]
+        diag_p -= shift
+        diag_m -= shift[:, :q]
+        lp, vp = np.linalg.eigh(sp)
+        lm, vm = np.linalg.eigh(sm)
+        kp = _eigenbasis_derivative(st.m, st.span, st.k * cc[:, :q], lp, vp, lm, vm)
+        f_b, lt = _sld_kernel(lp, kp, lm)
+        f += 2.0 * float(f_b.sum())
+        lmat = vp @ lt @ _adjoint(vm)
+        g = lmat * st.m[:, None, :]
+        yp = lmat @ _adjoint(lmat)
+        yp[:, :, :q] += 2.0 * g
+        yp[:, :q] += 2.0 * _adjoint(g)
+        g = st.m[:, :, None] * lmat[:, :q]
+        ym = _adjoint(lmat) @ lmat - 2.0 * (g + _adjoint(g))
+        a_p[st.lo:, st.lo:] += (st.plus * yp).sum(axis=0)
+        a_p[st.lo:st.lo + q, st.lo:st.lo + q] += (st.minus * ym).sum(axis=0)
+    return f, a_p
 
 
 def state_qfi(state: SymmetricPureState, noise: NoiseModel) -> float:

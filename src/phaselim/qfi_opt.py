@@ -25,11 +25,12 @@ modulus of the best iterate, entrywise >= 0.  F depends on c through
 p = |c|^2 alone, concavely (Escher, de Matos Filho & Davidovich, Nat. Phys.
 7, 406 (2011)), and every channel commutes with the arm swap J: n -> N - n,
 so sqrt((p + Jp)/2) never lowers F.  On a channel with a `parity_split`
-(centred dense blocks: local or collective dephasing, any prior) a run
-starts there and stays in the even sector: each step is `_sector_qfi`,
-which returns A's even block A+, each move is A+'s lowest eigenvector v,
-and the polish runs on the half vector; F(v) >= -<v|A+|v> >= -<c|A+|c> =
-F(c).  Every other channel runs in the full space.
+(centred dense blocks only, at every N: local or collective dephasing,
+any prior, or no noise with a prior) a run starts there and stays in the
+even sector: each step is `_sector_qfi`, which returns A's even block A+,
+each move is A+'s lowest eigenvector v, and the polish runs on the half
+vector; F(v) >= -<v|A+|v> >= -<c|A+|c> = F(c).  Every other channel runs
+in the full space.
 
 The map's contraction rate approaches one on flat landscapes (narrow
 collective dephasing is the worst case).  With `IterationConfig.polish`,

@@ -18,7 +18,7 @@ from phaselim.qcore import (Channel, CollectiveDephasing, LocalDephasing, Loss,
                             compose_collective, fidelity_qfi_check, m_grid,
                             noon_state, product_plus_state, resample_state,
                             sine_profile_state, state_qfi, _loss_table)
-from phaselim.qcore import (_SECTOR_MIN_DIM, ChannelBlock, _channel_qfi, _fold,
+from phaselim.qcore import (ChannelBlock, _channel_qfi, _fold,
                             _phase_shift, _unfold, _sector_coordinates)
 from references import block_sld, loss_qfi
 
@@ -666,26 +666,27 @@ class TestArmSwapSymmetry:
             assert np.array_equal(mate.m, -blk.m[::-1])
 
     def test_parity_split(self):
-        n = 2 * _SECTOR_MIN_DIM
-        # every centred block of two or more entries is folded; the one-entry
-        # block j = 0 of even N adds nothing (test_one_entry_block_adds_nothing)
+        n = 64
+        # every centred block of two or more entries is folded, once; the
+        # one-entry block j = 0 of even N adds nothing
+        # (test_one_entry_block_adds_nothing).  A stacked block starts at
+        # the stack's lo plus its pad count
         channel = channel_blocks(LocalDephasing(0.7), n)
         folded = channel.parity_split
         assert any(len(b.m) == 1 for b in channel.blocks)
-        assert sorted((b.start, len(b.m) + len(b.plus)) for b in folded) == \
-            sorted((b.start, len(b.m)) for b in channel.blocks if len(b.m) > 1)
-        # on N + 1 >= _SECTOR_MIN_DIM amplitudes every channel is split, except
-        # those with rank-one rows and loss with a prior, whose off-centre
-        # loss patterns keep it in the full space (at eta = 1 only the
-        # centred pattern (0, 0) is left)
+        starts = [stack.lo + int(o) for stack in folded for o in stack.pad.sum(axis=1)]
+        assert sorted(starts) == sorted(b.start for b in channel.blocks if len(b.m) > 1)
+        # every channel is split, except those with rank-one rows and loss
+        # with a prior, whose off-centre loss patterns keep it in the full
+        # space (at eta = 1 only the centred pattern (0, 0) is left)
         for noise, prior, ch in _symmetric_channels(n):
             off = any(2 * b.start + len(b.m) - 1 != n for b in ch.blocks)
             assert off == (isinstance(noise, Loss) and noise.eta < 1.0 and prior > 0)
             assert (ch.parity_split is None) == (off or len(ch.amplitudes) > 0), \
                 (noise, prior)
-        # too few amplitudes to gain: the full space, whatever the blocks
-        assert channel_blocks(LocalDephasing(0.7), _SECTOR_MIN_DIM - 2).parity_split is None
-        assert channel_blocks(LocalDephasing(0.7), _SECTOR_MIN_DIM - 1).parity_split
+        # at every size, down to one centred block of two entries (N = 1)
+        for small_n in (1, 2):
+            assert channel_blocks(LocalDephasing(0.7), small_n).parity_split
         # one narrow centred block is folded; not symmetric, or mixed with
         # rank-one rows: the full space
         small = min((b for b in channel.blocks if len(b.m) > 1), key=lambda b: len(b.m))

@@ -10,7 +10,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from phaselim import cli, oracles, qcore, qfi_opt
 from phaselim.bayes import gaussian_prior_solve
@@ -918,11 +918,17 @@ def _even_vector(n, seed):
     return c / np.linalg.norm(c)
 
 
+def _no_split(mp):
+    """Make every channel built under the monkeypatch context `mp` report no
+    parity split, so that it runs in the full space."""
+    mp.setattr(qcore.Channel, "parity_split", property(lambda self: None))
+
+
 def _full_space(monkeypatch, n, build, cfg):
-    """The run of `maximize_qfi_over_states` that the full-space loop makes:
-    with a size constant above N + 1 no channel has a parity split."""
+    """The run of `maximize_qfi_over_states` that the full-space loop makes
+    on the same channel."""
     with monkeypatch.context() as mp:
-        mp.setattr(qcore, "_SECTOR_MIN_DIM", n + 2)
+        _no_split(mp)
         return maximize_qfi_over_states(n, build(n), cfg)
 
 
@@ -968,20 +974,21 @@ class TestParitySectors:
                ["none", "dephasing", "loss", "collective"]),
            strength=st.floats(0.0, 1.0), prior=st.sampled_from([0.0, 0.25]),
            seed=st.integers(0, 2 ** 16))
+    # nearly diagonal blocks with a middle coordinate (even N): the rotated
+    # derivative, which reads the stacks' middle row of k
+    @example(n=2, kind="dephasing", strength=1e-3, prior=0.0, seed=0)
+    @example(n=30, kind="dephasing", strength=1e-5, prior=0.25, seed=1)
     def test_sector_step_matches_full_step(self, n, kind, strength, prior, seed):
         noise = {"none": NoiseFree(), "dephasing": LocalDephasing(strength),
                  "loss": Loss(strength),
                  "collective": CollectiveDephasing(strength)}[kind]
-        with pytest.MonkeyPatch.context() as mp:
-            # split channels of every size
-            mp.setattr(qcore, "_SECTOR_MIN_DIM", 2)
-            channel = compose_collective(channel_blocks(noise, n), prior)
-            if channel.parity_split is None:
-                # rank-one rows, or the off-centre patterns of loss with a
-                # prior: the full space
-                assert len(channel.amplitudes) or \
-                    (kind == "loss" and prior and strength < 1.0)
-                return
+        channel = compose_collective(channel_blocks(noise, n), prior)
+        if channel.parity_split is None:
+            # rank-one rows, or the off-centre patterns of loss with a
+            # prior: the full space
+            assert len(channel.amplitudes) or \
+                (kind == "loss" and prior and strength < 1.0)
+            return
         c = _even_vector(n, seed)
         ch = _sector_coordinates(c)
         floor, slack = 1e-250, 0.0
@@ -1017,8 +1024,27 @@ class TestParitySectors:
         assert np.linalg.norm(_unfold(a_p @ ch, n + 1) - grad) <= \
             1e-11 * np.linalg.norm(grad)
 
+    @pytest.mark.parametrize("prior", [0.0, 0.25])
+    def test_stacks_match_the_blocks_one_by_one(self, prior):
+        # dephasing 0.7 at N = 60: the small folded blocks share size classes,
+        # each zero-extended at the front to its class's widest window; the
+        # stacked step is the sum of the one-block steps
+        n = 60
+        channel = compose_collective(channel_blocks(LocalDephasing(0.7), n), prior)
+        assert any(len(set(stack.pad.sum(axis=1))) > 1 for stack in channel.parity_split)
+        ch = _sector_coordinates(_even_vector(n, 4))
+        f, a_p = _sector_qfi(channel, ch)
+        f_ref, a_ref = 0.0, np.zeros_like(a_p)
+        for blk in channel.blocks:
+            f_b, a_b = _sector_qfi(Channel.dense(n, [blk]), ch)
+            f_ref += f_b
+            a_ref += a_b
+        assert f == pytest.approx(f_ref, rel=1e-13)
+        assert np.max(np.abs(a_p - a_ref)) <= 1e-13 * np.max(np.abs(a_ref))
+
     @pytest.mark.parametrize("name, n", [
-        ("dephasing-0.7", 40), ("dephasing-0.7", 120), ("collective-0.27", 40),
+        ("dephasing-0.7", 5), ("dephasing-0.7", 20), ("dephasing-0.7", 40),
+        ("dephasing-0.7", 120), ("collective-0.27", 5), ("collective-0.27", 40),
         ("collective-0.27", 120)])
     def test_same_trajectory_as_the_full_space(self, monkeypatch, name, n):
         # loss with a prior has no split (TestArmSwapSymmetry::test_parity_split)
@@ -1094,10 +1120,9 @@ class TestParitySectors:
         assert np.allclose(trace.qfi_values, ref.qfi_values, rtol=1e-12, atol=0)
 
     def test_warm_sweep_runs_on_the_sectors(self, monkeypatch):
-        # criterion 3's sweep, shortened: row 31's warm start inherits the
-        # arm-swap asymmetry of the full-space rows before it (|c - Jc| =
-        # 2.4e-11 |c|), yet every row with N + 1 >= _SECTOR_MIN_DIM runs on
-        # the sectors and reaches the full-space sweep's F
+        # criterion 3's sweep, shortened: every row runs on the sectors from
+        # the symmetrization of its warm start and reaches the full-space
+        # sweep's F
         def sweep():
             warm, rows = None, []
             for n in range(26, 41):
@@ -1110,10 +1135,10 @@ class TestParitySectors:
 
         split = sweep()
         with monkeypatch.context() as mp:
-            mp.setattr(qcore, "_SECTOR_MIN_DIM", 42)  # above every N + 1 here
+            _no_split(mp)
             full = sweep()
         for n, got, ref in zip(range(26, 41), split, full):
-            assert got.parity == (n + 1 >= qcore._SECTOR_MIN_DIM), n
+            assert got.parity == 1, n
             assert ref.parity == 0
             assert got.qfi == pytest.approx(ref.qfi, rel=1e-12), n
 
@@ -1171,9 +1196,8 @@ class TestParitySectors:
         trace = qfi_iterate(n, noise)
         full = _full_space(monkeypatch, n, lambda k: channel_blocks(noise, k),
                            IterationConfig())
-        # a dense block as wide as the input exists above the size constant;
-        # loss has rank-one rows only
-        assert (trace.parity != 0) == (n >= 40 and not isinstance(noise, Loss))
+        # every dense channel is split at every N; loss has rank-one rows only
+        assert trace.parity == (not isinstance(noise, Loss))
         if phase_blind:
             assert trace.qfi == 0.0 == full.qfi and trace.converged
         else:
@@ -1182,7 +1206,7 @@ class TestParitySectors:
         # composed with a prior, loss too becomes dense (centred when l0 = l1)
         cost, prior_trace = gaussian_prior_solve(n, 0.5, noise)
         with monkeypatch.context() as mp:
-            mp.setattr(qcore, "_SECTOR_MIN_DIM", n + 2)
+            _no_split(mp)
             cost_full, _ = gaussian_prior_solve(n, 0.5, noise)
-        assert (prior_trace.parity != 0) == (n >= 40 and noise != Loss(0.0))
+        assert prior_trace.parity == (noise != Loss(0.0))
         assert cost == pytest.approx(cost_full, rel=1e-12)
