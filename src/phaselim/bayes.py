@@ -128,6 +128,8 @@ class IndefiniteBound:
 def _m_offdiagonal(n: int, noise: NoiseModel) -> np.ndarray:
     """Super-diagonal of the covariant cost matrix M (length N+1 - 1): the
     summed superdiagonals of the channel's block weights."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     channel = qcore.channel_blocks(noise, n)
     b = channel.amplitudes
     off = np.einsum("si,si->i", b[:, :-1], b[:, 1:])
@@ -139,8 +141,6 @@ def _m_offdiagonal(n: int, noise: NoiseModel) -> np.ndarray:
 def covariant_m_matrix(n: int, noise: NoiseModel) -> np.ndarray:
     """The (N+1)x(N+1) symmetric tridiagonal matrix whose largest eigenvalue
     determines the optimal flat-prior covariant cost."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     off = _m_offdiagonal(n, noise)
     return np.diag(off, 1) + np.diag(off, -1)
 
@@ -179,6 +179,8 @@ def gaussian_prior_solve(n: int, delta0: Union[float, GaussianPrior],
     inputs, and the duality cost = delta0 sqrt(1 - delta0^2 F) converts it
     to a cost.  The trace carries F, the optimal input state, `converged`
     and the stationarity residual.  `delta0` may be a `GaussianPrior`."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     prior = delta0 if isinstance(delta0, GaussianPrior) else GaussianPrior(delta0)
     delta0 = prior.delta0
     blocks = qcore.compose_collective(qcore.channel_blocks(noise, n), delta0 ** 2)

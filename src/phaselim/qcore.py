@@ -30,9 +30,12 @@ symmetric logarithmic derivatives and the QFI all stay blockwise.  One SLD
 kernel, which works in the block's eigenbasis, serves `state_qfi`, the
 optimizer's dense step and the sector step, and one rule,
 `_eigenbasis_derivative`, gives both steps the derivative dm o sigma in that
-basis: X Lam - Lam X with X = V^H diag(m) V, which takes one GEMM and keeps
+basis: X Lam - Lam X with X = V^T diag(m) V, which takes one GEMM and keeps
 the rounding of each entry proportional to its eigenvalue gap, or, for a
 nearly diagonal block, dm o sigma rotated.  Both take a leading batch axis.
+All of them run on real arrays: the optimizer's states are real, and
+`state_qfi` evaluates |c|, since a diagonal unitary commutes with every
+channel here and with the generator and so leaves F unchanged.
 
 The dense step, `_channel_qfi`, runs a channel's blocks by size class
 (`Channel.size_classes`, built once per channel on first use): the blocks
@@ -41,11 +44,9 @@ block of size d while D^3 - d^3 <= STACK_PAD_CUBES for its largest size D,
 so that the padding's extra eigensolve work stays below about one `eigh`
 call's overhead.  A class is one stack, the smaller blocks zero-padded to D,
 and costs one `eigh` and one set of array operations however many blocks
-it holds.  A pad coordinate gets -tr sigma_b on its diagonal, an eigenvalue
-that the support cut drops, so it cannot mix with sigma_b's null space.
-Under local dephasing the blocks of N + 1 >= 43 entries stay alone and the
-smaller ones share classes; equal-size blocks (loss under a prior) stack
-with no padding.
+it holds.  Under local dephasing the blocks of N + 1 >= 43 entries stay
+alone and the smaller ones share classes; equal-size blocks (loss under a
+prior) stack with no padding.
 
 Every channel here commutes with the arm swap J: n -> N - n (m -> -m).  A
 centred block (window symmetric about the middle of the grid) has
@@ -122,6 +123,8 @@ class SymmetricPureState:
         if amps.shape != (n_particles + 1,):
             raise ValueError(
                 f"expected {n_particles + 1} amplitudes, got shape {amps.shape}")
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("amplitudes must be finite")
         norm = np.linalg.norm(amps)
         if normalize:
             if norm == 0:
@@ -135,9 +138,6 @@ class SymmetricPureState:
     @property
     def m_values(self) -> np.ndarray:
         return np.arange(self.n_particles + 1) - self.n_particles / 2.0
-
-    def is_real(self) -> bool:
-        return bool(np.all(self.amplitudes.imag == 0.0))
 
     def __repr__(self) -> str:
         return f"SymmetricPureState(N={self.n_particles})"
@@ -171,9 +171,8 @@ def resample_state(state: SymmetricPureState, n: int) -> SymmetricPureState:
         return state
     old = (np.arange(state.n_particles + 1) + 1.0) / (state.n_particles + 2.0)
     new = (np.arange(n + 1) + 1.0) / (n + 2.0)
-    amps = np.interp(new, old, state.amplitudes.real).astype(complex)
-    if not state.is_real():
-        amps += 1j * np.interp(new, old, state.amplitudes.imag)
+    amps = (np.interp(new, old, state.amplitudes.real)
+            + 1j * np.interp(new, old, state.amplitudes.imag))
     nrm = np.linalg.norm(amps)
     if nrm == 0.0:
         raise ValueError("resampled state vanished")
@@ -416,24 +415,23 @@ def channel_output(state: SymmetricPureState,
 # ---------------------------------------------------------------------------
 
 
-def _adjoint(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose over the last two axes."""
-    return a.conj().swapaxes(-1, -2)
+def _transpose(a: np.ndarray) -> np.ndarray:
+    """Transpose over the last two axes."""
+    return a.swapaxes(-1, -2)
 
 
 def _sld_kernel(lam: np.ndarray, kp: np.ndarray,
                 lam_col: Optional[np.ndarray] = None):
-    """SLD of a Hermitian block in its eigenbasis, in the convention
+    """SLD of a real symmetric block in its eigenbasis, in the convention
     drho = i k, L = i lmat; leading axes of `lam` and `kp` index a stack of
     blocks, each with its own lambda_max.
 
-    `lam` holds the block's eigenvalues (ascending) and kp = V^H k V the
+    `lam` holds the block's eigenvalues (ascending) and kp = V^T k V the
     derivative in that basis.  Returns (tr(rho L^2), lt) with lmat =
-    V lt V^H, tr(rho L^2) per block of a stack; lt is real antisymmetric for
-    real input.  Matrix elements between eigenvectors whose eigenvalue sum
-    falls below EIG_SUPPORT_RTOL * lambda_max are set to zero (null-space
-    convention), and so are those below the smallest normal double, since
-    dividing a complex kp by a subnormal sum overflows.
+    V lt V^T, tr(rho L^2) per block of a stack; lt is real antisymmetric.
+    Matrix elements between eigenvectors whose eigenvalue sum falls below
+    EIG_SUPPORT_RTOL * lambda_max are set to zero (null-space convention),
+    and so are those below the smallest normal double.
 
     With `lam_col`, kp is the rectangular block between two invariant
     subspaces of rho with eigenvalues `lam` (rows) and `lam_col` (columns),
@@ -445,24 +443,24 @@ def _sld_kernel(lam: np.ndarray, kp: np.ndarray,
     top = np.maximum(lam[..., -1:, None], lam_col[..., None, -1:])
     mask = denom > np.maximum(EIG_SUPPORT_RTOL * top, _TINY)
     lt = np.where(mask, 2.0 * kp / np.where(mask, denom, 1.0), 0.0)
-    return (denom * lt * lt.conj()).sum(axis=(-2, -1)).real / 2.0, lt
+    return (denom * lt * lt).sum(axis=(-2, -1)) / 2.0, lt
 
 
 def _eigenbasis_derivative(m: np.ndarray, span: float, k: np.ndarray,
                            lr: np.ndarray, vr: np.ndarray,
                            lc: np.ndarray, vc: np.ndarray) -> np.ndarray:
     """The derivative k = M sigma - sigma M, M = diag(m), in sigma's
-    eigenbasis, as the block kp = vr^H k vc between two invariant subspaces
+    eigenbasis, as the block kp = vr^T k vc between two invariant subspaces
     of sigma with eigenpairs (lr, vr) (rows) and (lc, vc) (columns).
 
     M maps the column subspace into the first len(m) coordinates of the row
-    subspace, so kp = X lc - lr X with X = vr[:len(m)]^H diag(m) vc: one
+    subspace, so kp = X lc - lr X with X = vr[:len(m)]^T diag(m) vc: one
     GEMM instead of rotating k with two.  The rounding of each entry
     X_ij (lc_j - lr_i) scales with its eigenvalue gap, whereas a rotated k
     carries ~eps |k| in every entry, which swamps the pairs of small
     eigenvalues and held the see-saw's residual near 2e-7 under dephasing.
 
-    X lc - lr X is the derivative of V Lam V^H, which differs from sigma by
+    X lc - lr X is the derivative of V Lam V^T, which differs from sigma by
     the eigensolver's backward error, ~eps lambda_max.  When sigma is so
     nearly diagonal that every |k_ij| < COHERENCE_RTOL span lambda_max, with
     span = m_max - m_min over the whole block, that difference would swamp k
@@ -471,23 +469,23 @@ def _eigenbasis_derivative(m: np.ndarray, span: float, k: np.ndarray,
     (leading axes of every argument, `span` one value per block) the choice
     is made block by block.
     """
-    x = _adjoint(vr[..., :m.shape[-1], :]) @ (m[..., :, None] * vc)
+    x = _transpose(vr[..., :m.shape[-1], :]) @ (m[..., :, None] * vc)
     kp = x * (lc[..., None, :] - lr[..., :, None])
     rotate = np.abs(k).max(axis=(-2, -1)) < (
         COHERENCE_RTOL * span * np.maximum(lr[..., -1], lc[..., -1]))
     if rotate.any():
-        kp = np.where(rotate[..., None, None], _adjoint(vr) @ k @ vc, kp)
+        kp = np.where(rotate[..., None, None], _transpose(vr) @ k @ vc, kp)
     return kp
 
 
 def _rank_one_qfi(damping: np.ndarray, c: np.ndarray,
                   a_out: Optional[np.ndarray]) -> float:
-    """QFI of all rank-one branches at once, real or complex c.
+    """QFI of all rank-one branches at once.
 
     Branch s (damping row d = b*b) outputs the pure state psi = b c / sqrt(p),
     so its SLD is 2i(|a><psi| - |psi><a|) with a = (m - mbar) psi, and it
     adds 4 p |a|^2 to F.  Its Heisenberg-picture term is, with P = b psi,
-    Q = b a and R = b (m - mbar) a, 4(3 Q Q^H + |a|^2 P P^H - R P^H - P R^H);
+    Q = b a and R = b (m - mbar) a, 4(3 Q Q^T + |a|^2 P P^T - R P^T - P R^T);
     centring m on each branch mean mbar costs nothing, because a constant
     shift of the generator cancels.  Stacking the rows turns the sums over
     branches into two GEMMs.  Rows go in chunks of RANK_ONE_CHUNK to bound
@@ -496,7 +494,7 @@ def _rank_one_qfi(damping: np.ndarray, c: np.ndarray,
     n = damping.shape[1] - 1
     m = np.arange(n + 1) - n / 2.0
     f = 0.0
-    c2 = (c * c.conj()).real
+    c2 = c * c
     for lo in range(0, len(damping), RANK_ONE_CHUNK):
         d = damping[lo:lo + RANK_ONE_CHUNK]
         w = d * c2
@@ -512,8 +510,8 @@ def _rank_one_qfi(damping: np.ndarray, c: np.ndarray,
             continue
         pb = d * c / np.sqrt(p)[:, None]        # P
         q = mc * pb                             # Q
-        z = (pb * (0.5 * na2)[:, None] - mc * q).T @ pb.conj()
-        a_out += 4.0 * (3.0 * (q.T @ q.conj()) + z + z.conj().T)
+        z = (pb * (0.5 * na2)[:, None] - mc * q).T @ pb
+        a_out += 4.0 * (3.0 * (q.T @ q) + z + z.T)
     return f
 
 
@@ -522,18 +520,17 @@ class _BlockStack:
     """The dense blocks of one size class, zero-padded to the largest size D
     and stacked, so that `_channel_qfi` treats them with one call per stage.
 
-    Block b reads the input amplitudes `index[b]`: its window, then its
-    first amplitude again on each of its D - d pad coordinates.  `m` holds
-    its generator eigenvalues (0 on pads), `span` m_max - m_min, `weight` W
-    (0 on pad rows and columns) and `pad` marks its pad coordinates.
-    `target` holds the flat position in the (N + 1)^2 matrix A of every
-    entry of the stack (B D^2 of them), for one scatter-add."""
+    Block b reads the input amplitudes `index[b]`: its window, then any
+    in-range amplitudes on its D - d pad coordinates.  `m` holds its
+    generator eigenvalues (0 on pads), `span` m_max - m_min and `weight` W
+    (0 on pad rows and columns), so a pad is an exact null direction of
+    sigma_b.  `target` holds the flat position in the (N + 1)^2 matrix A of
+    every entry of the stack (B D^2 of them), for one scatter-add."""
 
     index: np.ndarray
     m: np.ndarray
     span: np.ndarray
     weight: np.ndarray
-    pad: np.ndarray
     target: np.ndarray
 
     @classmethod
@@ -544,34 +541,30 @@ class _BlockStack:
         for b, blk in enumerate(blocks):
             m[b, :len(blk.m)] = blk.m
             weight[b, :len(blk.m), :len(blk.m)] = blk.weight
-        pad = np.arange(d) >= np.array([len(blk.m) for blk in blocks])[:, None]
         start = np.array([blk.start for blk in blocks])[:, None]
         span = np.array([blk.m[-1] - blk.m[0] for blk in blocks])
-        index = np.where(pad, start, start + np.arange(d))
+        index = np.minimum(start + np.arange(d), n)
         target = (n + 1) * index[:, :, None] + index[:, None, :]
-        return cls(index, m, span, weight, pad, target.ravel())
+        return cls(index, m, span, weight, target.ravel())
 
 
 def _channel_qfi(channel: Channel, c: np.ndarray,
                  a_out: Optional[np.ndarray] = None) -> float:
-    """QFI of the channel output for input amplitudes c, real or complex.
+    """QFI of the channel output for real input amplitudes c.
 
     With `a_out`, also add into it the Heisenberg-picture operator
     A = channel_adjoint(L^2 - 2i [H, L]), for which <c|A|c> = -F; A is real
-    symmetric for real c, else Hermitian.
+    symmetric.
 
     The dense blocks run by size class (`Channel.size_classes`; a class of
     largest size D holds the blocks of size d with D^3 - d^3 <=
     STACK_PAD_CUBES that follow it in size).  Each class is one stack of
-    sigma_b = W_b o c_b c_b^H, zero-padded to D, and every stage below is one
+    sigma_b = W_b o c_b c_b^T, zero-padded to D, and every stage below is one
     call over the stack: sigma, its eigensolve, the derivative, the SLD
-    kernel, y = lmat lmat^H - 2 (M lmat - lmat M), W o y and the scatter-add
-    into A (`a_out` must be C-contiguous).  A pad coordinate gets
-    -tr sigma_b on its diagonal: an eigenvalue that sums with any of
-    sigma_b's to at most 0, below the support cut, so the pads drop out of
-    the SLD and cannot mix with sigma_b's own null space.  A block's
-    derivative k = dm o sigma = M sigma - sigma M enters the SLD kernel in
-    sigma's eigenbasis (`_eigenbasis_derivative`).
+    kernel, y = lmat lmat^T - 2 (M lmat - lmat M), W o y and the scatter-add
+    into A (`a_out` must be C-contiguous).  A block's derivative
+    k = dm o sigma = M sigma - sigma M enters the SLD kernel in sigma's
+    eigenbasis (`_eigenbasis_derivative`).
     """
     if a_out is not None and not a_out.flags.c_contiguous:
         raise ValueError("a_out must be C-contiguous")
@@ -579,17 +572,15 @@ def _channel_qfi(channel: Channel, c: np.ndarray,
     f = 0.0
     for st in channel.size_classes:
         cb = c[st.index]
-        sigma = st.weight * (cb[:, :, None] * cb.conj()[:, None, :])
-        diag = sigma.reshape(len(sigma), -1)[:, ::sigma.shape[-1] + 1]
-        diag -= st.pad * diag.sum(axis=1, keepdims=True).real
+        sigma = st.weight * (cb[:, :, None] * cb[:, None, :])
         lam, vec = np.linalg.eigh(sigma)
         k = (st.m[:, :, None] - st.m[:, None, :]) * sigma
         kp = _eigenbasis_derivative(st.m, st.span, k, lam, vec, lam, vec)
         f_b, lt = _sld_kernel(lam, kp)
         f += float(f_b.sum())
         if a_out is not None:
-            lmat = vec @ lt @ _adjoint(vec)
-            y = lmat @ _adjoint(lmat)
+            lmat = vec @ lt @ _transpose(vec)
+            y = lmat @ _transpose(lmat)
             y -= 2.0 * (st.m[:, :, None] * lmat - lmat * st.m[:, None, :])
             y *= st.weight
             np.add.at(a_flat, st.target, y.ravel())
@@ -656,14 +647,13 @@ class _SectorStack:
     A block's even-sector coordinates are the trailing slice start: of the
     global ones (the h = d // 2 it shares with the odd sector, then the
     middle one of odd d), so it is zero-extended at the front to the class's
-    widest window lo:, and `pad` marks its first start - lo coordinates.
-    `m` holds its first h generator eigenvalues, centred, and `span`
-    m_max - m_min.  For an even input with sector coordinates c_s, sigma's
-    sector blocks are `plus` o c_s c_s^T and `minus` o c_s c_s^T (the first
-    h coordinates), (D +- C)/2 there (`_mirror_parts`), and the derivative's
-    block is `k` o c_s c_s^T, with k = ((m_i - m_j) D - (m_i + m_j) C)/2,
-    not a difference of two nearly equal diagonals, and -W+ m on odd d's
-    middle row.
+    widest window lo:.  `m` holds its first h generator eigenvalues,
+    centred, and `span` m_max - m_min.  For an even input with sector
+    coordinates c_s, sigma's sector blocks are `plus` o c_s c_s^T and
+    `minus` o c_s c_s^T (the first h coordinates), (D +- C)/2 there
+    (`_mirror_parts`), and the derivative's block is `k` o c_s c_s^T, with
+    k = ((m_i - m_j) D - (m_i + m_j) C)/2, not a difference of two nearly
+    equal diagonals, and -W+ m on odd d's middle row.
     """
 
     lo: int
@@ -672,7 +662,6 @@ class _SectorStack:
     plus: np.ndarray
     minus: np.ndarray
     k: np.ndarray
-    pad: np.ndarray
 
     @classmethod
     def fold(cls, n: int, blocks: List[ChannelBlock]) -> "_SectorStack":
@@ -696,9 +685,8 @@ class _SectorStack:
             k[b, o:q, o:] = 0.5 * ((m_b[:, None] - m_b) * diag
                                    - (m_b[:, None] + m_b) * cross)
             k[b, q:, o:] = -plus_b[h:, :h] * m_b
-        pad = np.arange(p) < np.array([blk.start - lo for blk in blocks])[:, None]
         # a row's first nonzero m, -span / 2, is its minimum
-        return cls(lo, m, -2.0 * m.min(axis=1), plus, minus, k, pad)
+        return cls(lo, m, -2.0 * m.min(axis=1), plus, minus, k)
 
 
 def _sector_qfi(channel: Channel, ch: np.ndarray):
@@ -708,8 +696,7 @@ def _sector_qfi(channel: Channel, ch: np.ndarray):
     `ch` holds the input's even-sector coordinates (see
     `_sector_coordinates`).  Returns (F, A+) with A+ the even-sector block
     of A, which commutes with J.  Each size class (`_SectorStack`) is one
-    `eigh` per sector and one call per stage; as in `_channel_qfi`, pad
-    coordinates get -tr sigma_b on their diagonals.  M = diag(m)
+    `eigh` per sector and one call per stage.  M = diag(m)
     anticommutes with J, so it only couples the sectors, through M+- =
     diag(m) (with a zero middle row for odd N + 1), and so do k and the SLD:
     kp+- is `_eigenbasis_derivative` of k+- from the odd sector (columns)
@@ -720,23 +707,18 @@ def _sector_qfi(channel: Channel, ch: np.ndarray):
     for st in channel.parity_split:
         q = st.m.shape[1]
         cc = np.outer(ch[st.lo:], ch[st.lo:])
-        sp, sm = st.plus * cc, st.minus * cc[:q, :q]
-        diag_p, diag_m = np.einsum("bii->bi", sp), np.einsum("bii->bi", sm)
-        shift = st.pad * (diag_p.sum(axis=1) + diag_m.sum(axis=1))[:, None]
-        diag_p -= shift
-        diag_m -= shift[:, :q]
-        lp, vp = np.linalg.eigh(sp)
-        lm, vm = np.linalg.eigh(sm)
+        lp, vp = np.linalg.eigh(st.plus * cc)
+        lm, vm = np.linalg.eigh(st.minus * cc[:q, :q])
         kp = _eigenbasis_derivative(st.m, st.span, st.k * cc[:, :q], lp, vp, lm, vm)
         f_b, lt = _sld_kernel(lp, kp, lm)
         f += 2.0 * float(f_b.sum())
-        lmat = vp @ lt @ _adjoint(vm)
+        lmat = vp @ lt @ _transpose(vm)
         g = lmat * st.m[:, None, :]
-        yp = lmat @ _adjoint(lmat)
+        yp = lmat @ _transpose(lmat)
         yp[:, :, :q] += 2.0 * g
-        yp[:, :q] += 2.0 * _adjoint(g)
+        yp[:, :q] += 2.0 * _transpose(g)
         g = st.m[:, :, None] * lmat[:, :q]
-        ym = _adjoint(lmat) @ lmat - 2.0 * (g + _adjoint(g))
+        ym = _transpose(lmat) @ lmat - 2.0 * (g + _transpose(g))
         a_p[st.lo:, st.lo:] += (st.plus * yp).sum(axis=0)
         a_p[st.lo:st.lo + q, st.lo:st.lo + q] += (st.minus * ym).sum(axis=0)
     return f, a_p
@@ -744,10 +726,11 @@ def _sector_qfi(channel: Channel, ch: np.ndarray):
 
 def state_qfi(state: SymmetricPureState, noise: NoiseModel) -> float:
     """QFI of a fixed input state after the given channel, at the working
-    point of the phase orbit."""
-    c = state.amplitudes
+    point of the phase orbit.  Every channel's Kraus operators are diagonal
+    in n and commute with the generator, so F(c) = F(|c|), which is what is
+    evaluated."""
     return _channel_qfi(channel_blocks(noise, state.n_particles),
-                        c.real if state.is_real() else c)
+                        np.abs(state.amplitudes))
 
 
 # ---------------------------------------------------------------------------

@@ -131,8 +131,8 @@ class OptimizationTrace:
 
 
 def _iteration_step(channel: Channel, c: np.ndarray):
-    """Return (F(c), A(c)); A is real symmetric for real c, else Hermitian."""
-    a_out = np.zeros((channel.n + 1, channel.n + 1), dtype=c.dtype)
+    """Return (F(c), A(c)) at the real state c; A is real symmetric."""
+    a_out = np.zeros((channel.n + 1, channel.n + 1))
     return _channel_qfi(channel, c, a_out), a_out
 
 

@@ -3,18 +3,25 @@
 
 import numpy as np
 
-from phaselim.qcore import Loss, _sld_kernel, channel_output
+from phaselim.qcore import EIG_SUPPORT_RTOL, Loss, channel_output
 
 
 def block_sld(sigma, m):
-    """SLD of one output block: returns (drho, L, F_b), where drho = i dm o sigma
-    is the phase derivative i[H, sigma] and L solves drho = (sigma L + L sigma)/2
-    on sigma's numerical support.  The derivative is rotated into sigma's
-    eigenbasis and handed to the library's SLD kernel."""
+    """SLD of one output block, in complex arithmetic: returns (drho, L, F_b),
+    where drho = i dm o sigma is the phase derivative i[H, sigma] and L
+    solves drho = (sigma L + L sigma)/2 on sigma's numerical support.  The
+    derivative is rotated into sigma's eigenbasis, and pairs of eigenvectors
+    whose eigenvalue sum is below the library's support cut (EIG_SUPPORT_RTOL
+    of the largest eigenvalue, at least the smallest normal double) get
+    L = 0."""
     drho = 1j * (m[:, None] - m[None, :]) * sigma
     lam, vec = np.linalg.eigh((sigma + sigma.conj().T) / 2.0)
-    f, lt = _sld_kernel(lam, vec.conj().T @ (-1j * drho) @ vec)
-    return drho, 1j * (vec @ lt @ vec.conj().T), f
+    dp = vec.conj().T @ drho @ vec
+    denom = lam[:, None] + lam[None, :]
+    mask = denom > max(EIG_SUPPORT_RTOL * lam[-1], np.finfo(float).tiny)
+    lp = np.where(mask, 2.0 * dp / np.where(mask, denom, 1.0), 0.0)
+    f = float(np.sum(denom * np.abs(lp) ** 2)) / 2.0
+    return drho, vec @ lp @ vec.conj().T, f
 
 
 def loss_qfi(state, eta):

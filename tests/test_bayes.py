@@ -294,6 +294,17 @@ class TestParameterEdges:
         want = covariant_cost(n, NoiseFree()).lambda_max
         assert abs(got - want) <= 1e-13
 
+    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("noise", [NoiseFree(), LocalDephasing(0.7),
+                                       Loss(0.7), CollectiveDephasing(0.2)])
+    def test_particle_number_checked_up_front(self, n, noise):
+        # covariant_cost failed inside scipy's tridiagonal solver, and under
+        # dephasing with a message about particles
+        for solve in (covariant_m_matrix, covariant_cost,
+                      lambda k, nz: gaussian_prior_solve(k, 0.5, nz)):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                solve(n, noise)
+
     @pytest.mark.parametrize("noise", [Loss(0.0), LocalDephasing(0.0)])
     def test_phase_blind_prior_solve_returns_the_prior_width(self, noise):
         cost, trace = gaussian_prior_solve(5, 0.3, noise)

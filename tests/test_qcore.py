@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import gammaln, xlogy
 
-from phaselim import oracles
+from phaselim import oracles, qcore
 from phaselim.bayes import covariant_m_matrix
 from phaselim.qcore import (Channel, CollectiveDephasing, LocalDephasing, Loss,
                             NoiseFree, SymmetricPureState, channel_blocks,
@@ -55,6 +55,15 @@ class TestStates:
     def test_length_checked(self):
         with pytest.raises(ValueError):
             SymmetricPureState(2, [1.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_non_finite_amplitudes_rejected(self, bad, normalize):
+        # |nan - 1| > 1e-12 is False, so the norm test alone let a NaN
+        # through, and normalizing turned an inf entry into a NaN amplitude
+        for amps in ([bad, 0.0, 0.0], [0.6, 0.8, 1j * bad]):
+            with pytest.raises(ValueError, match="finite"):
+                SymmetricPureState(2, amps, normalize=normalize)
 
     def test_noon_state_amplitudes(self):
         s = noon_state(4)
@@ -356,6 +365,17 @@ class TestQfi:
         assert block_value == pytest.approx(
             oracles.brute_dephasing_qfi(s, eta), rel=1e-10)
 
+    def test_channel_qfi_is_real(self):
+        # the kernels run on real arrays: F is a Python float, A float64
+        n = 6
+        c = sine_profile_state(n).amplitudes.real
+        for noise in (NoiseFree(), LocalDephasing(0.7), Loss(0.7),
+                      CollectiveDephasing(0.27)):
+            a_out = np.zeros((n + 1, n + 1))
+            f = _channel_qfi(channel_blocks(noise, n), c, a_out)
+            assert type(f) is float and f > 0.0
+            assert a_out.dtype == np.float64 and np.any(a_out)
+
 
 class TestStateQfiEdges:
     """Defined values at the parameter edges eta in {0, 1}, gamma = 0 and
@@ -592,23 +612,20 @@ def _symmetric_channels(n):
 class TestDiagonalUnitaryCovariance:
     """Every channel's Kraus operators are diagonal in n, so for a diagonal
     unitary D, F(Dc) = F(c) and A(Dc) = D A(c) D^H: the optimizer runs on
-    |c| and returns it."""
+    |c| and returns it, and `state_qfi` evaluates |c|.  The kernels take
+    real arrays, so they are checked under signs D = +-1; complex states go
+    through `state_qfi`, against references that work in complex
+    arithmetic."""
 
     # The absolute floor is the rounding-level F of nearly dephased blocks
     # (TestRankOneKernel::test_duality_and_qfi_identity in test_qfi_opt.py).
-    # Under ±1 signs A is covariant to rounding (seen: <= 6e-17 of max|A|).
-    # Under complex phases the eigensolver rounds sigma's numerical null
-    # space differently, and A's entries there, where the SLD is not unique,
-    # moved by up to 1.6e-4 of max|A| (1,500 draws); A Dc, which the residual
-    # and the polish read, moved by <= 1.7e-13 of its norm, so that is what
-    # is compared
+    # Under +-1 signs A is covariant to rounding (seen: <= 6e-17 of max|A|)
     @settings(max_examples=150, deadline=None, database=None)
     @given(n=st.integers(1, 40), kind=st.sampled_from(
                ["none", "dephasing", "loss", "collective"]),
            strength=st.floats(0.0, 1.0), prior=st.sampled_from([0.0, 0.25]),
-           phases=st.booleans(), seed=st.integers(0, 2 ** 16))
-    def test_qfi_and_operator_are_covariant(self, n, kind, strength, prior,
-                                            phases, seed):
+           seed=st.integers(0, 2 ** 16))
+    def test_qfi_and_operator_are_covariant(self, n, kind, strength, prior, seed):
         noise = {"none": NoiseFree(), "dephasing": LocalDephasing(strength),
                  "loss": Loss(strength),
                  "collective": CollectiveDephasing(strength)}[kind]
@@ -616,22 +633,50 @@ class TestDiagonalUnitaryCovariance:
         rng = np.random.default_rng(seed)
         c = rng.standard_normal(n + 1)
         d = rng.choice([-1.0, 1.0], n + 1)
-        if phases:
-            c = c + 1j * rng.standard_normal(n + 1)
-            d = d * np.exp(2j * np.pi * rng.random(n + 1))
         c /= np.linalg.norm(c)
-        a, a_d = (np.zeros((n + 1, n + 1), dtype=c.dtype) for _ in range(2))
+        a, a_d = (np.zeros((n + 1, n + 1)) for _ in range(2))
         f = _channel_qfi(channel, c, a)
         f_d = _channel_qfi(channel, d * c, a_d)
         floor = 1e-20 if kind == "dephasing" else 1e-250
         assert f_d == pytest.approx(f, rel=1e-12, abs=floor)
-        a_ref = d[:, None] * a * d.conj()
-        if phases:
-            grad = a_ref @ (d * c)
-            assert np.linalg.norm(a_d @ (d * c) - grad) <= \
-                1e-11 * np.linalg.norm(grad) + floor
-        else:
-            assert np.max(np.abs(a_d - a_ref)) <= 1e-11 * np.max(np.abs(a)) + floor
+        a_ref = d[:, None] * a * d
+        assert np.max(np.abs(a_d - a_ref)) <= 1e-11 * np.max(np.abs(a)) + floor
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("eta", [0.3, 0.7, 1.0])
+    def test_complex_states_under_dephasing(self, n, eta):
+        # against the full 2^N space; eta = 1 is no noise
+        for seed in range(3):
+            s = oracles.random_state(n, seed=seed)
+            assert state_qfi(s, LocalDephasing(eta)) == pytest.approx(
+                oracles.brute_dephasing_qfi(s, eta), rel=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("eta", [0.3, 0.7, 1.0])
+    def test_complex_states_under_loss(self, n, eta):
+        # 4 sum_b p_b Var_b(m) over the pure branches of the explicit
+        # beam-splitter dilation
+        for seed in range(3):
+            s = oracles.random_state(n, seed=seed)
+            want = 0.0
+            for (l0, l1), (p, amps) in oracles.brute_loss_components(s, eta).items():
+                prob, ns = np.abs(amps) ** 2, np.arange(l0, n - l1 + 1)
+                mc = ns - prob @ ns
+                want += 4.0 * p * (prob @ (mc * mc))
+            assert state_qfi(s, Loss(eta)) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("n", [7, 12])
+    @pytest.mark.parametrize("noise", [NoiseFree(), LocalDephasing(0.7),
+                                       Loss(0.6), CollectiveDephasing(0.3)])
+    def test_complex_states_against_fidelity(self, n, noise):
+        # beyond the oracles' reach, the finite-difference fidelity estimate
+        # at the tolerance of TestFidelityQfiCheck
+        delta = 1e-3
+        for seed in range(2):
+            s = oracles.random_state(n, seed=seed)
+            f_sld = state_qfi(s, noise)
+            tol = max(10.0 * delta ** 2 * n * n * max(f_sld, 1.0), 1e-9)
+            assert abs(fidelity_qfi_check(s, noise, delta) - f_sld) <= tol
 
 
 class TestArmSwapSymmetry:
@@ -669,13 +714,15 @@ class TestArmSwapSymmetry:
         n = 64
         # every centred block of two or more entries is folded, once; the
         # one-entry block j = 0 of even N adds nothing
-        # (test_one_entry_block_adds_nothing).  A stacked block starts at
-        # the stack's lo plus its pad count
+        # (test_one_entry_block_adds_nothing).  A stack starts at the
+        # widest window of its class
         channel = channel_blocks(LocalDephasing(0.7), n)
         folded = channel.parity_split
         assert any(len(b.m) == 1 for b in channel.blocks)
-        starts = [stack.lo + int(o) for stack in folded for o in stack.pad.sum(axis=1)]
-        assert sorted(starts) == sorted(b.start for b in channel.blocks if len(b.m) > 1)
+        classes = qcore._size_classes(channel.blocks, lambda b: len(b.m) - len(b.m) // 2)
+        assert [stack.lo for stack in folded] == [min(b.start for b in g) for g in classes]
+        assert sorted(b.start for g in classes for b in g) == \
+            sorted(b.start for b in channel.blocks if len(b.m) > 1)
         # every channel is split, except those with rank-one rows and loss
         # with a prior, whose off-centre loss patterns keep it in the full
         # space (at eta = 1 only the centred pattern (0, 0) is left)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from phaselim import cli, oracles, qcore, qfi_opt
+from phaselim import cli, qcore, qfi_opt
 from phaselim.bayes import gaussian_prior_solve
 from phaselim.qcore import (EIG_SUPPORT_RTOL, Channel, CollectiveDephasing,
                             LocalDephasing, Loss, NoiseFree,
@@ -52,18 +52,24 @@ def _pulled_back(x, noise, ys):
     return sum(np.trace(sigma @ y) for (_, sigma), y in zip(channel_output(x, noise), ys))
 
 
+def _real_state(n, seed):
+    """A random real state, with entries of both signs."""
+    return SymmetricPureState(n, _random_amplitudes(n, seed, False))
+
+
 class TestChannelAdjoint:
     """The Heisenberg picture, checked through the forward map only.  The
-    optimizer's A(c) is the adjoint channel applied to Y_b(c) (built inline in
-    `_channel_qfi`), so <x|A(c)|x> = sum_b tr(sigma_b(x) Y_b(c)) for every
-    input x, not only x = c; and the adjoint's defining properties (unital,
-    damping, pattern-blind, self-adjoint) hold as trace dualities."""
+    optimizer's A(c) at a real state c is the adjoint channel applied to
+    Y_b(c) (built inline in `_channel_qfi`), so <x|A(c)|x> =
+    sum_b tr(sigma_b(x) Y_b(c)) for every input x, complex ones included, not
+    only x = c; and the adjoint's defining properties (unital, damping,
+    pattern-blind, self-adjoint) hold as trace dualities."""
 
     def test_noise_free_is_identity(self):
         # the adjoint of the identity channel returns Y itself
-        state = oracles.random_state(4, seed=0)
+        state = _real_state(4, seed=0)
         (y,) = _heisenberg_operators(state, NoiseFree())
-        _, a = _iteration_step(channel_blocks(NoiseFree(), 4), state.amplitudes)
+        _, a = _iteration_step(channel_blocks(NoiseFree(), 4), state.amplitudes.real)
         assert np.allclose(a, y, atol=1e-14)
 
     def test_dephasing_is_unital(self):
@@ -83,18 +89,19 @@ class TestChannelAdjoint:
     @pytest.mark.parametrize("eta", [0.3, 0.8])
     def test_trace_duality_with_dephasing(self, eta):
         n = 4
-        state = oracles.random_state(n, seed=7)
+        state = _real_state(n, seed=7)
         ys = _heisenberg_operators(state, LocalDephasing(eta))
-        _, a = _iteration_step(channel_blocks(LocalDephasing(eta), n), state.amplitudes)
+        _, a = _iteration_step(channel_blocks(LocalDephasing(eta), n),
+                               state.amplitudes.real)
         for x in _unit_vectors(n, 5, seed=1):
             rhs = x.amplitudes.conj() @ a @ x.amplitudes
             assert _pulled_back(x, LocalDephasing(eta), ys) == pytest.approx(rhs, rel=1e-11)
 
     def test_trace_duality_with_loss(self):
         n, eta = 3, 0.6
-        state = oracles.random_state(n, seed=2)
+        state = _real_state(n, seed=2)
         ys = _heisenberg_operators(state, Loss(eta))
-        _, a = _iteration_step(channel_blocks(Loss(eta), n), state.amplitudes)
+        _, a = _iteration_step(channel_blocks(Loss(eta), n), state.amplitudes.real)
         for x in _unit_vectors(n, 5, seed=5):
             rhs = x.amplitudes.conj() @ a @ x.amplitudes
             assert _pulled_back(x, Loss(eta), ys) == pytest.approx(rhs, rel=1e-11)
@@ -355,7 +362,7 @@ class TestCollectiveDataProcessingBound:
                  "collective": CollectiveDephasing(strength)}[kind]
         gamma = 10.0 ** log_gamma
         channel = compose_collective(channel_blocks(noise, n), gamma)
-        f = _channel_qfi(channel, _random_amplitudes(n, seed, complex_))
+        f, _ = _step_at(channel, _random_amplitudes(n, seed, complex_))
         assert f * gamma <= 1.0 + 1e-12
 
     def test_plateau_scan_rows_obey_the_bound(self, plateau_rows):
@@ -624,22 +631,24 @@ def _step_dense_real(blk, cb, a_out):
 
 
 def _step_dense_complex(blk, cb, a_out):
-    """Reference: the optimizer's dense step for complex c, in the
-    convention drho = i dm sigma, L itself in the eigenbasis."""
-    sigma = blk.weight * np.outer(cb, cb.conj())
-    lam, vec = np.linalg.eigh(sigma)
-    dm = blk.m[:, None] - blk.m[None, :]
-    drho = 1j * dm * sigma
-    dp = vec.conj().T @ drho @ vec
-    denom = lam[:, None] + lam[None, :]
-    cut = EIG_SUPPORT_RTOL * max(float(lam[-1]), np.finfo(float).tiny)
-    mask = denom > cut
-    le = np.where(mask, 2.0 * dp / np.where(mask, denom, 1.0), 0.0)
-    f = float(np.sum(denom * np.abs(le) ** 2).real) / 2.0
-    lmat = vec @ le @ vec.conj().T
-    y = lmat @ lmat + 2j * (blk.m[:, None] * lmat - lmat * blk.m[None, :])
+    """Reference: one block's step at complex c in complex arithmetic,
+    through the forward map sigma = W o c c^H and its SLD L (`block_sld`):
+    F_b, and W o (L^2 + 2i [M, L]) added into A."""
+    _, ell, f = block_sld(blk.weight * np.outer(cb, cb.conj()), blk.m)
+    y = ell @ ell + 2j * (blk.m[:, None] * ell - ell * blk.m[None, :])
     a_out[np.ix_(blk.indices, blk.indices)] += blk.weight * y
     return f
+
+
+def _step_at(channel, c):
+    """(F, A) at c: the step itself at real c; at complex c as `state_qfi`
+    reads it, the step at |c| with A turned by the phases D = c / |c|,
+    A(c) = D A(|c|) D^H (every channel's Kraus operators are diagonal in n)."""
+    if not np.iscomplexobj(c):
+        return _iteration_step(channel, c)
+    d = np.exp(1j * np.angle(c))
+    f, a = _iteration_step(channel, np.abs(c))
+    return f, d[:, None] * a * d.conj()
 
 
 DENSE_CHANNELS = {
@@ -683,8 +692,10 @@ def _mp_dense_qfi(channel, c):
 
 class TestDenseKernel:
     """The dense step, which builds the derivative in sigma's eigenbasis as
-    kp = X Lam - Lam X with X = V^H M V, against the two dense steps that
-    rotated dm o sigma instead, and against a 50-digit evaluation of F.
+    kp = X Lam - Lam X with X = V^T M V, against the real dense step that
+    rotated dm o sigma instead, against a 50-digit evaluation of F, and, at
+    complex c, the step at |c| (`_step_at`) against the complex-arithmetic
+    reference of the forward map.
 
     The SLD is not unique on sigma's numerical null space, and there the
     rotated and the eigenbasis forms differ (by up to 5e-5 of max|A| under
@@ -695,9 +706,10 @@ class TestDenseKernel:
     """
 
     @staticmethod
-    def _check_against(channel, c, step):
+    def _check_against(channel, c):
         n = channel.n
-        f, a = _iteration_step(channel, c)
+        step = _step_dense_complex if np.iscomplexobj(c) else _step_dense_real
+        f, a = _step_at(channel, c)
         a_ref = np.zeros((n + 1, n + 1), dtype=c.dtype)
         f_ref = 0.0
         for blk in channel.blocks:
@@ -713,21 +725,23 @@ class TestDenseKernel:
     @pytest.mark.parametrize("name", sorted(DENSE_CHANNELS))
     def test_real_step_bit_for_bit(self, n, name):
         self._check_against(DENSE_CHANNELS[name](n),
-                            _random_amplitudes(n, n, False), _step_dense_real)
+                            _random_amplitudes(n, n, False))
 
     @pytest.mark.parametrize("n", [1, 2, 7, 30, 60])
     @pytest.mark.parametrize("name", sorted(DENSE_CHANNELS))
     def test_complex_step(self, n, name):
         self._check_against(DENSE_CHANNELS[name](n),
-                            _random_amplitudes(n, n, True), _step_dense_complex)
+                            _random_amplitudes(n, n, True))
 
     @pytest.mark.parametrize("complex_", [False, True])
     @pytest.mark.parametrize("n", [1, 2, 7, 12])
     @pytest.mark.parametrize("name", sorted(DENSE_CHANNELS))
     def test_qfi_against_50_digits(self, n, name, complex_):
+        # a complex state's F as `state_qfi` evaluates it, at |c|, against
+        # the reference computed from c in complex arithmetic
         channel = DENSE_CHANNELS[name](n)
         c = _random_amplitudes(n, n + 100, complex_)
-        f, _ = _iteration_step(channel, c)
+        f = _channel_qfi(channel, np.abs(c) if complex_ else c)
         # seen <= 1.8e-15
         assert f == pytest.approx(_mp_dense_qfi(channel, c), rel=1e-14)
 
@@ -739,13 +753,14 @@ class TestStackedStep:
 
     @staticmethod
     def _check(channel, c):
-        step = _step_dense_complex if np.iscomplexobj(c) else _step_dense_real
-        TestDenseKernel._check_against(channel, c, step)
+        TestDenseKernel._check_against(channel, c)
 
     @pytest.mark.parametrize("n", [7, 20, 50, 120])
     def test_classes_follow_the_padding_rule(self, n):
         channel = channel_blocks(LocalDephasing(0.7), n)
-        sizes = [(~st.pad).sum(axis=1) for st in channel.size_classes]
+        sizes = [np.array([len(b.m) for b in group]) for group in
+                 qcore._size_classes(channel.blocks, lambda b: len(b.m))]
+        assert len(sizes) == len(channel.size_classes)
         # every block of two or more entries, once, largest first, each
         # padded to the first of its class
         assert np.concatenate(sizes).tolist() == list(range(n + 1, 1, -2))
@@ -798,6 +813,33 @@ class TestStackedStep:
             warnings.simplefilter("error", RuntimeWarning)
             self._check(channel, c)
 
+    @pytest.mark.parametrize("n", [20, 41])
+    def test_null_block_beside_its_pads(self, n):
+        # the input vanishes on the window of the smallest dephasing block,
+        # which is padded in a class with wider blocks: its sigma is all-null
+        # next to its zero pads.  The stacked step is the sum of the
+        # one-block steps, in F and in A c (seen <= 8e-15).  A itself is not
+        # unique on sigma's numerical null space (TestDenseKernel): its
+        # entries differed by up to 1.3e-5 of max|A| with and without the
+        # pads, as they did when the pads had a shifted diagonal
+        channel = channel_blocks(LocalDephasing(0.7), n)
+        small = min((b for b in channel.blocks if len(b.m) > 1), key=lambda b: len(b.m))
+        (group,) = [g for g in qcore._size_classes(channel.blocks, lambda b: len(b.m))
+                    if any(b is small for b in g)]
+        assert len(group[0].m) > len(small.m)
+        c = _random_amplitudes(n, 5, False)
+        c[small.window] = 0.0
+        c /= np.linalg.norm(c)
+        f, a = _iteration_step(channel, c)
+        f_ref, a_ref = 0.0, np.zeros_like(a)
+        for blk in channel.blocks:
+            f_b, a_b = _iteration_step(Channel.dense(n, [blk]), c)
+            f_ref += f_b
+            a_ref += a_b
+        assert f == pytest.approx(f_ref, rel=1e-13)
+        grad = a_ref @ c
+        assert np.linalg.norm(a @ c - grad) <= 1e-13 * np.linalg.norm(grad)
+
     @pytest.mark.parametrize("complex_", [False, True])
     def test_loss_prior_equal_size_classes(self, complex_):
         # loss 0.7 under a delta0 = 0.5 prior at N = 40: the 820 blocks of
@@ -811,7 +853,7 @@ class TestStackedStep:
         for d in sizes:
             same = Channel.dense(n, [b for b in channel.blocks if len(b.m) == d])
             (st,) = same.size_classes
-            assert st.weight.shape == (n + 2 - d, d, d) and not st.pad.any()
+            assert st.weight.shape == (n + 2 - d, d, d)
             self._check(same, c)
         self._check(channel, c)
 
@@ -846,11 +888,17 @@ class TestRankOneKernel:
                                        Loss(1.0), NoiseFree()])
     @pytest.mark.parametrize("complex_", [False, True])
     def test_matches_dense_kernels(self, n, noise, complex_):
+        # every rank-one row as a dense block, through the SLD kernel, or at
+        # complex c through the complex reference step
         c = _random_amplitudes(n, n, complex_)
         channel = channel_blocks(noise, n)
-        f, a = _iteration_step(channel, c)
-        # every rank-one row as a dense block, through the SLD kernel
-        f_ref, a_ref = _iteration_step(Channel.dense(n, channel.dense_blocks()), c)
+        f, a = _step_at(channel, c)
+        if complex_:
+            f_ref, a_ref = 0.0, np.zeros((n + 1, n + 1), dtype=complex)
+            for blk in channel.dense_blocks():
+                f_ref += _step_dense_complex(blk, c[blk.window], a_ref)
+        else:
+            f_ref, a_ref = _iteration_step(Channel.dense(n, channel.dense_blocks()), c)
         assert a.dtype == a_ref.dtype
         assert f == pytest.approx(f_ref, rel=1e-12, abs=1e-300)
         assert np.max(np.abs(a - a_ref)) <= 1e-12 * max(np.max(np.abs(a_ref)), 1e-300)
@@ -861,9 +909,9 @@ class TestRankOneKernel:
         c = _random_amplitudes(n, 4, complex_)
         channel = channel_blocks(Loss(0.7), n)
         monkeypatch.setattr(qcore, "RANK_ONE_CHUNK", len(channel.damping))
-        f_ref, a_ref = _iteration_step(channel, c)
+        f_ref, a_ref = _step_at(channel, c)
         monkeypatch.setattr(qcore, "RANK_ONE_CHUNK", 7)
-        f, a = _iteration_step(channel, c)
+        f, a = _step_at(channel, c)
         assert f == pytest.approx(f_ref, rel=1e-13)
         assert np.max(np.abs(a - a_ref)) <= 1e-13 * np.max(np.abs(a_ref))
 
@@ -890,7 +938,7 @@ class TestRankOneKernel:
                      "collective": CollectiveDephasing(strength)}[kind]
             channel = channel_blocks(noise, n)
         floor = 1e-20 if kind == "dephasing" else 1e-250
-        f, a = _iteration_step(channel, c)
+        f, a = _step_at(channel, c)
         assert np.vdot(c, a @ c).real == pytest.approx(-f, rel=1e-11, abs=floor)
         assert f == pytest.approx(state_qfi(state, noise), rel=1e-11, abs=floor)
         if kind == "loss":
@@ -905,7 +953,7 @@ class TestRankOneKernel:
         (33, 1e-10, 0, False), (30, 1e-5, 1, True), (31, 1e-5, 2, False)])
     def test_duality_at_vanishing_dephasing(self, n, eta, seed, complex_):
         c = _random_amplitudes(n, seed, complex_)
-        f, a = _iteration_step(channel_blocks(LocalDephasing(eta), n), c)
+        f, a = _step_at(channel_blocks(LocalDephasing(eta), n), c)
         assert np.vdot(c, a @ c).real == pytest.approx(-f, rel=1e-11, abs=1e-20)
         # the QFI is at most its channel-extension bound (~eta^2 N here)
         assert f <= 2.0 * eta * eta * n + 1e-20
@@ -1028,19 +1076,28 @@ class TestParitySectors:
     def test_stacks_match_the_blocks_one_by_one(self, prior):
         # dephasing 0.7 at N = 60: the small folded blocks share size classes,
         # each zero-extended at the front to its class's widest window; the
-        # stacked step is the sum of the one-block steps
+        # stacked step is the sum of the one-block steps.  Also for an input
+        # that vanishes on the window of the smallest block, whose sigma is
+        # then all-null next to its pads
         n = 60
         channel = compose_collective(channel_blocks(LocalDephasing(0.7), n), prior)
-        assert any(len(set(stack.pad.sum(axis=1))) > 1 for stack in channel.parity_split)
-        ch = _sector_coordinates(_even_vector(n, 4))
-        f, a_p = _sector_qfi(channel, ch)
-        f_ref, a_ref = 0.0, np.zeros_like(a_p)
-        for blk in channel.blocks:
-            f_b, a_b = _sector_qfi(Channel.dense(n, [blk]), ch)
-            f_ref += f_b
-            a_ref += a_b
-        assert f == pytest.approx(f_ref, rel=1e-13)
-        assert np.max(np.abs(a_p - a_ref)) <= 1e-13 * np.max(np.abs(a_ref))
+        classes = qcore._size_classes(channel.blocks, lambda b: len(b.m) - len(b.m) // 2)
+        small = min((b for b in channel.blocks if len(b.m) > 1), key=lambda b: len(b.m))
+        (group,) = [g for g in classes if any(b is small for b in g)]
+        assert len(group[0].m) > len(small.m)
+        c = _even_vector(n, 4)
+        holed = c.copy()
+        holed[small.window] = 0.0
+        for x in (c, holed / np.linalg.norm(holed)):
+            ch = _sector_coordinates(x)
+            f, a_p = _sector_qfi(channel, ch)
+            f_ref, a_ref = 0.0, np.zeros_like(a_p)
+            for blk in channel.blocks:
+                f_b, a_b = _sector_qfi(Channel.dense(n, [blk]), ch)
+                f_ref += f_b
+                a_ref += a_b
+            assert f == pytest.approx(f_ref, rel=1e-13)
+            assert np.max(np.abs(a_p - a_ref)) <= 1e-13 * np.max(np.abs(a_ref))
 
     @pytest.mark.parametrize("name, n", [
         ("dephasing-0.7", 5), ("dephasing-0.7", 20), ("dephasing-0.7", 40),
@@ -1093,7 +1150,7 @@ class TestParitySectors:
         channel = compose_collective(channel_blocks(noise, n), prior)
         c = _random_amplitudes(n, seed, complex_)
         p = np.abs(c) ** 2
-        f, _ = _iteration_step(channel, c)
+        f, _ = _step_at(channel, c)
         f_sym, _ = _iteration_step(channel, np.sqrt(0.5 * (p + p[::-1])))
         floor = 1e-14 if kind == "dephasing" else 1e-250
         assert f_sym >= f * (1.0 - 1e-12) - floor
