@@ -351,16 +351,17 @@ class DephasingTables:
         """C(k; j, m) with doubled arguments."""
         return float(self._rows(k, tj, tm))
 
-    def coupling_block(self, tj: int, eta: float) -> np.ndarray:
-        """Spin-j coupling matrix A_j(eta) over m, m' = -j..j (ascending).
+    def coupling_block(self, tj: int, flips: np.ndarray) -> np.ndarray:
+        """Spin-j coupling matrix A_j over m, m' = -j..j (ascending), for the
+        flip probabilities flips[k], k = 0..n, of one eta.
 
         A_j = R^T diag(w) R, where row k of R holds C(k; j, m) for every flip
-        count with |n/2 - k| <= j and w holds the flip probabilities.
+        count with |n/2 - k| <= j and w is that slice of `flips`.
         """
         n = self.n
         ks = np.arange((n - tj) // 2, (n + tj) // 2 + 1)[:, None]
         r = self._rows(ks, tj, np.arange(-tj, tj + 1, 2))
-        return r.T @ (_flip_probabilities(n, ks, eta) * r)
+        return r.T @ (flips[ks] * r)
 
 
 _TABLES_KEPT = 4
@@ -401,12 +402,16 @@ dephasing_tables.cache_clear = _clear_tables
 @lru_cache(maxsize=4)
 def coupling_blocks(n: int, eta: float) -> Mapping[int, np.ndarray]:
     """All spin-j coupling matrices of the local-dephasing channel for n
-    particles, keyed by doubled j.  Memoized per (n, eta), so the mapping
-    and its arrays are read-only."""
+    particles, keyed by doubled j.  The flip probabilities of k = 0..n are
+    evaluated once, and each block's product R^T diag(w) R
+    (`DephasingTables.coupling_block`) reads its slice |n/2 - k| <= j of
+    them.  Memoized per (n, eta), so the mapping and its arrays are
+    read-only."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"dephasing parameter eta={eta} outside [0, 1]")
     tables = dephasing_tables(n)
-    blocks = {tj: tables.coupling_block(tj, eta) for tj in allowed_twice_j(n)}
+    flips = _flip_probabilities(n, np.arange(n + 1), eta)
+    blocks = {tj: tables.coupling_block(tj, flips) for tj in allowed_twice_j(n)}
     if eta == 0.0:
         # full dephasing keeps no coherence between different m; the product
         # R^T diag(w) R leaves ~1e-17 rounding there instead of exact zeros

@@ -58,7 +58,11 @@ coordinates (`_sector_coordinates`) on a channel of centred blocks only
 (local or collective dephasing, any prior, or no noise with a prior;
 `Channel.parity_split`) and returns the even block of A alone.  It stacks
 the folded blocks by the dense step's rule on their folded size, and a
-class costs one `eigh` per sector of about half its size.  Loss, whose
+class costs one `eigh` per sector of about half its size.  The fold is
+per class too: `_SectorStack.fold` places a class's blocks once, centred
+and zero-extended, in one weight stack over its widest window, tests that
+stack's mirror symmetry once and folds it in one set of array operations
+(`_mirror_parts` and `_fold` take a leading batch axis).  Loss, whose
 patterns sit off the centre, and every channel with rank-one rows run in
 the full space.
 """
@@ -273,17 +277,17 @@ class Channel:
     @cached_property
     def parity_split(self) -> Optional[List["_SectorStack"]]:
         """The blocks of `size_classes`, by folded size, folded onto the
-        arm-swap sectors for `_sector_qfi`; None, for the full space, with
-        rank-one rows, or with a block off the centre (2 start + d - 1 != N:
-        loss with a prior) or not mirror-symmetric (W != W[::-1, ::-1] to
-        1e-12)."""
-        if len(self.amplitudes) or not all(
-                2 * blk.start + len(blk.m) - 1 == self.n
-                and np.max(np.abs(blk.weight - blk.weight[::-1, ::-1])) <= 1e-12
-                for blk in self.blocks):
+        arm-swap sectors for `_sector_qfi`, one stack per class
+        (`_SectorStack.fold`); None, for the full space, with rank-one rows,
+        with a block off the centre (2 start + d - 1 != N: loss with a prior)
+        or with a class whose stack is not mirror-symmetric (W !=
+        W[::-1, ::-1] beyond 1e-12), which is tested once per class."""
+        if len(self.amplitudes) or any(2 * blk.start + len(blk.m) - 1 != self.n
+                                       for blk in self.blocks):
             return None
-        return [_SectorStack.fold(self.n, group) for group in
-                _size_classes(self.blocks, lambda b: len(b.m) - len(b.m) // 2)]
+        stacks = [_SectorStack.fold(self.n, group) for group in
+                  _size_classes(self.blocks, lambda b: len(b.m) - len(b.m) // 2)]
+        return None if any(st is None for st in stacks) else stacks
 
     @cached_property
     def size_classes(self) -> List["_BlockStack"]:
@@ -593,28 +597,29 @@ def _channel_qfi(channel: Channel, c: np.ndarray,
 
 
 def _mirror_parts(a: np.ndarray):
-    """(D, C) over i, j < d // 2 for a d x d matrix a and J: i -> d - 1 - i:
-    D_ij = (a_ij + a_(Ji)(Jj))/2 and C_ij = (a_i(Jj) + a_(Ji)j)/2."""
-    h = len(a) // 2
-    flip = a[::-1]
-    return (0.5 * (a[:h, :h] + flip[:h, ::-1][:, :h]),
-            0.5 * (a[:h, ::-1][:, :h] + flip[:h, :h]))
+    """(D, C) over i, j < d // 2 for d x d matrices a (leading axes index a
+    stack) and J: i -> d - 1 - i: D_ij = (a_ij + a_(Ji)(Jj))/2 and
+    C_ij = (a_i(Jj) + a_(Ji)j)/2."""
+    h = a.shape[-1] // 2
+    flip = a[..., ::-1, :]
+    return (0.5 * (a[..., :h, :h] + flip[..., :h, ::-1][..., :h]),
+            0.5 * (a[..., :h, ::-1][..., :h] + flip[..., :h, :h]))
 
 
 def _fold(a: np.ndarray):
-    """The sector blocks (A+, A-) = (D + C, D - C) of a d x d matrix that
-    commutes with J, in the orthonormal basis (e_i + e_(d-1-i))/sqrt(2),
-    i < d // 2, plus e_(d // 2) for odd d (even sector) and
-    (e_i - e_(d-1-i))/sqrt(2) (odd sector)."""
-    d = len(a)
+    """The sector blocks (A+, A-) = (D + C, D - C) of d x d matrices that
+    commute with J (leading axes index a stack), in the orthonormal basis
+    (e_i + e_(d-1-i))/sqrt(2), i < d // 2, plus e_(d // 2) for odd d (even
+    sector) and (e_i - e_(d-1-i))/sqrt(2) (odd sector)."""
+    d = a.shape[-1]
     h = d // 2
     diag, cross = _mirror_parts(a)
-    a_p = np.empty((d - h, d - h), dtype=a.dtype)
-    a_p[:h, :h] = diag + cross
+    a_p = np.empty(a.shape[:-2] + (d - h, d - h), dtype=a.dtype)
+    a_p[..., :h, :h] = diag + cross
     if d > 2 * h:
-        a_p[:h, h] = _SQRT_HALF * (a[:h, h] + a[::-1][:h, h])
-        a_p[h, :h] = _SQRT_HALF * (a[h, :h] + a[h, ::-1][:h])
-        a_p[h, h] = a[h, h]
+        a_p[..., :h, h] = _SQRT_HALF * (a[..., :h, h] + a[..., ::-1, h][..., :h])
+        a_p[..., h, :h] = _SQRT_HALF * (a[..., h, :h] + a[..., h, ::-1][..., :h])
+        a_p[..., h, h] = a[..., h, h]
     return a_p, diag - cross
 
 
@@ -644,16 +649,20 @@ class _SectorStack:
     """The centred dense blocks (2 start + d - 1 = N) of one size class,
     folded onto the sectors and stacked for `_sector_qfi`.
 
-    A block's even-sector coordinates are the trailing slice start: of the
-    global ones (the h = d // 2 it shares with the odd sector, then the
-    middle one of odd d), so it is zero-extended at the front to the class's
-    widest window lo:.  `m` holds its first h generator eigenvalues,
-    centred, and `span` m_max - m_min.  For an even input with sector
-    coordinates c_s, sigma's sector blocks are `plus` o c_s c_s^T and
-    `minus` o c_s c_s^T (the first h coordinates), (D +- C)/2 there
-    (`_mirror_parts`), and the derivative's block is `k` o c_s c_s^T, with
+    `fold` places the class's blocks once into a (B, D, D) weight stack over
+    its widest window lo .. N - lo, D = N + 1 - 2 lo, each block centred in
+    it and zero-extended on both sides, and folds the whole stack in one set
+    of array operations; a block's rows of the folded stack are then its own
+    fold zero-extended at the front.  A block's even-sector coordinates are
+    the trailing slice start: of the global ones (the h = d // 2 it shares
+    with the odd sector, then the middle one of odd d).  `m` holds its first
+    h generator eigenvalues, centred (0 on the extension), and `span`
+    m_max - m_min.  For an even input with sector coordinates c_s, sigma's
+    sector blocks are `plus` o c_s c_s^T and `minus` o c_s c_s^T (the first
+    q = D // 2 coordinates), (D +- C)/2 there (`_mirror_parts`), and the
+    derivative's block is `k` o c_s c_s^T, with
     k = ((m_i - m_j) D - (m_i + m_j) C)/2, not a difference of two nearly
-    equal diagonals, and -W+ m on odd d's middle row.
+    equal diagonals, and -W+ m on odd D's middle row.
     """
 
     lo: int
@@ -664,27 +673,36 @@ class _SectorStack:
     k: np.ndarray
 
     @classmethod
-    def fold(cls, n: int, blocks: List[ChannelBlock]) -> "_SectorStack":
+    def fold(cls, n: int, blocks: List[ChannelBlock]) -> Optional["_SectorStack"]:
+        """The folded stack of one class of centred blocks; None when the
+        stack is not mirror-symmetric (W != W[::-1, ::-1] beyond 1e-12)."""
         lo = min(blk.start for blk in blocks)
-        q = (n + 1) // 2 - lo
-        p = n + 1 - 2 * lo - q
-        m = np.zeros((len(blocks), q))
-        plus = np.zeros((len(blocks), p, p))
-        minus = np.zeros((len(blocks), q, q))
-        k = np.zeros((len(blocks), p, q))
+        width = n + 1 - 2 * lo
+        q = width // 2
+        weight = np.zeros((len(blocks), width, width))
+        m_full = np.zeros((len(blocks), width))
         for b, blk in enumerate(blocks):
-            o, h = blk.start - lo, len(blk.m) // 2
-            plus_b, minus_b = _fold(blk.weight)
-            plus_b[:h, :h] *= 0.5
-            plus_b[:h, h:] *= _SQRT_HALF
-            plus_b[h:, :h] *= _SQRT_HALF
-            diag, cross = _mirror_parts(blk.weight)
-            m[b, o:] = m_b = blk.m[:h] - 0.5 * (blk.m[0] + blk.m[-1])
-            plus[b, o:, o:] = plus_b
-            minus[b, o:, o:] = 0.5 * minus_b
-            k[b, o:q, o:] = 0.5 * ((m_b[:, None] - m_b) * diag
-                                   - (m_b[:, None] + m_b) * cross)
-            k[b, q:, o:] = -plus_b[h:, :h] * m_b
+            window = slice(blk.start - lo, width - (blk.start - lo))
+            weight[b, window, window] = blk.weight
+            m_full[b, window] = blk.m
+        if np.max(np.abs(weight - weight[:, ::-1, ::-1])) > 1e-12:
+            return None
+        # a block's own coordinates among the first q: o = start - lo onwards
+        rows = np.arange(len(blocks))
+        o = np.array([blk.start for blk in blocks]) - lo
+        own = np.arange(q) >= o[:, None]
+        mid = 0.5 * (m_full[rows, o] + m_full[rows, width - 1 - o])
+        m = np.where(own, m_full[:, :q] - mid[:, None], 0.0)
+        plus, minus = _fold(weight)
+        plus[:, :q, :q] *= 0.5
+        plus[:, :q, q:] *= _SQRT_HALF
+        plus[:, q:, :q] *= _SQRT_HALF
+        minus *= 0.5
+        diag, cross = _mirror_parts(weight)
+        k = np.empty((len(blocks), width - q, q))
+        k[:, :q] = 0.5 * ((m[:, :, None] - m[:, None, :]) * diag
+                          - (m[:, :, None] + m[:, None, :]) * cross)
+        k[:, q:] = np.where(own[:, None], -plus[:, q:, :q] * m[:, None, :], 0.0)
         # a row's first nonzero m, -span / 2, is its minimum
         return cls(lo, m, -2.0 * m.min(axis=1), plus, minus, k)
 

@@ -1,8 +1,13 @@
-"""The two test-side references that check the engine through the forward map
-`qcore.channel_output`."""
+"""Test-side references: two that check the engine through the forward map
+`qcore.channel_output`, and two block-by-block builds that the stacked
+channel build must reproduce bit for bit."""
+
+import math
 
 import numpy as np
 
+from phaselim import qcore
+from phaselim.angmom import _flip_probabilities, dephasing_tables
 from phaselim.qcore import EIG_SUPPORT_RTOL, Loss, channel_output
 
 
@@ -36,3 +41,59 @@ def loss_qfi(state, eta):
             mc = blk.m - (blk.m @ prob) / p
             total += 4.0 * float(mc * mc @ prob)
     return total
+
+
+def coupling_block(n, tj, eta):
+    """The spin-j coupling matrix R^T diag(w) R of local dephasing, with the
+    flip probabilities w of its own flip counts |n/2 - k| <= j computed for
+    this block alone (exactly diagonal at eta = 0)."""
+    ks = np.arange((n - tj) // 2, (n + tj) // 2 + 1)[:, None]
+    r = dephasing_tables(n)._rows(ks, tj, np.arange(-tj, tj + 1, 2))
+    block = r.T @ (_flip_probabilities(n, ks, eta) * r)
+    return np.diag(np.diagonal(block)) if eta == 0.0 else block
+
+
+def sector_stacks(channel):
+    """`Channel.parity_split` block by block: None for rank-one rows, a block
+    off the centre or a block with W != W[::-1, ::-1] beyond 1e-12; else per
+    size class (lo, m, span, plus, minus, k), each block folded alone onto
+    the arm-swap sectors and zero-extended at the front to the class's
+    widest window."""
+    n = channel.n
+    if len(channel.amplitudes) or not all(
+            2 * blk.start + len(blk.m) - 1 == n
+            and np.max(np.abs(blk.weight - blk.weight[::-1, ::-1])) <= 1e-12
+            for blk in channel.blocks):
+        return None
+    half = math.sqrt(0.5)
+    out = []
+    for group in qcore._size_classes(channel.blocks, lambda b: len(b.m) - len(b.m) // 2):
+        lo = min(blk.start for blk in group)
+        q = (n + 1) // 2 - lo
+        p = n + 1 - 2 * lo - q
+        m = np.zeros((len(group), q))
+        plus = np.zeros((len(group), p, p))
+        minus = np.zeros((len(group), q, q))
+        k = np.zeros((len(group), p, q))
+        for b, blk in enumerate(group):
+            w = blk.weight
+            d, o = len(w), blk.start - lo
+            h = d // 2
+            # D_ij = (w_ij + w_(Ji)(Jj))/2 and C_ij = (w_i(Jj) + w_(Ji)j)/2
+            diag = 0.5 * (w[:h, :h] + w[::-1, ::-1][:h, :h])
+            cross = 0.5 * (w[:h, ::-1][:, :h] + w[::-1][:h, :h])
+            plus_b = np.empty((d - h, d - h))
+            plus_b[:h, :h] = 0.5 * (diag + cross)
+            if d > 2 * h:
+                plus_b[:h, h] = half * (half * (w[:h, h] + w[::-1][:h, h]))
+                plus_b[h, :h] = half * (half * (w[h, :h] + w[h, ::-1][:h]))
+                plus_b[h, h] = w[h, h]
+            m_b = blk.m[:h] - 0.5 * (blk.m[0] + blk.m[-1])
+            m[b, o:] = m_b
+            plus[b, o:, o:] = plus_b
+            minus[b, o:, o:] = 0.5 * (diag - cross)
+            k[b, o:q, o:] = 0.5 * ((m_b[:, None] - m_b) * diag
+                                   - (m_b[:, None] + m_b) * cross)
+            k[b, q:, o:] = -plus_b[h:, :h] * m_b
+        out.append((lo, m, -2.0 * m.min(axis=1), plus, minus, k))
+    return out

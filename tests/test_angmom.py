@@ -21,6 +21,7 @@ from phaselim.angmom import (DephasingTables, _flip_probabilities, _lgamma_table
                              coupling_blocks, coupling_matrix_entry,
                              dephasing_tables, dephasing_weight,
                              multiplicity_dimension, transfer_coefficient)
+from references import coupling_block
 
 
 def _stretched_column(n, k, tm, tmts):
@@ -410,6 +411,18 @@ class TestBulkTableInvariants:
         assert np.max(np.abs(blocks[n] - 1.0)) < 2e-12
         for tj in allowed_twice_j(n - 2):
             assert not np.any(blocks[tj]), tj
+
+
+class TestCouplingBlocksByBlock:
+    @pytest.mark.parametrize("n", [1, 2, 7, 50, 121])
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.7, 1.0])
+    def test_shared_flip_probabilities(self, n, eta):
+        # one flip-probability vector per (n, eta) gives every block the bits
+        # of the product whose probabilities are computed for it alone
+        blocks = coupling_blocks(n, eta)
+        assert sorted(blocks) == list(allowed_twice_j(n))
+        for tj, block in blocks.items():
+            assert np.array_equal(block, coupling_block(n, tj, eta)), tj
 
 
 class TestCachedResultsAreReadOnly:

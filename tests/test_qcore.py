@@ -20,7 +20,7 @@ from phaselim.qcore import (Channel, CollectiveDephasing, LocalDephasing, Loss,
                             sine_profile_state, state_qfi, _loss_table)
 from phaselim.qcore import (ChannelBlock, _channel_qfi, _fold,
                             _phase_shift, _unfold, _sector_coordinates)
-from references import block_sld, loss_qfi
+from references import block_sld, loss_qfi, sector_stacks
 
 
 def plus_state() -> SymmetricPureState:
@@ -750,25 +750,61 @@ class TestArmSwapSymmetry:
         lopsided = Channel.dense(n, [b for b in off.blocks if b.key != (1, 0)])
         assert lopsided.parity_split is None
 
+    @pytest.mark.parametrize("noise, n, prior", [
+        *((LocalDephasing(0.7), n, 0.0) for n in (1, 2, 3, 7, 50, 64, 121)),
+        (LocalDephasing(0.0), 9, 0.0), (LocalDephasing(1.0), 9, 0.0),
+        (CollectiveDephasing(0.02), 200, 0.25), (NoiseFree(), 33, 0.04),
+        (LocalDephasing(0.7), 40, 0.25)])
+    def test_sector_stacks_are_the_block_folds(self, noise, n, prior):
+        # the stacked fold of each size class equals every block folded alone
+        # and zero-extended at the front, bit for bit
+        channel = compose_collective(channel_blocks(noise, n), prior)
+        want = sector_stacks(channel)
+        assert want is not None
+        got = channel.parity_split
+        assert len(got) == len(want)
+        for st, (lo, m, span, plus, minus, k) in zip(got, want):
+            assert st.lo == lo
+            for name, ref in (("m", m), ("span", span), ("plus", plus),
+                              ("minus", minus), ("k", k)):
+                assert np.array_equal(getattr(st, name), ref), name
+
+    def test_one_skewed_block_in_a_class(self):
+        # the mirror test runs once per class, on its stack: one skewed block
+        # among several keeps the whole channel in the full space
+        n = 64
+        channel = channel_blocks(LocalDephasing(0.7), n)
+        group = max(qcore._size_classes(channel.blocks,
+                                        lambda b: len(b.m) - len(b.m) // 2), key=len)
+        assert len(group) > 2
+        blk = group[len(group) // 2]
+        skewed = ChannelBlock(blk.key, blk.start, blk.m, blk.weight.copy())
+        skewed.weight[0, 1] = skewed.weight[1, 0] = 0.5 * blk.weight[0, 1]
+        assert np.max(np.abs(skewed.weight - skewed.weight[::-1, ::-1])) > 1e-12
+        blocks = [skewed if b is blk else b for b in channel.blocks]
+        assert Channel.dense(n, list(channel.blocks)).parity_split is not None
+        assert Channel.dense(n, blocks).parity_split is None
+        assert sector_stacks(Channel.dense(n, blocks)) is None
+
     @pytest.mark.parametrize("m", [0.0, 2.5])
-    @pytest.mark.parametrize("complex_", [False, True])
-    def test_one_entry_block_adds_nothing(self, m, complex_):
+    def test_one_entry_block_adds_nothing(self, m):
         # a single m: the derivative (m_i - m_j) sigma is zero, so the full
         # step adds exactly 0.0 to F and to A, which lets the split skip it
         n = 6
         rng = np.random.default_rng(3)
-        c = rng.standard_normal(n + 1) + (1j * rng.standard_normal(n + 1) if complex_ else 0)
+        c = rng.standard_normal(n + 1)
         c /= np.linalg.norm(c)
         blk = ChannelBlock(("j", 0), n // 2, np.array([m]), np.array([[0.37]]))
-        a_out = np.zeros((n + 1, n + 1), dtype=c.dtype)
+        a_out = np.zeros((n + 1, n + 1))
         assert _channel_qfi(Channel.dense(n, [blk]), c, a_out) == 0.0
         assert not np.any(a_out)
 
     @pytest.mark.parametrize("d", [1, 2, 7, 8])
-    @pytest.mark.parametrize("complex_", [False, True])
-    def test_fold_is_the_sector_basis(self, d, complex_):
-        # Q a Q^T in the basis (e_i +- e_(d-1-i))/sqrt(2) (+ e_(d//2)), and the
-        # coordinates of an even vector, which unfold to it
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_fold_is_the_sector_basis(self, d, stacked):
+        # Q a Q^T in the basis (e_i +- e_(d-1-i))/sqrt(2) (+ e_(d//2)), for one
+        # matrix or a stack of three, and the coordinates of an even vector,
+        # which unfold to it
         rng = np.random.default_rng(d)
         h = d // 2
         q = np.zeros((d, d))
@@ -777,13 +813,19 @@ class TestArmSwapSymmetry:
             q[d - h + i, i], q[d - h + i, d - 1 - i] = math.sqrt(0.5), -math.sqrt(0.5)
         if d % 2:
             q[h, h] = 1.0
-        x = rng.standard_normal((d, d)) + (1j * rng.standard_normal((d, d)) if complex_ else 0)
-        a = x + x[::-1, ::-1]                   # commutes with J
+        x = rng.standard_normal((3, d, d) if stacked else (d, d))
+        a = x + x[..., ::-1, ::-1]              # commutes with J
         a_p, a_m = _fold(a)
         ref = q @ a @ q.T
-        assert np.allclose(a_p, ref[:d - h, :d - h], rtol=0, atol=1e-14)
-        assert np.allclose(a_m, ref[d - h:, d - h:], rtol=0, atol=1e-14)
-        assert np.allclose(ref[:d - h, d - h:], 0.0, atol=1e-14)
+        assert np.allclose(a_p, ref[..., :d - h, :d - h], rtol=0, atol=1e-14)
+        assert np.allclose(a_m, ref[..., d - h:, d - h:], rtol=0, atol=1e-14)
+        assert np.allclose(ref[..., :d - h, d - h:], 0.0, atol=1e-14)
+        if stacked:
+            # a stack folds as its matrices one at a time, bit for bit
+            for b in range(len(a)):
+                one_p, one_m = _fold(a[b])
+                assert np.array_equal(a_p[b], one_p) and np.array_equal(a_m[b], one_m)
+            x = x[0]
         c = x[0] + x[0][::-1]
         ch = _sector_coordinates(c)
         assert np.allclose(ch, (q @ c)[:d - h], rtol=0, atol=1e-14)
