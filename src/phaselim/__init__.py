@@ -16,9 +16,8 @@ See the ``phaselim`` command-line interface for batch sweeps.
 from .angmom import (clebsch_gordan, coupling_matrix_entry, dephasing_weight,
                      multiplicity_dimension, transfer_coefficient)
 from .asymptotics import (AsymptoteSpec, BayesPi, CollectiveLimit,
-                          ConvergenceReport, DephasingLimit, GeneralUnitary,
-                          HeisenbergCR, LossLimit, convergence_report,
-                          evaluate, group_size_threshold)
+                          DephasingLimit, GeneralUnitary, HeisenbergCR,
+                          LossLimit, evaluate, group_size_threshold)
 from .bayes import (CovariantResult, FlatPrior, GaussianPrior, IndefiniteBound,
                     ParticleNumberMixture, bayesian_cr_bound, covariant_cost,
                     covariant_m_matrix, gaussian_prior_cost,

@@ -1,17 +1,15 @@
-"""Closed-form asymptotic precision limits and convergence diagnostics.
+"""Closed-form asymptotic precision limits.
 
-These are pure formula objects: nothing here is fitted to data.  Sweep
-outputs are compared against them by `convergence_report`, which mirrors the
-dotted reference curves of the benchmark figures.
+These are pure formula objects: nothing here is fitted to data.  Each noise
+model in `qcore` names its own (`limit`), and the CLI prints them in the
+`asymptote` column and by the `asymptote` subcommand.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
-
-import numpy as np
+from typing import Optional, Union
 
 __all__ = [
     "HeisenbergCR",
@@ -23,8 +21,6 @@ __all__ = [
     "AsymptoteSpec",
     "evaluate",
     "group_size_threshold",
-    "ConvergenceReport",
-    "convergence_report",
 ]
 
 
@@ -132,55 +128,3 @@ def group_size_threshold(alpha: float, beta: float, gamma: float, eps: float,
     if n < 1:
         raise ValueError("n must be >= 1")
     return (alpha * eps / beta + (1.0 - eps) * float(n) ** (-gamma)) ** (-1.0 / gamma)
-
-
-@dataclass
-class ConvergenceReport:
-    """How a computed uncertainty column approaches its asymptote."""
-
-    n_values: np.ndarray
-    ratios: np.ndarray          # computed / asymptote, per record
-    tail_slope: float           # d log(cost) / d log(N) over the final decade
-    final_ratio: float
-    within_tolerance: bool
-    tolerance: float
-
-
-def convergence_report(records: Sequence, spec: AsymptoteSpec,
-                       rtol: float = 0.1) -> ConvergenceReport:
-    """Compare swept uncertainties against an asymptote.
-
-    `records` are sweep rows carrying `.n` and a cost column (`bayes_cost`
-    when present, else `cr_bound`).  Requires at least 3 rows sorted by n.
-    `within_tolerance` holds when every ratio over the final decade of n
-    lies within rtol of 1.
-    """
-    if len(records) < 3:
-        raise ValueError("need at least 3 records")
-    ns, vals = [], []
-    for rec in records:
-        n = int(rec.n)
-        v = getattr(rec, "bayes_cost", None)
-        if v is None:
-            v = getattr(rec, "cr_bound", None)
-        if v is None or not np.isfinite(v):
-            continue
-        ns.append(n)
-        vals.append(float(v))
-    if len(ns) < 3:
-        raise ValueError("need at least 3 finite records")
-    ns_arr = np.asarray(ns, dtype=float)
-    if np.any(np.diff(ns_arr) <= 0):
-        raise ValueError("records must be sorted by strictly increasing n")
-    vals_arr = np.asarray(vals)
-    ref = np.array([evaluate(spec, int(n)) for n in ns])
-    ratios = vals_arr / ref
-    tail = ns_arr >= ns_arr[-1] / 10.0
-    if np.count_nonzero(tail) < 2:
-        tail = np.zeros_like(ns_arr, dtype=bool)
-        tail[-2:] = True
-    slope = float(np.polyfit(np.log(ns_arr[tail]), np.log(vals_arr[tail]), 1)[0])
-    within = bool(np.all(np.abs(ratios[tail] - 1.0) <= rtol))
-    return ConvergenceReport(n_values=ns_arr.astype(int), ratios=ratios,
-                             tail_slope=slope, final_ratio=float(ratios[-1]),
-                             within_tolerance=within, tolerance=rtol)

@@ -113,24 +113,13 @@ CSV_HEADER = ",".join(COLUMNS)
 
 
 def _asymptote_for(noise: NoiseModel, kind: str,
-                   prior_width: Optional[float]) -> asymptotics.AsymptoteSpec:
-    """The closed-form limit of a `kind` ('cr' or 'bayes') curve; a prior
-    width, when given, applies to the Bayesian curve.  Loss and dephasing
-    at eta = 1 and collective dephasing at gamma = 0 are noise-free."""
+                   prior_width: Optional[float]) -> Optional[asymptotics.AsymptoteSpec]:
+    """The closed-form limit of a `kind` ('cr' or 'bayes') curve, as the noise
+    model names it (None at eta = 0, where no phase reaches the output); a
+    prior width, when given, applies to the Bayesian curve."""
     if prior_width is not None and not prior_width > 0.0:  # inf means no prior
         raise ValueError(f"prior width delta0={prior_width} must be positive")
-    if noise in (NoiseFree(), LocalDephasing(1.0), Loss(1.0),
-                 CollectiveDephasing(0.0)):
-        return asymptotics.HeisenbergCR() if kind == "cr" \
-            else asymptotics.BayesPi()
-    if isinstance(noise, LocalDephasing):
-        return asymptotics.DephasingLimit(noise.eta)
-    if isinstance(noise, Loss):
-        return asymptotics.LossLimit(noise.eta)
-    if isinstance(noise, CollectiveDephasing):
-        width = prior_width if (kind == "bayes" and prior_width is not None) else math.inf
-        return asymptotics.CollectiveLimit(noise.gamma, width)
-    raise ValueError(f"unsupported noise model {noise!r}")
+    return noise.limit(kind, prior_width)
 
 
 def _sweep_row(cfg: SweepConfig, n: int, method: str,
@@ -166,10 +155,10 @@ def _sweep_row(cfg: SweepConfig, n: int, method: str,
         warm[method] = trace.final_state
         rec.qfi = trace.qfi
         rec.converged = trace.converged
-    if getattr(cfg.noise, "eta", 1.0) > 0.0:  # the closed forms need eta > 0
-        rec.asymptote = asymptotics.evaluate(_asymptote_for(
-            cfg.noise, "cr" if method == "qfi-opt" else "bayes",
-            cfg.prior_width if method == "bayes-gauss" else None), n)
+    spec = _asymptote_for(cfg.noise, "cr" if method == "qfi-opt" else "bayes",
+                          cfg.prior_width if method == "bayes-gauss" else None)
+    if spec is not None:
+        rec.asymptote = asymptotics.evaluate(spec, n)
     if cfg.repetitions > 1 and rec.bayes_cost is not None:
         # i.i.d. repetition scaling; exact for the C-R column, the standard
         # large-k behaviour for the Bayesian columns
@@ -510,8 +499,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         if args.command == "asymptote":
             _check_n_range(args.n_min, args.n_max, args.n_step)
-            spec = _asymptote_for(_noise_from_args(args), args.kind,
-                                  args.prior_width)
+            noise = _noise_from_args(args)
+            spec = _asymptote_for(noise, args.kind, args.prior_width)
+            if spec is None:
+                raise ValueError(f"{noise!r} carries no phase: eta must be in (0, 1]")
             records = [PrecisionRecord(n=n, method=f"asymptote:{args.kind}",
                                        asymptote=asymptotics.evaluate(spec, n))
                        for n in range(args.n_min, args.n_max + 1, args.n_step)]

@@ -9,18 +9,19 @@ input as a family of output blocks
     sigma_b = W_b * (c c^dagger restricted to the block's input window)
 
 (elementwise product), where W_b is a real symmetric positive semidefinite
-multiplier.  `channel_blocks` returns them as one `Channel` in two parts:
+multiplier.  A noise model is a frozen dataclass with two methods:
+`channel(n)` builds these blocks as one `Channel` (`channel_blocks` is the
+one entry point to that build), and `limit(kind, prior_width)` names its
+closed-form asymptote from `asymptotics`; a further model (a general
+generator spectrum, say) is one more such class.  A `Channel` has two parts:
 
 * dense blocks (key, first input index, m, W), each over a contiguous
-  window of the input grid:
-  - local dephasing -- one block per total spin j, W = the spin-j coupling
-    matrix built from transfer coefficients;
-  - collective dephasing -- one block, W_{m,m'} = exp(-Gamma (m-m')^2 / 2);
+  window of the input grid: one per total spin j (local dephasing), or one
+  block (collective dephasing);
 * one table of rank-one amplitudes over the full input grid, one row b per
-  pure output branch, keyed by the loss pattern (l0, l1); the branch has
-  W = b b^T on the window l0 <= n <= N - l1 where b is nonzero:
-  - photon loss -- one row per loss pattern, b = binomial amplitude damping;
-  - no noise    -- one all-ones row (0, 0).
+  pure output branch, keyed by the loss pattern (l0, l1), with W = b b^T on
+  the window l0 <= n <= N - l1 where b is nonzero: one row per loss pattern
+  (photon loss), or one all-ones row (no noise).
 
 `channel_output` evaluates that map for one input, block by block, and is
 what `fidelity_qfi_check` and the brute-force oracles read.
@@ -77,6 +78,8 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from .angmom import _lgamma_table, _xlogy, coupling_blocks
+from .asymptotics import (AsymptoteSpec, BayesPi, CollectiveLimit, DephasingLimit,
+                          HeisenbergCR, LossLimit)
 
 __all__ = [
     "SymmetricPureState",
@@ -185,7 +188,14 @@ def resample_state(state: SymmetricPureState, n: int) -> SymmetricPureState:
 
 @dataclass(frozen=True)
 class NoiseFree:
-    pass
+    def channel(self, n: int) -> Channel:
+        """One all-ones rank-one row (0, 0)."""
+        zero = np.zeros(1, dtype=int)
+        return Channel(n, [], zero, zero, np.ones((1, n + 1)))
+
+    def limit(self, kind: str, prior_width: Optional[float]) -> AsymptoteSpec:
+        """Heisenberg 1/N for kind 'cr', pi/N for the Bayesian curve."""
+        return HeisenbergCR() if kind == "cr" else BayesPi()
 
 
 @dataclass(frozen=True)
@@ -196,6 +206,18 @@ class LocalDephasing:
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta={self.eta} outside [0, 1]")
 
+    def channel(self, n: int) -> Channel:
+        """One dense block per total spin j that receives weight, W = the
+        spin-j coupling matrix."""
+        blocks = []
+        for tj, w in coupling_blocks(n, self.eta).items():
+            if np.any(w):
+                blocks.append(ChannelBlock(("j", tj), (n - tj) // 2, m_grid(tj), w))
+        return Channel.dense(n, blocks)
+
+    def limit(self, kind: str, prior_width: Optional[float]) -> Optional[AsymptoteSpec]:
+        return _eta_limit(self.eta, DephasingLimit, kind)
+
 
 @dataclass(frozen=True)
 class Loss:
@@ -205,6 +227,16 @@ class Loss:
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta={self.eta} outside [0, 1]")
 
+    def channel(self, n: int) -> Channel:
+        """The rows of the loss table; patterns that receive no weight are
+        dropped."""
+        l0, l1, table = _loss_table(n, self.eta)
+        live = table.any(axis=1)
+        return Channel(n, [], l0[live], l1[live], table[live])
+
+    def limit(self, kind: str, prior_width: Optional[float]) -> Optional[AsymptoteSpec]:
+        return _eta_limit(self.eta, LossLimit, kind)
+
 
 @dataclass(frozen=True)
 class CollectiveDephasing:
@@ -213,6 +245,27 @@ class CollectiveDephasing:
     def __post_init__(self):
         if not 0.0 <= self.gamma < math.inf:
             raise ValueError(f"gamma={self.gamma} must be finite and >= 0")
+
+    def channel(self, n: int) -> Channel:
+        """One block, W_{m,m'} = exp(-Gamma (m-m')^2 / 2)."""
+        return Channel.dense(n, [ChannelBlock(("j", n), 0, m_grid(n),
+                                              collective_weight(n, self.gamma))])
+
+    def limit(self, kind: str, prior_width: Optional[float]) -> AsymptoteSpec:
+        """The floor, with the prior width on the Bayesian curve only;
+        noise-free at gamma = 0."""
+        if self.gamma == 0.0:
+            return NoiseFree().limit(kind, prior_width)
+        width = prior_width if (kind == "bayes" and prior_width is not None) else math.inf
+        return CollectiveLimit(self.gamma, width)
+
+
+def _eta_limit(eta: float, spec, kind: str) -> Optional[AsymptoteSpec]:
+    """`spec(eta)` for 0 < eta < 1; the noise-free limit at eta = 1, and None
+    at eta = 0, where no phase reaches the output."""
+    if eta == 0.0:
+        return None
+    return NoiseFree().limit(kind, None) if eta == 1.0 else spec(eta)
 
 
 NoiseModel = Union[NoiseFree, LocalDephasing, Loss, CollectiveDephasing]
@@ -355,25 +408,11 @@ def collective_weight(twice_j: int, gamma: float) -> np.ndarray:
 
 
 def channel_blocks(noise: NoiseModel, n: int) -> Channel:
-    """The channel for N particles as dense blocks plus rank-one rows."""
-    if isinstance(noise, NoiseFree):
-        zero = np.zeros(1, dtype=int)
-        return Channel(n, [], zero, zero, np.ones((1, n + 1)))
-    if isinstance(noise, Loss):
-        # rows of the loss table; patterns that receive no weight are dropped
-        l0, l1, table = _loss_table(n, noise.eta)
-        live = table.any(axis=1)
-        return Channel(n, [], l0[live], l1[live], table[live])
-    if isinstance(noise, LocalDephasing):
-        blocks = []
-        for tj, w in coupling_blocks(n, noise.eta).items():
-            if np.any(w):
-                blocks.append(ChannelBlock(("j", tj), (n - tj) // 2, m_grid(tj), w))
-        return Channel.dense(n, blocks)
-    if isinstance(noise, CollectiveDephasing):
-        return Channel.dense(n, [ChannelBlock(("j", n), 0, m_grid(n),
-                                              collective_weight(n, noise.gamma))])
-    raise ValueError(f"unsupported noise model: {noise!r}")
+    """The channel for N particles as dense blocks plus rank-one rows, as the
+    noise model builds it (`channel`); the one entry point to that build."""
+    if not isinstance(noise, NoiseModel):
+        raise ValueError(f"unsupported noise model: {noise!r}")
+    return noise.channel(n)
 
 
 def compose_collective(blocks: Channel, gamma: float) -> Channel:

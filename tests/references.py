@@ -1,14 +1,17 @@
 """Test-side references: two that check the engine through the forward map
-`qcore.channel_output`, and two block-by-block builds that the stacked
-channel build must reproduce bit for bit."""
+`qcore.channel_output`, two block-by-block builds that the stacked channel
+build must reproduce bit for bit, and the per-noise dispatch that each noise
+model's `channel` and `limit` must reproduce exactly."""
 
 import math
 
 import numpy as np
 
-from phaselim import qcore
-from phaselim.angmom import _flip_probabilities, dephasing_tables
-from phaselim.qcore import EIG_SUPPORT_RTOL, Loss, channel_output
+from phaselim import asymptotics, qcore
+from phaselim.angmom import _flip_probabilities, coupling_blocks, dephasing_tables
+from phaselim.qcore import (EIG_SUPPORT_RTOL, Channel, ChannelBlock,
+                            CollectiveDephasing, LocalDephasing, Loss, NoiseFree,
+                            channel_output, collective_weight, m_grid)
 
 
 def block_sld(sigma, m):
@@ -97,3 +100,45 @@ def sector_stacks(channel):
             k[b, q:, o:] = -plus_b[h:, :h] * m_b
         out.append((lo, m, -2.0 * m.min(axis=1), plus, minus, k))
     return out
+
+
+def channel_ladder(noise, n):
+    """The channel for N particles built by one `isinstance` branch per noise
+    model, as `qcore.channel_blocks` did before each model built its own."""
+    if isinstance(noise, NoiseFree):
+        zero = np.zeros(1, dtype=int)
+        return Channel(n, [], zero, zero, np.ones((1, n + 1)))
+    if isinstance(noise, Loss):
+        l0, l1, table = qcore._loss_table(n, noise.eta)
+        live = table.any(axis=1)
+        return Channel(n, [], l0[live], l1[live], table[live])
+    if isinstance(noise, LocalDephasing):
+        blocks = []
+        for tj, w in coupling_blocks(n, noise.eta).items():
+            if np.any(w):
+                blocks.append(ChannelBlock(("j", tj), (n - tj) // 2, m_grid(tj), w))
+        return Channel.dense(n, blocks)
+    if isinstance(noise, CollectiveDephasing):
+        return Channel.dense(n, [ChannelBlock(("j", n), 0, m_grid(n),
+                                              collective_weight(n, noise.gamma))])
+    raise ValueError(f"unsupported noise model: {noise!r}")
+
+
+def asymptote_ladder(noise, kind, prior_width):
+    """The closed-form limit of a `kind` curve by one branch per noise model,
+    as the CLI chose it before each model named its own; raises at eta = 0,
+    where the dephasing and loss limits are undefined."""
+    if prior_width is not None and not prior_width > 0.0:
+        raise ValueError(f"prior width delta0={prior_width} must be positive")
+    if noise in (NoiseFree(), LocalDephasing(1.0), Loss(1.0),
+                 CollectiveDephasing(0.0)):
+        return asymptotics.HeisenbergCR() if kind == "cr" \
+            else asymptotics.BayesPi()
+    if isinstance(noise, LocalDephasing):
+        return asymptotics.DephasingLimit(noise.eta)
+    if isinstance(noise, Loss):
+        return asymptotics.LossLimit(noise.eta)
+    if isinstance(noise, CollectiveDephasing):
+        width = prior_width if (kind == "bayes" and prior_width is not None) else math.inf
+        return asymptotics.CollectiveLimit(noise.gamma, width)
+    raise ValueError(f"unsupported noise model {noise!r}")

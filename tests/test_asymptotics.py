@@ -1,24 +1,13 @@
-"""Closed-form limit formulas, the grouping threshold, and the convergence
-diagnostics."""
+"""Closed-form limit formulas and the grouping threshold."""
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import pytest
 
 from phaselim.asymptotics import (BayesPi, CollectiveLimit, DephasingLimit,
                                   GeneralUnitary, HeisenbergCR, LossLimit,
-                                  convergence_report, evaluate,
-                                  group_size_threshold)
-
-
-@dataclass
-class Row:
-    n: int
-    bayes_cost: Optional[float] = None
-    cr_bound: Optional[float] = None
+                                  evaluate, group_size_threshold)
 
 
 class TestEvaluate:
@@ -112,48 +101,3 @@ class TestGroupSizeThreshold:
             group_size_threshold(0.0, 1.0, 1.0, 0.1)
         with pytest.raises(ValueError):
             group_size_threshold(1.0, 1.0, 1.0, 1.0)
-
-
-class TestConvergenceReport:
-    def test_noise_free_covariant_ratio_approaches_one(self):
-        from phaselim.bayes import covariant_cost
-        from phaselim.qcore import NoiseFree
-        rows = [Row(n=n, bayes_cost=covariant_cost(n, NoiseFree()).cost)
-                for n in (2, 5, 10, 20, 50, 100, 200)]
-        rep = convergence_report(rows, BayesPi(), rtol=0.10)
-        assert rep.final_ratio == pytest.approx(1.0, abs=0.02)
-        assert rep.within_tolerance
-        assert rep.tail_slope == pytest.approx(-1.0, abs=0.05)
-
-    def test_ratios_above_one_for_pre_asymptotic_data(self):
-        spec = DephasingLimit(0.7)
-        rows = [Row(n=n, bayes_cost=1.3 * evaluate(spec, n)) for n in
-                (10, 30, 100)]
-        rep = convergence_report(rows, spec, rtol=0.05)
-        assert np.all(rep.ratios > 1.0)
-        assert not rep.within_tolerance
-
-    def test_constant_column_against_collective_floor(self):
-        spec = CollectiveLimit(0.02, 0.5)
-        floor = evaluate(spec, 1)
-        rows = [Row(n=n, bayes_cost=floor * (1 + 2.0 / n)) for n in
-                (10, 50, 100, 200)]
-        rep = convergence_report(rows, spec, rtol=0.05)
-        assert rep.within_tolerance
-        assert rep.final_ratio == pytest.approx(1.0, abs=0.02)
-
-    def test_falls_back_to_cr_column(self):
-        rows = [Row(n=n, cr_bound=1.0 / n) for n in (5, 10, 20)]
-        rep = convergence_report(rows, HeisenbergCR(), rtol=0.01)
-        assert rep.within_tolerance
-
-    def test_too_few_records_rejected(self):
-        rows = [Row(n=5, bayes_cost=0.1), Row(n=6, bayes_cost=0.09)]
-        with pytest.raises(ValueError):
-            convergence_report(rows, BayesPi())
-
-    def test_unsorted_records_rejected(self):
-        rows = [Row(n=5, bayes_cost=0.1), Row(n=4, bayes_cost=0.2),
-                Row(n=6, bayes_cost=0.05)]
-        with pytest.raises(ValueError):
-            convergence_report(rows, BayesPi())

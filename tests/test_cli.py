@@ -15,9 +15,10 @@ from phaselim import cli
 from phaselim.cli import (CSV_HEADER, PrecisionRecord, SweepConfig, emit,
                           parse_mixture_file, run_indefinite, run_sweep)
 from phaselim.bayes import GaussianPrior, bayesian_cr_bound, gaussian_prior_solve
-from phaselim.qcore import (CollectiveDephasing, LocalDephasing, NoiseFree,
+from phaselim.qcore import (CollectiveDephasing, LocalDephasing, Loss, NoiseFree,
                             resample_state, state_qfi)
 from phaselim.qfi_opt import IterationConfig
+from references import asymptote_ladder
 
 COLUMNS = [f.name for f in dataclasses.fields(PrecisionRecord)]
 
@@ -183,6 +184,27 @@ class TestRunSweep:
                 assert r4.cr_bound == pytest.approx(r0.cr_bound / 2.0)
             if r0.bayes_cost is not None:
                 assert r4.bayes_cost == pytest.approx(r0.bayes_cost / 2.0)
+
+
+class TestAsymptoteFor:
+    @pytest.mark.parametrize("width", [None, 0.5, math.inf])
+    @pytest.mark.parametrize("kind", ["cr", "bayes"])
+    @pytest.mark.parametrize("noise", [
+        NoiseFree(), LocalDephasing(0.0), LocalDephasing(0.7), LocalDephasing(1.0),
+        Loss(0.0), Loss(0.7), Loss(1.0), CollectiveDephasing(0.0),
+        CollectiveDephasing(0.02)], ids=repr)
+    def test_each_model_names_the_ladder_limit(self, noise, kind, width):
+        got = cli._asymptote_for(noise, kind, width)
+        if noise in (LocalDephasing(0.0), Loss(0.0)):
+            # no phase reaches the output: no limit, where the ladder raised
+            assert got is None
+            with pytest.raises(ValueError, match=r"must be in \(0, 1\]"):
+                asymptote_ladder(noise, kind, width)
+        else:
+            assert got == asymptote_ladder(noise, kind, width)
+        for bad in (0.0, -0.5, math.nan):
+            with pytest.raises(ValueError, match="prior width"):
+                cli._asymptote_for(noise, kind, bad)
 
 
 class TestEmit:

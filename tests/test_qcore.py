@@ -20,7 +20,7 @@ from phaselim.qcore import (Channel, CollectiveDephasing, LocalDephasing, Loss,
                             sine_profile_state, state_qfi, _loss_table)
 from phaselim.qcore import (ChannelBlock, _channel_qfi, _fold,
                             _phase_shift, _unfold, _sector_coordinates)
-from references import block_sld, loss_qfi, sector_stacks
+from references import block_sld, channel_ladder, loss_qfi, sector_stacks
 
 
 def plus_state() -> SymmetricPureState:
@@ -596,6 +596,26 @@ class TestChannelBlocks:
                     lam = np.linalg.eigvalsh(blk.weight)
                     assert lam[0] >= -1e-12 * max(lam[-1], 1.0)
                 assert np.max(np.abs(diag - 1.0)) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 30])
+    @pytest.mark.parametrize("noise", [
+        NoiseFree(), LocalDephasing(0.0), LocalDephasing(0.7), LocalDephasing(1.0),
+        Loss(0.0), Loss(0.7), Loss(1.0), CollectiveDephasing(0.0),
+        CollectiveDephasing(0.02)], ids=repr)
+    def test_each_model_builds_the_ladder_channel(self, noise, n):
+        # every block, row and weight bit for bit as the per-noise ladder
+        got, want = channel_blocks(noise, n), channel_ladder(noise, n)
+        assert got.n == want.n and len(got.blocks) == len(want.blocks)
+        for a, b in zip(got.blocks, want.blocks):
+            assert a.key == b.key and a.start == b.start
+            assert np.array_equal(a.m, b.m) and np.array_equal(a.weight, b.weight)
+        for field in ("l0", "l1", "amplitudes"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+
+    @pytest.mark.parametrize("noise", [object(), None, "dephasing", 0.7])
+    def test_rejects_what_is_not_a_noise_model(self, noise):
+        with pytest.raises(ValueError, match="unsupported noise model"):
+            channel_blocks(noise, 3)
 
 
 def _symmetric_channels(n):
