@@ -48,11 +48,50 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
+# cephes' lgam constants: log sqrt(2 pi) and its Stirling series in 1/x^2
+_LS2PI = 0.91893853320467274178
+_STIRLING = (8.11614167470508450300E-4, -5.95061904284301438324E-4,
+             7.93650340457716943945E-4, -2.77777777730099687205E-3,
+             8.33333333333331927722E-2)
+
+
+def _lgam(k: int) -> float:
+    """cephes' lgam (scipy.special.gammaln) at the integer k >= 0, operation
+    for operation, so bit for bit; math.lgamma misses those bits at about
+    half the integers."""
+    if k < 13:
+        return log(float(factorial(k - 1))) if k else np.inf
+    x = float(k)
+    q = (x - 0.5) * log(x) - x + _LS2PI
+    p = 1.0 / (x * x)
+    if x >= 1000.0:  # three terms of the series, with their own constants
+        s = ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+             + 0.0833333333333333333333)
+    else:
+        s = _STIRLING[0]
+        for a in _STIRLING[1:]:
+            s = s * p + a
+    return q + s / x
+
+
+_lgamma_values = np.full(1, np.inf)
+_lgamma_values.flags.writeable = False
+
+
 def _lgamma_table(size: int) -> np.ndarray:
-    """scipy.special.gammaln(0..size-1); scipy.special is imported on first
-    use (math.lgamma misses gammaln's bits at about half the integers)."""
-    from scipy.special import gammaln
-    return gammaln(np.arange(size, dtype=float))
+    """gammaln(0..size-1) as a read-only view of one module-level table,
+    which grows (at least doubling) when a larger size is asked for; each
+    value is computed once."""
+    global _lgamma_values
+    table = _lgamma_values
+    if len(table) < size:
+        more = [_lgam(k) for k in range(len(table), max(size, 2 * len(table)))]
+        table = np.concatenate((table, more))
+        table.flags.writeable = False
+        # one rebinding, no lock: a racing caller keeps a valid view, and a
+        # growth lost to the race is redone by the next caller that needs it
+        _lgamma_values = table
+    return table[:size]
 
 
 def _xlogy(k, p: float):

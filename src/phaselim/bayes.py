@@ -3,7 +3,10 @@
 Flat prior: the optimal covariant measurement reduces the problem to the
 largest eigenvalue of a real symmetric tridiagonal matrix M built from the
 channel's nearest-neighbour coherence transfer; the minimal mean sine-cost is
-2 - lambda_max(M) and the optimal input state is the top eigenvector.
+2 - lambda_max(M) and the optimal input state is the top eigenvector.  M
+couples even sites only to odd ones, so numpy's eigh solves a matrix of half
+its size, and the cost is taken as a sum of nonnegative terms, so it keeps
+full relative precision where 2 - lambda_max cancels.
 
 Reported costs are the square root of that quantity, so that they carry the
 units of a phase uncertainty and converge to the same pi/N curve the
@@ -147,21 +150,43 @@ def covariant_m_matrix(n: int, noise: NoiseModel) -> np.ndarray:
 
 def covariant_cost(n: int, noise: NoiseModel) -> CovariantResult:
     """Optimal flat-prior Bayesian cost over covariant measurements and input
-    states: cost^2 = 2 - lambda_max(M), state = top eigenvector of M."""
-    from scipy.linalg import eigh_tridiagonal  # ~0.3 s to import; only here
+    states: cost^2 = 2 - lambda_max(M), state = top eigenvector c of M.
+
+    M has a zero diagonal, so it couples even sites only to odd ones,
+    M = [[0, B], [B^T, 0]], and c = (u, B^T u / |B^T u|) / sqrt(2) with u the
+    top eigenvector of the tridiagonal B B^T: one eigh of half M's size.
+    cost^2 is the Rayleigh quotient <c|2 - M|c> over M's superdiagonal o,
+    written bond by bond as c_0^2 + c_N^2 + sum_i [o_i (c_i - c_{i+1})^2
+    + (1 - o_i) (c_i^2 + c_{i+1}^2)]; every o_i lies in [0, 1], so every
+    term is >= 0 and cost^2 keeps its relative precision where
+    2 - lambda_max would cancel.
+    """
     off = _m_offdiagonal(n, noise)
-    lam, vec = eigh_tridiagonal(np.zeros(n + 1), off,
-                                select="i", select_range=(n, n))
-    lam_max = float(lam[0])
-    c = vec[:, 0]
-    # the top eigenvector of the nonnegative tridiagonal M can be chosen
-    # entrywise nonnegative; fix the global sign accordingly
-    if c.sum() < 0.0:
-        c = -c
-    cost_sq = max(2.0 - lam_max, 0.0)
+    m = n // 2 + 1
+    # row e: the two bonds (o_{2e-1}, o_{2e}) of even site 2e, zero past the ends
+    bonds = np.zeros((m, 2))
+    bonds.flat[1:n + 1] = off
+    bbt = np.zeros((m, m))
+    bbt.flat[::m + 1] = bonds[:, 0] ** 2 + bonds[:, 1] ** 2
+    bbt.flat[m::m + 1] = bonds[:-1, 1] * bonds[1:, 0]  # eigh reads the lower half
+    # a top eigenvector of the nonnegative B B^T stays one in modulus
+    c = np.zeros(n + 1)
+    c[0::2] = np.abs(np.linalg.eigh(bbt)[1][:, -1])
+    mc = np.zeros(n + 1)  # M c, nonzero on the odd sites only: B^T u
+    mc[1:] = off * c[:-1]
+    mc[:-1] += off * c[1:]
+    norm = np.linalg.norm(mc)
+    if norm == 0.0:  # M = 0: the channel is phase-blind, every state costs 2
+        cost_sq = 2.0
+    else:
+        c += mc / norm
+        a, b = c[:-1], c[1:]
+        d = a - b
+        cost_sq = float((off @ (d * d) + (1.0 - off) @ (a * a + b * b)
+                         + c[0] * c[0] + c[-1] * c[-1]) / (c @ c))
     state = SymmetricPureState(n, c, normalize=True)
     return CovariantResult(cost_squared=cost_sq, cost=math.sqrt(cost_sq),
-                           optimal_state=state, lambda_max=lam_max)
+                           optimal_state=state, lambda_max=2.0 - cost_sq)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from math import comb
 from typing import Dict
 
 import numpy as np
-from scipy.linalg import expm
 
 from .qcore import LocalDephasing, Loss, SymmetricPureState, channel_output
 
@@ -235,6 +234,7 @@ def brute_loss_components(state: SymmetricPureState, eta: float):
     environments onto definite photon numbers (l0, l1).  Returns
     {(l0, l1): (weight, amplitudes over n = l0..N-l1)}.
     """
+    from scipy.linalg import expm  # here alone: no other oracle needs scipy
     n = state.n_particles
     dim = n + 1
     a = _annihilation(dim)

@@ -244,7 +244,7 @@ def maximize_qfi_over_states(n: int, blocks: Channel,
     if sector:
         c = _sector_coordinates(np.sqrt(0.5 * (c * c + c[::-1] * c[::-1])))
     c = c / np.linalg.norm(c)
-    one_pair = len(blocks.amplitudes) > 1  # loss rows: their table loaded scipy
+    one_pair = len(blocks.amplitudes) > 1  # loss rows; the first move loads scipy
     history: List[float] = []
     best_f, best_c, best_a = -np.inf, c, None
     converged = False

@@ -361,9 +361,14 @@ class TestScipyFreeLogTerms:
         assert all(_xlogy(int(i), p) == xlogy(i, p) for i in (0, 1, 299))
 
     def test_lgamma_table(self):
-        for size in (3, 202, 50, 1000):
-            assert np.array_equal(_lgamma_table(size),
-                                  gammaln(np.arange(size, dtype=float)))
+        # every size is a prefix of the largest, so size 20,000 covers all
+        # sizes up to it; the views are read-only, as the table is shared
+        for size in (3, 202, 50, 1000, 20_000, 1):
+            table = _lgamma_table(size)
+            assert np.array_equal(table, gammaln(np.arange(size, dtype=float)))
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
 
     @pytest.mark.parametrize("eta", [0.0, 0.3, 0.7, 1.0])
     def test_flip_probabilities(self, eta):

@@ -3,7 +3,9 @@ analytic spectrum and a direct quadrature oracle, the Gaussian-prior duality,
 the prior-aware Cramer-Rao bound, and the indefinite-particle-number bounds."""
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -87,6 +89,41 @@ class TestCovariantCost:
         assert res.cost_squared == pytest.approx(
             analytic_noise_free_cost_sq(n), abs=1e-12)
         assert res.cost == pytest.approx(math.sqrt(res.cost_squared))
+
+    def test_noise_free_cost_to_the_last_bits(self):
+        # cost = 2 sin(pi/(2N+4)) in closed form; the cost is a sum of
+        # nonnegative terms, not 2 - lambda_max, so it keeps its relative
+        # precision as it falls like pi/N (2 - lambda_max was off by up to
+        # 4.4e-13 at N <= 200)
+        for n in range(1, 401):
+            want = 2.0 * math.sin(math.pi / (2 * n + 4))
+            assert covariant_cost(n, NoiseFree()).cost == pytest.approx(
+                want, rel=2e-15, abs=0.0), n
+
+    @pytest.mark.parametrize("n", [5, 20, 60])
+    @pytest.mark.parametrize("noise", [LocalDephasing(0.7), Loss(0.7),
+                                       CollectiveDephasing(0.02)])
+    def test_matches_a_50_digit_eigensolve(self, n, noise):
+        # the same M, its top eigenvalue bisected on Sturm counts to 50 digits
+        off = covariant_m_matrix(n, noise).diagonal(1)
+        with mpmath.workdps(50):
+            o2 = [mpmath.mpf(float(x)) ** 2 for x in off]
+
+            def below(x):  # eigenvalues of M below x: negative pivots of M - x
+                count, d = 0, -x
+                for b2 in o2:
+                    count += d < 0
+                    d = -x - b2 / d
+                return count + (d < 0)
+
+            lo, hi = mpmath.mpf(0), mpmath.mpf(2)
+            for _ in range(200):
+                mid = (lo + hi) / 2
+                lo, hi = (lo, mid) if below(mid) == n + 1 else (mid, hi)
+            want = float(2 - lo)
+        got = covariant_cost(n, noise)
+        assert got.cost_squared == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert got.lambda_max == 2.0 - got.cost_squared
 
     def test_single_qubit_cost_is_one(self):
         assert covariant_cost(1, NoiseFree()).cost_squared == pytest.approx(1.0)
@@ -277,7 +314,12 @@ class TestParameterEdges:
     @pytest.mark.parametrize("noise", [Loss(0.0), LocalDephasing(0.0)])
     @pytest.mark.parametrize("n", NS)
     def test_phase_blind_channel_costs_the_flat_prior(self, n, noise):
-        assert covariant_cost(n, noise).cost_squared == 2.0
+        # exactly, and without a division by the zero |M c|
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = covariant_cost(n, noise)
+        assert res.cost_squared == 2.0 and res.lambda_max == 0.0
+        assert np.all(res.optimal_state.amplitudes >= 0.0)
 
     @pytest.mark.parametrize("noise", [Loss(1.0), CollectiveDephasing(0.0)])
     @pytest.mark.parametrize("n", NS)
@@ -287,9 +329,9 @@ class TestParameterEdges:
 
     @pytest.mark.parametrize("n", NS)
     def test_dephasing_one_matches_noise_free(self, n):
-        # M's superdiagonal is summed over spin sectors, so lambda_max agrees
-        # to rounding (4.9e-15 at N = 60), while cost_squared = 2 - lambda_max
-        # is small at large N and moves by ~2e-12 relative there
+        # M's superdiagonal is summed over spin sectors, so it is 1 only to
+        # rounding: lambda_max agrees to 8.9e-16 at N = 60, while the small
+        # cost_squared moves by 4.2e-13 relative there with M itself
         got = covariant_cost(n, LocalDephasing(1.0)).lambda_max
         want = covariant_cost(n, NoiseFree()).lambda_max
         assert abs(got - want) <= 1e-13

@@ -492,18 +492,39 @@ class TestExitCodes:
     @pytest.mark.parametrize("config", [
         "n_min=10, n_max=40, noise=CollectiveDephasing(0.02), "
         "methods=('bayes-gauss',), prior_width=0.5",
-        "n_min=1, n_max=12, noise=NoiseFree(), methods=('qfi-opt',)"],
-        ids=["collective-bayes-gauss", "noise-free-qfi-opt"])
+        "n_min=1, n_max=12, noise=NoiseFree(), methods=('qfi-opt',)",
+        "n_min=1, n_max=12, noise=LocalDephasing(0.7), "
+        "methods=('qfi-opt', 'bayes-flat')",
+        "n_min=1, n_max=60, noise=NoiseFree(), methods=('bayes-flat',)",
+        "n_min=1, n_max=60, noise=CollectiveDephasing(0.02), "
+        "methods=('bayes-flat',)"],
+        ids=["collective-bayes-gauss", "noise-free-qfi-opt",
+             "dephasing-qfi-opt-bayes-flat", "noise-free-bayes-flat",
+             "collective-bayes-flat"])
     def test_scans_without_scipy(self, config):
-        # importing scipy costs a process ~0.35 s of CPU, and collective and
-        # noise-free scans need none of it.  (A dephasing or loss row loads
-        # scipy.special for its log-gamma table, a loss row scipy.linalg for
-        # its see-saw, a bayes-flat row for its tridiagonal eigensolve.)
+        # importing scipy costs a process ~0.35 s of CPU, and dephasing,
+        # collective and noise-free scans need none of it: the log-gamma
+        # table and the flat-prior eigensolve run on math and numpy.  (A
+        # loss row's see-saw loads scipy.linalg for ?syevr.)
         code = ("import sys\n"
                 "from phaselim.cli import SweepConfig, run_sweep\n"
-                "from phaselim.qcore import CollectiveDephasing, NoiseFree\n"
+                "from phaselim.qcore import (CollectiveDephasing, LocalDephasing,\n"
+                "                            NoiseFree)\n"
                 f"records = run_sweep(SweepConfig({config}, timings=False))\n"
                 "assert all(r.converged for r in records)\n"
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_oracles_without_scipy(self):
+        # the benchmark and the tests import the oracles; only the loss
+        # dilation needs scipy (expm), and it imports it itself
+        code = ("import sys\n"
+                "from phaselim import oracles\n"
+                "state = oracles.random_state(4, seed=1)\n"
+                "assert oracles.brute_dephasing_qfi(state, 0.7) > 0.0\n"
                 "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, timeout=120)

@@ -437,8 +437,8 @@ class TestLowestEigenpair:
                 assert np.linalg.norm(mat @ vec - lam * vec) <= 1e-12 * scale
 
     def test_only_loss_rows_take_the_one_pair_solve(self, monkeypatch):
-        # a loss channel's table build has imported scipy; the dense and
-        # noise-free channels keep the see-saw on numpy's eigh
+        # a loss row's first move loads scipy for ?syevr; the dense and
+        # noise-free channels keep the see-saw on numpy's eigh, scipy-free
         seen = set()
         def spy(a, one_pair=False):
             seen.add(one_pair)
