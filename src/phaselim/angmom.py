@@ -15,7 +15,8 @@ Two evaluation routes coexist:
   coefficients for one particle number at once, from the table for one
   particle fewer by a closed-form one-particle recoupling (O(N^3) work per
   step, no eigensolve), and one matrix product per coupling block, which is
-  what sweeps over N use.
+  what sweeps over N use.  A table stores the half k <= n/2, m >= 0, and
+  one table, the last built, is kept to continue from.
 
 Both routes are cross-checked against each other and against brute-force
 tensor-product oracles in the test suite.
@@ -24,7 +25,6 @@ tensor-product oracles in the test suite.
 from __future__ import annotations
 
 import logging
-import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, log, sqrt
@@ -347,10 +347,10 @@ class DephasingTables:
 
     The table for n comes from the one for n - 1 by adding one unflipped
     particle (`_next_half_table`), O(n^3) elementwise work with no
-    eigensolve; a cold build runs that recurrence from n = 0.  Only k <= n/2
-    and m >= 0 are computed; the rest follow from exact sign symmetries.  The
-    table is read-only once built, so it is safe to share across threads and
-    callers.
+    eigensolve; a cold build runs that recurrence from n = 0.  Only the half
+    k <= n/2, m >= 0 is stored; the rest follows from exact sign symmetries
+    when it is read.  The table is read-only once built, so it is safe to
+    share across threads and callers.
     """
 
     def __init__(self, n: int, start: DephasingTables | None = None):
@@ -362,29 +362,25 @@ class DephasingTables:
         if start is not None and start.n > n:
             raise ValueError(f"cannot continue from N={start.n} down to N={n}")
         self.n = n
-        # the half table (m >= 0) to continue from; n = 0 holds C = 1
-        done, h = (0, np.ones((1, 1, 1))) if start is None else \
-            (start.n, start._c[:, :, (start.n + 1) // 2:])
+        # the half table to continue from; n = 0 holds C = 1
+        done, h = (0, np.ones((1, 1, 1))) if start is None else (start.n, start._c)
         for m in range(done, n):
             h = _next_half_table(h, m)
-        # _c[k, j_index, m_index]; j_index = (2j - n%2)/2, m_index = (2m + n)/2
-        self._c = np.empty((n // 2 + 1, n // 2 + 1, n + 1))
-        top = (n + 1) // 2  # m_index of the smallest m >= 0
-        self._c[:, :, top:] = h
-        # C(j, -m) = (-1)^(n/2 - j) (-1)^k C(j, m)
-        k_plus_j = np.arange(n // 2 + 1)[:, None] + np.arange(n // 2 + 1)
-        sign = np.where((n // 2 + k_plus_j) % 2 == 0, 1.0, -1.0)
-        self._c[:, :, :top] = sign[:, :, None] * np.flip(h, 2)[:, :, :top]
+        # _c[k, j_index, m_index]; j_index = (2j - n%2)/2, m_index = (2m - n%2)/2
+        self._c = h
         self._c.setflags(write=False)
 
     def _rows(self, ks, tj: int, tms):
         """C(k; j, m) for (broadcast) flip counts ks and doubled projections
-        tms, read from the k <= n/2 half table through the mirror
-        C(n-k; j, m) = (-1)^(n/2-j) (-1)^(n/2-m) C(k; j, m)."""
+        tms, read from the half table through the mirrors
+        C(n-k; j, m) = (-1)^(n/2-j) (-1)^(n/2-m) C(k; j, m) and
+        C(k; j, -m) = (-1)^(n/2-j) (-1)^k C(k; j, m)."""
         n = self.n
         kk = np.minimum(ks, n - ks)
-        r = self._c[kk, (tj - n % 2) // 2, (tms + n) // 2]
-        return np.where((ks > kk) & (((n - tj) // 2 + (n - tms) // 2) % 2 == 1), -r, r)
+        r = self._c[kk, (tj - n % 2) // 2, (np.abs(tms) - n % 2) // 2]
+        flip_k = (ks > kk) & (((n - tj) // 2 + (n - tms) // 2) % 2 == 1)
+        flip_m = (tms < 0) & (((n - tj) // 2 + kk) % 2 == 1)
+        return np.where(flip_k ^ flip_m, -r, r)
 
     def transfer(self, k: int, tj: int, tm: int) -> float:
         """C(k; j, m) with doubled arguments."""
@@ -403,48 +399,44 @@ class DephasingTables:
         return r.T @ (flips[ks] * r)
 
 
-_TABLES_KEPT = 4
-_tables: dict[int, DephasingTables] = {}  # in order of last use, oldest first
-_tables_lock = threading.Lock()
+_last_tables: DephasingTables | None = None
 
 
 def dephasing_tables(n: int) -> DephasingTables:
-    """Memoized per-N transfer tables (small cache; sweeps run N in order).
+    """The transfer tables for n particles; only the last table built is
+    kept (sweeps run N in increasing order).
 
-    A miss continues from the largest cached table below n, so a sweep pays
-    one recurrence step per N; the bits are those of a cold build.
+    The same n returns the kept table, a larger n continues from it, so a
+    sweep pays one recurrence step per N, and a smaller n builds cold; the
+    bits are those of a cold build either way.
     """
-    with _tables_lock:
-        if n in _tables:
-            _tables[n] = _tables.pop(n)
-            return _tables[n]
-        below = [m for m in _tables if m < n]
-        start = _tables[max(below)] if below else None
-    tables = DephasingTables(n, start)
-    with _tables_lock:
-        # a concurrent caller may have stored the same table meanwhile
-        tables = _tables[n] = _tables.pop(n, tables)
-        while len(_tables) > _TABLES_KEPT:
-            del _tables[next(iter(_tables))]
+    global _last_tables
+    last = _last_tables
+    if last is not None and last.n == n:
+        return last
+    tables = DephasingTables(n, last if last is not None and last.n < n else None)
+    # one rebinding, no lock: a racing caller keeps the table it was handed,
+    # and a continuation lost to the race costs only a colder build later
+    _last_tables = tables
     return tables
 
 
 def _clear_tables() -> None:
-    """Drop every cached table, so the next build starts from n = 0."""
-    with _tables_lock:
-        _tables.clear()
+    """Drop the kept table, so the next build starts from n = 0."""
+    global _last_tables
+    _last_tables = None
 
 
 dephasing_tables.cache_clear = _clear_tables
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def coupling_blocks(n: int, eta: float) -> Mapping[int, np.ndarray]:
     """All spin-j coupling matrices of the local-dephasing channel for n
     particles, keyed by doubled j.  The flip probabilities of k = 0..n are
     evaluated once, and each block's product R^T diag(w) R
     (`DephasingTables.coupling_block`) reads its slice |n/2 - k| <= j of
-    them.  Memoized per (n, eta), so the mapping and its arrays are
+    them.  The last (n, eta) is kept, so the mapping and its arrays are
     read-only."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"dephasing parameter eta={eta} outside [0, 1]")

@@ -1,6 +1,7 @@
 """Test-side references: two that check the engine through the forward map
 `qcore.channel_output`, two block-by-block builds that the stacked channel
-build must reproduce bit for bit, and the per-noise dispatch that each noise
+build must reproduce bit for bit, the coupling blocks read from a transfer
+table that stores both m halves, and the per-noise dispatch that each noise
 model's `channel` and `limit` must reproduce exactly."""
 
 import math
@@ -8,7 +9,8 @@ import math
 import numpy as np
 
 from phaselim import asymptotics, qcore
-from phaselim.angmom import _flip_probabilities, coupling_blocks, dephasing_tables
+from phaselim.angmom import (_flip_probabilities, allowed_twice_j, coupling_blocks,
+                             dephasing_tables)
 from phaselim.qcore import (EIG_SUPPORT_RTOL, Channel, ChannelBlock,
                             CollectiveDephasing, LocalDephasing, Loss, NoiseFree,
                             channel_output, collective_weight, m_grid)
@@ -54,6 +56,31 @@ def coupling_block(n, tj, eta):
     r = dephasing_tables(n)._rows(ks, tj, np.arange(-tj, tj + 1, 2))
     block = r.T @ (_flip_probabilities(n, ks, eta) * r)
     return np.diag(np.diagonal(block)) if eta == 0.0 else block
+
+
+def full_m_coupling_blocks(n, eta):
+    """`coupling_blocks` read from a transfer table that stores both m
+    halves: the stored m >= 0 half, with m < 0 filled in by
+    C(k; j, -m) = (-1)^(n/2-j) (-1)^k C(k; j, m), and the rows k > n/2 read
+    through the k mirror alone."""
+    h = dephasing_tables(n)._c
+    top = (n + 1) // 2  # index of the smallest m >= 0 in m = -n/2..n/2
+    table = np.empty((n // 2 + 1, n // 2 + 1, n + 1))
+    table[:, :, top:] = h
+    k_plus_j = np.arange(n // 2 + 1)[:, None] + np.arange(n // 2 + 1)
+    sign = np.where((n // 2 + k_plus_j) % 2 == 0, 1.0, -1.0)
+    table[:, :, :top] = sign[:, :, None] * np.flip(h, 2)[:, :, :top]
+    flips = _flip_probabilities(n, np.arange(n + 1), eta)
+    blocks = {}
+    for tj in allowed_twice_j(n):
+        ks = np.arange((n - tj) // 2, (n + tj) // 2 + 1)[:, None]
+        tms = np.arange(-tj, tj + 1, 2)
+        kk = np.minimum(ks, n - ks)
+        r = table[kk, (tj - n % 2) // 2, (tms + n) // 2]
+        r = np.where((ks > kk) & (((n - tj) // 2 + (n - tms) // 2) % 2 == 1), -r, r)
+        block = r.T @ (flips[ks] * r)
+        blocks[tj] = np.diag(np.diagonal(block)) if eta == 0.0 else block
+    return blocks
 
 
 def sector_stacks(channel):

@@ -4,9 +4,11 @@ tensor-product channel, and the bulk-table fast path against the exact path
 and against a per-(k, m) LAPACK tridiagonal reference.
 """
 
+import gc
 import math
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 from math import comb, lgamma
 
@@ -21,7 +23,7 @@ from phaselim.angmom import (DephasingTables, _flip_probabilities, _lgamma_table
                              coupling_blocks, coupling_matrix_entry,
                              dephasing_tables, dephasing_weight,
                              multiplicity_dimension, transfer_coefficient)
-from references import coupling_block
+from references import coupling_block, full_m_coupling_blocks
 
 
 def _stretched_column(n, k, tm, tmts):
@@ -201,9 +203,16 @@ class TestTransferCoefficient:
     @pytest.mark.parametrize("n", [1, 2, 3, 50, 51, 120, 200])
     def test_tables_match_dstev_reference(self, n):
         # the one-particle recurrence against one tridiagonal solve
-        # per (k, m)
-        got = dephasing_tables(n)._c
-        assert np.max(np.abs(got - _dstev_half_table(n))) < 2e-12
+        # per (k, m): the stored m >= 0 half, then every k <= n/2 entry read
+        # through the m -> -m mirror
+        tables = dephasing_tables(n)
+        want = _dstev_half_table(n)
+        assert np.max(np.abs(tables._c - want[:, :, (n + 1) // 2:])) < 2e-12
+        ks = np.arange(n // 2 + 1)[:, None]
+        for tj in allowed_twice_j(n):
+            got = tables._rows(ks, tj, np.arange(-n, n + 1, 2))
+            want_j = want[:, (tj - n % 2) // 2]
+            assert np.max(np.abs(got - want_j)) < 2e-12, tj
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
     def test_completeness_over_spin(self, n):
@@ -243,7 +252,9 @@ class TestRecurrence:
         with pytest.raises(ValueError, match="cannot continue"):
             DephasingTables(start, continued)
 
-    def test_cache_clear_leaves_nothing_to_continue_from(self, monkeypatch):
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        """The particle numbers n of the recurrence steps n -> n + 1 run."""
         steps = []
         step = angmom._next_half_table
 
@@ -252,6 +263,9 @@ class TestRecurrence:
             return step(h, n)
 
         monkeypatch.setattr(angmom, "_next_half_table", counted)
+        return steps
+
+    def test_cache_clear_leaves_nothing_to_continue_from(self, steps):
         dephasing_tables.cache_clear()
         dephasing_tables(30)
         assert steps == list(range(30))
@@ -264,20 +278,28 @@ class TestRecurrence:
         dephasing_tables(32)
         assert steps == list(range(32))
 
-    def test_keeps_four_tables(self):
+    def test_keeps_one_table(self, steps):
+        # the same N runs no step, N + 1 one step, and a smaller N a cold
+        # chain: only the last table is kept
         dephasing_tables.cache_clear()
         for n in range(1, 8):
             dephasing_tables(n)
-        assert list(angmom._tables) == [4, 5, 6, 7]
+        assert steps == list(range(7))
+        del steps[:]
+        dephasing_tables(7)
+        assert steps == []
+        dephasing_tables(8)
+        assert steps == [7]
+        del steps[:]
         dephasing_tables(5)
-        assert list(angmom._tables) == [4, 6, 7, 5]
+        assert steps == list(range(5))
 
     def test_concurrent_callers(self):
         # more threads than cores, switching often: every caller gets the
-        # cold bits of its own N, and the cache never holds more than four
+        # cold bits of its own N
         want = {n: DephasingTables(n)._c for n in range(1, 25)}
         dephasing_tables.cache_clear()
-        errors, seen = [], []
+        errors, calls = [], []
 
         def work(seed):
             try:
@@ -285,8 +307,7 @@ class TestRecurrence:
                     tables = dephasing_tables(int(n))
                     if tables.n != n or not np.array_equal(tables._c, want[n]):
                         errors.append((seed, int(n)))
-                    with angmom._tables_lock:
-                        seen.append(len(angmom._tables))
+                    calls.append(n)
             except Exception as exc:  # noqa: BLE001 - reported below
                 errors.append(exc)
 
@@ -301,7 +322,25 @@ class TestRecurrence:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert errors == [] and len(seen) == 8 * 40 and max(seen) <= 4
+        assert errors == [] and len(calls) == 8 * 40
+
+    def test_holds_one_table_and_one_block_set(self):
+        # after a warm sweep, the caches hold the last table and the last
+        # (N, eta)'s blocks, and nothing of the N before
+        dephasing_tables.cache_clear()
+        coupling_blocks.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for n in range(1, 121):
+                coupling_blocks(n, 0.7)
+            gc.collect()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = dephasing_tables(120)._c.nbytes + sum(
+            block.nbytes for block in coupling_blocks(120, 0.7).values())
+        assert held <= 1.1 * kept, (held, kept)
 
 
 class TestDephasingWeight:
@@ -390,7 +429,7 @@ class TestBulkTableInvariants:
 
     def test_squares_sum_to_one_over_spin(self):
         # every (k, m) column of the half table is a unit vector over j; the
-        # k -> n-k half differs only by signs
+        # entries it mirrors differ only by signs
         total = np.sum(dephasing_tables(self.N)._c ** 2, axis=1)
         assert np.max(np.abs(total - 1.0)) < 2e-12
 
@@ -428,6 +467,17 @@ class TestCouplingBlocksByBlock:
         assert sorted(blocks) == list(allowed_twice_j(n))
         for tj, block in blocks.items():
             assert np.array_equal(block, coupling_block(n, tj, eta)), tj
+
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.7, 1.0])
+    def test_blocks_of_the_full_m_table(self, eta):
+        # reading m < 0 through the mirror gives the bits of a table that
+        # stores both m halves
+        for n in [*range(1, 61), 120]:
+            want = full_m_coupling_blocks(n, eta)
+            blocks = coupling_blocks(n, eta)
+            assert sorted(blocks) == sorted(want)
+            for tj, block in blocks.items():
+                assert np.array_equal(block, want[tj]), (n, tj)
 
 
 class TestCachedResultsAreReadOnly:

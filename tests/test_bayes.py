@@ -264,6 +264,21 @@ class TestGaussianPriorCost:
         assert f_dual == pytest.approx(1.0 / (0.09 + math.pi ** 2 / n ** 2),
                                        rel=0.01)
 
+    @pytest.mark.parametrize("a,b", [((50, 0.3), (75, 0.2)),
+                                     ((100, 0.3), (150, 0.2))],
+                             ids=["x15", "x30"])
+    def test_noise_free_cost_depends_on_n_times_width(self, a, b):
+        # N cost / pi is a function of x = N delta0 alone up to O(1/N) at fixed
+        # x: the prior-averaged kernel exp(-delta0^2 (i-j)^2 / 2) on the grid
+        # i/N becomes exp(-x^2 (s-s')^2 / 2) on [0, 1].  Both pairs share x
+        # (15, then 30).  The delta0 = 0.2 solves end at r ~ 1e-6 under this
+        # budget, so only the agreement is asserted, not convergence
+        cfg = IterationConfig(rel_tol=1e-10, max_iters=400, polish=True,
+                              polish_max_evals=600)
+        f_a, f_b = (n * gaussian_prior_cost(n, delta0, NoiseFree(), cfg) / math.pi
+                    for n, delta0 in (a, b))
+        assert f_a == pytest.approx(f_b, rel=3e-3)
+
     def test_collective_floor(self):
         n, gamma, delta0 = 80, 0.1, 0.5
         cost = gaussian_prior_cost(n, delta0, CollectiveDephasing(gamma))
