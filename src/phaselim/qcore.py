@@ -49,23 +49,20 @@ it holds.  Under local dephasing the blocks of N + 1 >= 43 entries stay
 alone and the smaller ones share classes; equal-size blocks (loss under a
 prior) stack with no padding.
 
-Every channel here commutes with the arm swap J: n -> N - n (m -> -m).  A
-centred block (window symmetric about the middle of the grid) has
-W(m, m') = W(-m, -m'), and for an input with Jc = c its sigma splits into
-one block per parity sector while M = diag(m) only couples the sectors.
-The optimizer needs only such even inputs, real and non-negative (see
-`qfi_opt`), so `_sector_qfi` runs the step in the even sector's
-coordinates (`_sector_coordinates`) on a channel of centred blocks only
-(local or collective dephasing, any prior, or no noise with a prior;
-`Channel.parity_split`) and returns the even block of A alone.  It stacks
-the folded blocks by the dense step's rule on their folded size, and a
-class costs one `eigh` per sector of about half its size.  The fold is
-per class too: `_SectorStack.fold` places a class's blocks once, centred
-and zero-extended, in one weight stack over its widest window, tests that
-stack's mirror symmetry once and folds it in one set of array operations
-(`_mirror_parts` and `_fold` take a leading batch axis).  Loss, whose
-patterns sit off the centre, and every channel with rank-one rows run in
-the full space.
+Every channel here commutes with the arm swap J: n -> N - n (m -> -m), and
+the optimizer needs only inputs with Jc = c, real and non-negative (see
+`qfi_opt`).  There a centred block (window symmetric about the middle of
+the grid, W(m, m') = W(-m, -m')) splits sigma into one block per parity
+sector, which M = diag(m) only couples, so on a channel of centred blocks
+only (`Channel.parity_split`: local or collective dephasing, any prior, or
+no noise with a prior) `_sector_qfi` runs the step in the even sector's
+coordinates (`_sector_coordinates`) and returns the even block of A alone.
+It stacks the folded blocks by the dense step's rule on their folded size,
+one `eigh` per sector of about half the size; `_SectorStack.fold` places,
+tests for mirror symmetry and folds each class at once (`_mirror_parts` and
+`_fold` take a leading batch axis).  Every other channel runs the dense
+step on `Channel.mirror_half`, which keeps each mirror pair of rows or
+blocks once at twice the weight, and `_fold` takes the even block of its A.
 """
 
 from __future__ import annotations
@@ -331,16 +328,36 @@ class Channel:
     def parity_split(self) -> Optional[List["_SectorStack"]]:
         """The blocks of `size_classes`, by folded size, folded onto the
         arm-swap sectors for `_sector_qfi`, one stack per class
-        (`_SectorStack.fold`); None, for the full space, with rank-one rows,
-        with a block off the centre (2 start + d - 1 != N: loss with a prior)
-        or with a class whose stack is not mirror-symmetric (W !=
-        W[::-1, ::-1] beyond 1e-12), which is tested once per class."""
+        (`_SectorStack.fold`); None with rank-one rows, with a block off the
+        centre (2 start + d - 1 != N: loss with a prior) or with a class whose
+        stack is not mirror-symmetric (W != W[::-1, ::-1] beyond 1e-12)."""
         if len(self.amplitudes) or any(2 * blk.start + len(blk.m) - 1 != self.n
                                        for blk in self.blocks):
             return None
         stacks = [_SectorStack.fold(self.n, group) for group in
                   _size_classes(self.blocks, lambda b: len(b.m) - len(b.m) // 2)]
         return None if any(st is None for st in stacks) else stacks
+
+    @cached_property
+    def mirror_half(self) -> "Channel":
+        """Each mirror pair under J of rows (amplitudes reversed) or blocks
+        (W[::-1, ::-1] on the mirrored window) as its member nearer n = 0 at
+        twice the weight: at an even input that adds the pair's F and, folded,
+        its A.  ValueError if a mirror is missing or differs beyond 1e-12."""
+        n, blocks, amps = self.n, self.blocks, self.amplitudes
+        keep = self.l0 <= self.l1
+        rows = _mirror_mates(self.l0, n + 1 - self.l0 - self.l1, n)[keep]
+        mates = _mirror_mates([b.start for b in blocks], [len(b.m) for b in blocks], n)
+        kept = amps[keep]
+        if np.any(np.abs(amps[rows, ::-1] - kept) > 1e-12) or any(
+                np.max(np.abs(blocks[j].weight - b.weight[::-1, ::-1])) > 1e-12
+                for b, j in zip(blocks, mates)):
+            raise ValueError("a row or block differs from its mirror under n -> N - n")
+        kept *= np.where(self.l0 < self.l1, math.sqrt(2.0), 1.0)[keep, None]
+        half = [b if j == i else ChannelBlock(b.key, b.start, b.m, 2.0 * b.weight)
+                for i, (b, j) in enumerate(zip(blocks, mates))
+                if b.start <= blocks[j].start]
+        return Channel(n, half, self.l0[keep], self.l1[keep], kept)
 
     @cached_property
     def size_classes(self) -> List["_BlockStack"]:
@@ -372,6 +389,19 @@ def _size_classes(blocks: List[ChannelBlock], size) -> List[List[ChannelBlock]]:
             classes.append([])
         classes[-1].append(blk)
     return classes
+
+
+def _mirror_mates(start, size, n: int) -> np.ndarray:
+    """The index of each window's mirror under J among the windows start ..
+    start + size - 1 on 0..N; ValueError unless there is exactly one."""
+    start, size = np.asarray(start, dtype=int), np.asarray(size, dtype=int)
+    key, mirror = start * (n + 2) + size, (n + 1 - start - size) * (n + 2) + size
+    order = np.argsort(key)
+    mate = order[np.searchsorted(key, mirror, sorter=order).clip(max=len(key) - 1)]
+    if not (np.array_equal(key[mate], mirror)
+            and np.array_equal(mate[mate], np.arange(len(key)))):
+        raise ValueError("a row or block has no single mirror under n -> N - n")
+    return mate
 
 
 def _loss_table(n: int, eta: float):
@@ -646,8 +676,8 @@ def _mirror_parts(a: np.ndarray):
 
 
 def _fold(a: np.ndarray):
-    """The sector blocks (A+, A-) = (D + C, D - C) of d x d matrices that
-    commute with J (leading axes index a stack), in the orthonormal basis
+    """The sector blocks (A+, A-) = (P+ a P+, P- a P-) = (D + C, D - C) of
+    d x d matrices a (leading axes index a stack), in the orthonormal basis
     (e_i + e_(d-1-i))/sqrt(2), i < d // 2, plus e_(d // 2) for odd d (even
     sector) and (e_i - e_(d-1-i))/sqrt(2) (odd sector)."""
     d = a.shape[-1]

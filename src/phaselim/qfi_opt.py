@@ -19,18 +19,14 @@ caller's loop over `initial_state`.
 
 Every channel here has Kraus operators diagonal in n, which commute with
 the generator, so F(Dc) = F(c) and A(Dc) = D A(c) D^H for every diagonal
-unitary D: a run from c is the run from |c| conjugated by D.  So the loop
-starts from |c| and runs on real vectors, and the returned state is the
-modulus of the best iterate, entrywise >= 0.  F depends on c through
-p = |c|^2 alone, concavely (Escher, de Matos Filho & Davidovich, Nat. Phys.
-7, 406 (2011)), and every channel commutes with the arm swap J: n -> N - n,
-so sqrt((p + Jp)/2) never lowers F.  On a channel with a `parity_split`
-(centred dense blocks only, at every N: local or collective dephasing,
-any prior, or no noise with a prior) a run starts there and stays in the
-even sector: each step is `_sector_qfi`, which returns A's even block A+,
-each move is A+'s lowest eigenvector v, and the polish runs on the half
-vector; F(v) >= -<v|A+|v> >= -<c|A+|c> = F(c).  Every other channel runs
-in the full space.
+unitary D: the loop runs from |c| on real vectors and returns entries >= 0.
+F depends on c through p = |c|^2 alone, concavely (Escher, de Matos Filho &
+Davidovich, Nat. Phys. 7, 406 (2011)), and every channel commutes with the
+arm swap J: n -> N - n, so sqrt((p + Jp)/2) never lowers F.  Every run
+starts there and stays in the even sector: a step returns A's even block A+
+(`_sector_qfi` on a channel with a `parity_split`, else the dense step on
+`Channel.mirror_half`, folded), a move is A+'s lowest eigenvector v, and the
+polish runs on the half vector; F(v) >= -<v|A+|v> >= -<c|A+|c> = F(c).
 
 The map's contraction rate approaches one on flat landscapes (narrow
 collective dephasing is the worst case).  With `IterationConfig.polish`,
@@ -54,8 +50,8 @@ from typing import List, Optional
 import numpy as np
 
 from .qcore import (Channel, NoiseModel, SymmetricPureState, _channel_qfi,
-                    _sector_coordinates, _sector_qfi, _unfold, channel_blocks,
-                    sine_profile_state)
+                    _fold, _sector_coordinates, _sector_qfi, _unfold,
+                    channel_blocks, sine_profile_state)
 
 __all__ = [
     "IterationConfig",
@@ -111,9 +107,7 @@ class OptimizationTrace:
     evaluations the polish spent (0 when it was skipped).  `converged` is
     residual <= STATIONARITY_RTOL for a polished run and the loop's tail
     test otherwise (true on a phase-blind channel).  `final_state` holds
-    real amplitudes >= 0 (see the module docstring).  `parity` is 1 when
-    the run was solved on the even sector (the channel has a `parity_split`)
-    and 0 when it ran in the full space.
+    real amplitudes >= 0, even under n -> N - n (module docstring).
     """
 
     qfi_values: np.ndarray
@@ -122,7 +116,6 @@ class OptimizationTrace:
     qfi: float
     residual: float = math.nan
     polish_evals: int = 0
-    parity: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -130,38 +123,19 @@ class OptimizationTrace:
 # ---------------------------------------------------------------------------
 
 
-def _iteration_step(channel: Channel, c: np.ndarray):
-    """Return (F(c), A(c)) at the real state c; A is real symmetric."""
-    a_out = np.zeros((channel.n + 1, channel.n + 1))
-    return _channel_qfi(channel, c, a_out), a_out
-
-
-def _step(channel: Channel, c: np.ndarray):
-    """(F, A) at the real state c: on a channel with a `parity_split` c holds
-    the even-sector coordinates and A is the even block A+, else c holds all
-    N + 1 amplitudes and A is the full operator."""
-    return (_iteration_step(channel, c) if channel.parity_split is None
-            else _sector_qfi(channel, c))
+def _step(channel: Channel, ch: np.ndarray):
+    """(F, A+) at the real even state with sector coordinates ch: the sector
+    step, or the dense step on `Channel.mirror_half` with A folded."""
+    if channel.parity_split is not None:
+        return _sector_qfi(channel, ch)
+    a = np.zeros((channel.n + 1, channel.n + 1))
+    f = _channel_qfi(channel.mirror_half, _unfold(ch, channel.n + 1), a)
+    return f, _fold(a)[0]
 
 
 def _residual(f: float, a: np.ndarray, c: np.ndarray) -> float:
     """Distance from stationarity |(A + F) c| / F of a unit vector c."""
     return float(np.linalg.norm(a @ c + f * c)) / f if f > 0.0 else math.nan
-
-
-def _lowest_eigenpair(a: np.ndarray, one_pair: bool = False):
-    """Lowest eigenpair of a real symmetric matrix from its lower triangle,
-    by eigh or, with `one_pair`, by one scipy ?syevr call that computes it
-    alone."""
-    if one_pair:
-        from scipy.linalg import get_lapack_funcs
-        syevr, = get_lapack_funcs(("syevr",), (a,))
-        w, z, _, _, info = syevr(a, range="I", il=1, iu=1, lower=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"?syevr failed with info = {info}")
-        return float(w[0]), z[:, 0]
-    w, z = np.linalg.eigh(a)
-    return float(w[0]), z[:, 0].copy()
 
 
 def _lbfgs_direction(g: np.ndarray, pairs: np.ndarray, gamma: float) -> np.ndarray:
@@ -228,8 +202,8 @@ def maximize_qfi_over_states(n: int, blocks: Channel,
 
     This is the engine behind `qfi_iterate`; the Bayesian module reuses it
     with prior-averaged channels.  The run starts from the modulus |c| of
-    the start's amplitudes, on a channel with a `parity_split` symmetrized to
-    sqrt((p + Jp)/2) and folded onto the even sector (module docstring).
+    the start's amplitudes, symmetrized to sqrt((p + Jp)/2) and folded onto
+    the even sector (module docstring).
     """
     cfg = cfg or IterationConfig()
     if blocks.n != n:
@@ -240,11 +214,8 @@ def maximize_qfi_over_states(n: int, blocks: Channel,
     elif start.n_particles != n:
         raise ValueError("initial state has the wrong particle number")
     c = np.abs(start.amplitudes)
-    sector = blocks.parity_split is not None
-    if sector:
-        c = _sector_coordinates(np.sqrt(0.5 * (c * c + c[::-1] * c[::-1])))
+    c = _sector_coordinates(np.sqrt(0.5 * (c * c + c[::-1] * c[::-1])))
     c = c / np.linalg.norm(c)
-    one_pair = len(blocks.amplitudes) > 1  # loss rows; the first move loads scipy
     history: List[float] = []
     best_f, best_c, best_a = -np.inf, c, None
     converged = False
@@ -269,7 +240,7 @@ def maximize_qfi_over_states(n: int, blocks: Channel,
                     break
                 if cfg.polish and rate >= _HANDOFF_RATE:
                     break
-        c = _lowest_eigenpair(a, one_pair)[1]
+        c = np.linalg.eigh(a)[1][:, 0].copy()
     best_r = _residual(best_f, best_a, best_c)
     polish_evals = 0
     if cfg.polish and best_f > 0.0:
@@ -278,12 +249,10 @@ def maximize_qfi_over_states(n: int, blocks: Channel,
             best_f, best_c, best_r, polish_evals = _polish(
                 blocks, best_c, best_f, best_a, budget)
         converged = best_r <= STATIONARITY_RTOL
-    if sector:
-        best_c = _unfold(best_c, n + 1)
-    state = SymmetricPureState(n, np.abs(best_c), normalize=True)
+    state = SymmetricPureState(n, np.abs(_unfold(best_c, n + 1)), normalize=True)
     return OptimizationTrace(qfi_values=np.asarray(history), converged=converged,
                              final_state=state, qfi=best_f, residual=best_r,
-                             polish_evals=polish_evals, parity=int(sector))
+                             polish_evals=polish_evals)
 
 
 def qfi_iterate(n: int, noise: NoiseModel,

@@ -497,19 +497,22 @@ class TestExitCodes:
         "methods=('qfi-opt', 'bayes-flat')",
         "n_min=1, n_max=60, noise=NoiseFree(), methods=('bayes-flat',)",
         "n_min=1, n_max=60, noise=CollectiveDephasing(0.02), "
-        "methods=('bayes-flat',)"],
+        "methods=('bayes-flat',)",
+        "n_min=1, n_max=25, noise=Loss(0.7), methods=('qfi-opt', 'bayes-flat')",
+        "n_min=10, n_max=20, n_step=10, noise=Loss(0.7), "
+        "methods=('bayes-gauss',), prior_width=0.5"],
         ids=["collective-bayes-gauss", "noise-free-qfi-opt",
              "dephasing-qfi-opt-bayes-flat", "noise-free-bayes-flat",
-             "collective-bayes-flat"])
+             "collective-bayes-flat", "loss-qfi-opt-bayes-flat",
+             "loss-bayes-gauss"])
     def test_scans_without_scipy(self, config):
-        # importing scipy costs a process ~0.35 s of CPU, and dephasing,
-        # collective and noise-free scans need none of it: the log-gamma
-        # table and the flat-prior eigensolve run on math and numpy.  (A
-        # loss row's see-saw loads scipy.linalg for ?syevr.)
+        # importing scipy costs a process ~0.35 s of CPU, and no scan needs
+        # any of it: the log-gamma table, the flat-prior eigensolve and the
+        # see-saw's eigensolve run on math and numpy
         code = ("import sys\n"
                 "from phaselim.cli import SweepConfig, run_sweep\n"
                 "from phaselim.qcore import (CollectiveDephasing, LocalDephasing,\n"
-                "                            NoiseFree)\n"
+                "                            Loss, NoiseFree)\n"
                 f"records = run_sweep(SweepConfig({config}, timings=False))\n"
                 "assert all(r.converged for r in records)\n"
                 "print(sorted(m for m in sys.modules if m.startswith('scipy')))")

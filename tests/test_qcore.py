@@ -20,6 +20,7 @@ from phaselim.qcore import (Channel, CollectiveDephasing, LocalDephasing, Loss,
                             sine_profile_state, state_qfi, _loss_table)
 from phaselim.qcore import (ChannelBlock, _channel_qfi, _fold,
                             _phase_shift, _unfold, _sector_coordinates)
+from phaselim.qfi_opt import maximize_qfi_over_states
 from references import block_sld, channel_ladder, loss_qfi, sector_stacks
 
 
@@ -714,21 +715,67 @@ class TestArmSwapSymmetry:
                 assert np.max(np.abs(w - w[::-1, ::-1])) <= 1e-14, (noise, prior, blk.key)
                 assert np.array_equal(blk.m, -blk.m[::-1])
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 30])
-    def test_loss_patterns_mirror(self, n):
+    @pytest.mark.parametrize("n", [1, 2, 5, 7, 25, 30, 60, 200])
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.7, 1.0])
+    def test_loss_patterns_mirror(self, n, eta):
         # row (l0, l1) is row (l1, l0) read backwards, bit for bit, and so is
-        # the dense block of a loss pattern composed with a prior
-        channel = channel_blocks(Loss(0.7), n)
+        # the dense block of a loss pattern composed with a prior (N <= 30),
+        # so `Channel.mirror_half` may keep one of each pair for both
+        channel = channel_blocks(Loss(eta), n)
         rows = {(a, b): r for r, (a, b) in enumerate(zip(channel.l0, channel.l1))}
         for (l0, l1), r in rows.items():
             assert np.array_equal(channel.amplitudes[r],
                                   channel.amplitudes[rows[l1, l0]][::-1])
+        if n > 30:
+            return
         blocks = {blk.key: blk for blk in compose_collective(channel, 0.25).blocks}
         for (l0, l1), blk in blocks.items():
             mate = blocks[l1, l0]
             assert mate.start == n - l0 - (len(blk.m) - 1)
             assert np.array_equal(mate.weight, blk.weight[::-1, ::-1])
             assert np.array_equal(mate.m, -blk.m[::-1])
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 30])
+    def test_mirror_half_keeps_one_of_each_pair(self, n):
+        # rows with l0 < l1 and off-centre blocks nearer the start stand for
+        # their mirrors at twice the weight; self-mirrored ones stay as they are
+        for noise, prior, channel in _symmetric_channels(n):
+            half = channel.mirror_half
+            assert np.array_equal(half.l0, channel.l0[channel.l0 <= channel.l1])
+            assert np.array_equal(half.l1, channel.l1[channel.l0 <= channel.l1])
+            rows = {(a, b): r for r, (a, b) in enumerate(zip(channel.l0, channel.l1))}
+            for r, key in enumerate(zip(half.l0, half.l1)):
+                twice = 2.0 if key[0] < key[1] else 1.0
+                assert np.allclose(half.damping[r], twice * channel.damping[rows[key]],
+                                   rtol=1e-15, atol=0), (noise, prior, key)
+            blocks = {(blk.start, len(blk.m)): blk for blk in channel.blocks}
+            centred = [blk for blk in channel.blocks if 2 * blk.start + len(blk.m) - 1 == n]
+            assert len(half.blocks) == len(centred) + (len(channel.blocks) - len(centred)) // 2
+            for blk in half.blocks:
+                mirror = n + 1 - blk.start - len(blk.m)
+                assert blk.start <= mirror
+                twice = 2.0 if blk.start < mirror else 1.0
+                assert np.array_equal(blk.weight,
+                                      twice * blocks[blk.start, len(blk.m)].weight)
+
+    def test_mirror_half_rejects_a_channel_that_does_not_commute_with_j(self):
+        n = 6
+        loss = channel_blocks(Loss(0.7), n)
+        keep = (loss.l0 != 1) | (loss.l1 != 0)
+        unpaired = Channel(n, [], loss.l0[keep], loss.l1[keep], loss.amplitudes[keep])
+        bent = Channel(n, [], loss.l0, loss.l1, loss.amplitudes.copy())
+        bent.amplitudes[(loss.l0 == 1) & (loss.l1 == 0), 1] *= 1.5
+        prior = compose_collective(loss, 0.25)
+        lopsided = Channel.dense(n, [b for b in prior.blocks if b.key != (1, 0)])
+        blk = max(prior.blocks, key=lambda b: len(b.m))
+        skewed = ChannelBlock(blk.key, blk.start, blk.m, blk.weight.copy())
+        skewed.weight[0, 1] = skewed.weight[1, 0] = 0.5 * blk.weight[0, 1]
+        assert loss.mirror_half and prior.mirror_half
+        for channel in (unpaired, bent, lopsided, Channel.dense(n, [skewed])):
+            with pytest.raises(ValueError, match="mirror under"):
+                channel.mirror_half
+            with pytest.raises(ValueError, match="mirror under"):
+                maximize_qfi_over_states(n, channel)
 
     def test_parity_split(self):
         n = 64

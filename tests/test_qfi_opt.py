@@ -22,10 +22,16 @@ from phaselim.qcore import (EIG_SUPPORT_RTOL, Channel, CollectiveDephasing,
 from phaselim.qcore import (_channel_qfi, _sector_coordinates, _sector_qfi,
                             _unfold)
 from phaselim.qfi_opt import (STATIONARITY_RTOL, IterationConfig,
-                              _iteration_step, _lbfgs_direction,
-                              _lowest_eigenpair, _residual, cr_bound,
+                              _lbfgs_direction, _residual, _step, cr_bound,
                               maximize_qfi_over_states, qfi_iterate)
 from references import block_sld, loss_qfi
+
+
+def _iteration_step(channel, c):
+    """The dense step over every row and block: (F, A) at the real state c,
+    A real symmetric."""
+    a = np.zeros((channel.n + 1, channel.n + 1))
+    return _channel_qfi(channel, c, a), a
 
 
 def _unit_vectors(n, count, seed):
@@ -198,9 +204,10 @@ class TestFixedPoint:
             rel_tol=1e-11, initial_state=first.final_state))
         assert again.qfi == pytest.approx(first.qfi, rel=1e-9)
 
-    def test_history_is_monotone_nondecreasing(self):
-        trace = qfi_iterate(9, LocalDephasing(0.6),
-                            IterationConfig(polish=False))
+    @pytest.mark.parametrize("noise", [LocalDephasing(0.6), Loss(0.7), NoiseFree()],
+                             ids=repr)
+    def test_history_is_monotone_nondecreasing(self, noise):
+        trace = qfi_iterate(9, noise, IterationConfig(polish=False))
         diffs = np.diff(trace.qfi_values)
         assert np.all(diffs >= -1e-10 * np.abs(trace.qfi_values[1:]))
 
@@ -414,14 +421,19 @@ def _random_hermitian(dim, rng, complex_):
     return x + x.conj().T
 
 
+def _lowest_eigenpair(a):
+    """The see-saw's move as `maximize_qfi_over_states` makes it, with its
+    eigenvalue: the first eigenpair of numpy's eigh."""
+    w, z = np.linalg.eigh(a)
+    return float(w[0]), z[:, 0].copy()
+
+
 class TestLowestEigenpair:
     """The see-saw's eigenpair: the lowest eigenvalue and a unit vector of
-    its eigenspace, for real symmetric matrices (numpy's path also takes
-    Hermitian ones; the one-pair ?syevr call only real ones)."""
+    its eigenspace, for real symmetric and Hermitian matrices."""
 
-    @pytest.mark.parametrize("complex_, one_pair",
-                             [(False, False), (False, True), (True, False)])
-    def test_every_size_to_101(self, complex_, one_pair):
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_every_size_to_101(self, complex_):
         # d = 1..101, each also with its two lowest eigenvalues made equal
         rng = np.random.default_rng(101)
         for dim in range(1, 102):
@@ -431,38 +443,10 @@ class TestLowestEigenpair:
             for mat in (a, (q * w) @ q.conj().T):
                 mat = (mat + mat.conj().T) / 2.0
                 scale = np.linalg.norm(mat, 2)
-                lam, vec = _lowest_eigenpair(mat, one_pair)
+                lam, vec = _lowest_eigenpair(mat)
                 assert abs(lam - np.linalg.eigvalsh(mat)[0]) <= 1e-13 * scale
                 assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-13)
                 assert np.linalg.norm(mat @ vec - lam * vec) <= 1e-12 * scale
-
-    def test_only_loss_rows_take_the_one_pair_solve(self, monkeypatch):
-        # a loss row's first move loads scipy for ?syevr; the dense and
-        # noise-free channels keep the see-saw on numpy's eigh, scipy-free
-        seen = set()
-        def spy(a, one_pair=False):
-            seen.add(one_pair)
-            return _lowest_eigenpair(a, one_pair)
-        monkeypatch.setattr(qfi_opt, "_lowest_eigenpair", spy)
-        for noise, want in ((Loss(0.7), {True}), (NoiseFree(), {False}),
-                            (CollectiveDephasing(0.05), {False}),
-                            (LocalDephasing(0.7), {False})):
-            seen.clear()
-            qfi_iterate(6, noise, IterationConfig(max_iters=5, polish=False))
-            assert seen == want, noise
-
-    @pytest.mark.parametrize("complex_", [False, True])
-    @pytest.mark.parametrize("dim", [1, 2, 26, 51, 201])
-    def test_matches_eigh(self, dim, complex_):
-        a = _random_hermitian(dim, np.random.default_rng(dim), complex_)
-        lam, vec = _lowest_eigenpair(a)
-        ref_lam, ref_vec = np.linalg.eigh(a)
-        scale = np.max(np.abs(ref_lam))
-        assert vec.shape == (dim,) and np.iscomplexobj(vec) == complex_
-        assert lam == pytest.approx(ref_lam[0], abs=1e-13 * scale)
-        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-13)
-        assert abs(np.vdot(ref_vec[:, 0], vec)) == pytest.approx(1.0, abs=1e-10)
-        assert np.linalg.norm(a @ vec - lam * vec) <= 1e-12 * scale
 
     def test_one_by_one(self):
         lam, vec = _lowest_eigenpair(np.array([[2.5]]))
@@ -874,7 +858,7 @@ class TestSeeSawFloor:
         for _ in range(400):
             f, a = _iteration_step(channel, c)
             best = min(best, _residual(f, a, c))
-            c = _lowest_eigenpair(a)[1]
+            c = np.linalg.eigh(a)[1][:, 0]
         # seen: 2.3e-8; rotating dm o sigma plateaus at 2.1e-7
         assert best <= 1e-7
 
@@ -968,13 +952,13 @@ def _even_vector(n, seed):
 
 def _no_split(mp):
     """Make every channel built under the monkeypatch context `mp` report no
-    parity split, so that it runs in the full space."""
+    parity split, so that it runs the full step on its `mirror_half`."""
     mp.setattr(qcore.Channel, "parity_split", property(lambda self: None))
 
 
 def _full_space(monkeypatch, n, build, cfg):
-    """The run of `maximize_qfi_over_states` that the full-space loop makes
-    on the same channel."""
+    """The run of `maximize_qfi_over_states` on the same channel with the
+    full step, folded onto the even sector, in place of the sector step."""
     with monkeypatch.context() as mp:
         _no_split(mp)
         return maximize_qfi_over_states(n, build(n), cfg)
@@ -987,12 +971,12 @@ TRAJECTORY_CHANNELS = {
 
 
 class TestParitySectors:
-    """Runs start from |c|; on a channel with a `parity_split` they start
-    from its symmetrization sqrt((p + Jp)/2) (J: n -> N - n) and solve on
-    the even sector's half-size blocks, and the full-space loop from the
-    same even start is the same algorithm up to rounding.  Every other
-    channel runs in the full space.  Every run returns real amplitudes
-    >= 0."""
+    """Runs start from the symmetrization sqrt((p + Jp)/2) of |c|
+    (J: n -> N - n) and stay in the even sector.  On a channel with a
+    `parity_split` the step runs on the sector's half-size blocks, and the
+    loop with the full step folded onto the sector is the same algorithm
+    up to rounding; every other channel runs the full step on its
+    `mirror_half`, folded.  Every run returns real amplitudes >= 0."""
 
     @pytest.fixture(autouse=True)
     def _states_are_nonnegative(self, monkeypatch):
@@ -1026,24 +1010,28 @@ class TestParitySectors:
     # derivative, which reads the stacks' middle row of k
     @example(n=2, kind="dephasing", strength=1e-3, prior=0.0, seed=0)
     @example(n=30, kind="dephasing", strength=1e-5, prior=0.25, seed=1)
+    # the mirror half: loss, noise-free, and loss with a prior
+    @example(n=25, kind="loss", strength=0.7, prior=0.0, seed=2)
+    @example(n=12, kind="none", strength=0.0, prior=0.0, seed=3)
+    @example(n=20, kind="loss", strength=0.3, prior=0.25, seed=4)
     def test_sector_step_matches_full_step(self, n, kind, strength, prior, seed):
+        # the optimizer's step: the sector step, or, on rank-one rows and on
+        # the off-centre patterns of loss with a prior, the full step on the
+        # mirror half, folded; against the full step on every row and block
         noise = {"none": NoiseFree(), "dephasing": LocalDephasing(strength),
                  "loss": Loss(strength),
                  "collective": CollectiveDephasing(strength)}[kind]
         channel = compose_collective(channel_blocks(noise, n), prior)
         if channel.parity_split is None:
-            # rank-one rows, or the off-centre patterns of loss with a
-            # prior: the full space
             assert len(channel.amplitudes) or \
                 (kind == "loss" and prior and strength < 1.0)
-            return
         c = _even_vector(n, seed)
         ch = _sector_coordinates(c)
         floor, slack = 1e-250, 0.0
         if kind == "dephasing":
             floor, slack = 1e-20, min(1e-14 / max(strength, 1e-7) ** 2, 1.0)
         f, a = _iteration_step(channel, c)
-        f_s, a_p = _sector_qfi(channel, ch)
+        f_s, a_p = _step(channel, ch)
         assert a_p.dtype == a.dtype
         assert f_s == pytest.approx(f, rel=1e-13 + slack, abs=floor)
         grad = a @ c
@@ -1109,8 +1097,6 @@ class TestParitySectors:
         cfg = IterationConfig(polish=False)
         split = maximize_qfi_over_states(n, build(n), cfg)
         full = _full_space(monkeypatch, n, build, cfg)
-        assert split.parity == 1
-        assert full.parity == 0
         assert len(split.qfi_values) == len(full.qfi_values)
         assert np.allclose(split.qfi_values, full.qfi_values, rtol=1e-12, atol=0)
         assert split.converged == full.converged
@@ -1125,7 +1111,7 @@ class TestParitySectors:
         cfg = IterationConfig(max_iters=20, polish_max_evals=300)
         split = maximize_qfi_over_states(n, build(n), cfg)
         full = _full_space(monkeypatch, n, build, cfg)
-        assert split.parity == 1 and split.polish_evals > 0
+        assert split.polish_evals > 0
         assert split.polish_evals == full.polish_evals
         assert split.qfi == pytest.approx(full.qfi, rel=1e-13)
         assert split.residual <= STATIONARITY_RTOL
@@ -1172,7 +1158,6 @@ class TestParitySectors:
         trace, ref = (maximize_qfi_over_states(
             n, channel, IterationConfig(initial_state=s, polish=False))
             for s in (start, symmetrized))
-        assert trace.parity == ref.parity == 1
         assert len(trace.qfi_values) == len(ref.qfi_values)
         assert np.allclose(trace.qfi_values, ref.qfi_values, rtol=1e-12, atol=0)
 
@@ -1195,8 +1180,6 @@ class TestParitySectors:
             _no_split(mp)
             full = sweep()
         for n, got, ref in zip(range(26, 41), split, full):
-            assert got.parity == 1, n
-            assert ref.parity == 0
             assert got.qfi == pytest.approx(ref.qfi, rel=1e-12), n
 
     @pytest.mark.parametrize("parity", [1, -1])
@@ -1216,7 +1199,6 @@ class TestParitySectors:
                               polish=False)
         split = maximize_qfi_over_states(n, build(n), cfg)
         full = _full_space(monkeypatch, n, build, cfg)
-        assert split.parity == 1 and full.parity == 0
         assert len(split.qfi_values) == len(full.qfi_values)
         assert np.allclose(split.qfi_values, full.qfi_values, rtol=1e-12, atol=0)
 
@@ -1225,8 +1207,8 @@ class TestParitySectors:
     @pytest.mark.parametrize("kind", ["complex", "mixed-sign", "odd"])
     def test_start_runs_as_its_modulus(self, noise, n, kind):
         # F and A are covariant under diagonal unitaries, so a start runs as
-        # |c|, bit for bit: on the even sector (collective) and in the full
-        # space with the one-pair eigensolve (loss)
+        # |c|, bit for bit: with the sector step (collective) and with the
+        # full step on the mirror half, folded (loss)
         channel = channel_blocks(noise, n)
         rng = np.random.default_rng(3)
         m = np.arange(n + 1) - n / 2.0
@@ -1239,7 +1221,6 @@ class TestParitySectors:
         got, ref = (maximize_qfi_over_states(
             n, channel, IterationConfig(max_iters=30, initial_state=s))
             for s in (start, modulus))
-        assert got.parity == ref.parity == (noise != Loss(0.7))
         assert np.array_equal(got.qfi_values, ref.qfi_values)
         assert got.qfi == ref.qfi and got.polish_evals == ref.polish_evals
         assert np.array_equal(got.residual, ref.residual)
@@ -1253,17 +1234,14 @@ class TestParitySectors:
         trace = qfi_iterate(n, noise)
         full = _full_space(monkeypatch, n, lambda k: channel_blocks(noise, k),
                            IterationConfig())
-        # every dense channel is split at every N; loss has rank-one rows only
-        assert trace.parity == (not isinstance(noise, Loss))
         if phase_blind:
             assert trace.qfi == 0.0 == full.qfi and trace.converged
         else:
             assert trace.qfi == pytest.approx(n * n, rel=1e-12)
             assert trace.qfi == pytest.approx(full.qfi, rel=1e-12)
         # composed with a prior, loss too becomes dense (centred when l0 = l1)
-        cost, prior_trace = gaussian_prior_solve(n, 0.5, noise)
+        cost, _ = gaussian_prior_solve(n, 0.5, noise)
         with monkeypatch.context() as mp:
             _no_split(mp)
             cost_full, _ = gaussian_prior_solve(n, 0.5, noise)
-        assert prior_trace.parity == (noise != Loss(0.0))
         assert cost == pytest.approx(cost_full, rel=1e-12)
