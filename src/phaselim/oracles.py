@@ -1,12 +1,12 @@
 """Brute-force small-N oracles.
 
 Everything here reconstructs channel outputs and coupling data from first
-principles on exponentially large spaces (full 2^N tensor products, truncated
-Fock spaces with explicit beam-splitter unitaries, dense two-spin coupling),
-deliberately avoiding the compressed code paths it is used to check.
-`dephasing_block_error` and `loss_mixture_error` compare them, block by
-block, with the one forward map `qcore.channel_output`.  The `selftest` CLI
-subcommand and the test suite both run these.
+principles, with numpy alone, on exponentially large spaces (full 2^N tensor
+products, truncated Fock spaces with explicit beam-splitter unitaries, dense
+two-spin coupling), deliberately avoiding the compressed code paths it is
+used to check.  `dephasing_block_error` and `loss_mixture_error` compare
+them, block by block, with the one forward map `qcore.channel_output`.  The
+`selftest` CLI subcommand and the test suite both run these.
 """
 
 from __future__ import annotations
@@ -230,19 +230,19 @@ def brute_loss_components(state: SymmetricPureState, eta: float):
     """Loss-channel components from an explicit two-beam-splitter dilation.
 
     Couples each arm to a vacuum environment mode through the unitary
-    exp(theta (a^dag e - a e^dag)) with cos^2(theta) = eta, then projects the
-    environments onto definite photon numbers (l0, l1).  Returns
-    {(l0, l1): (weight, amplitudes over n = l0..N-l1)}.
+    exp(G), G = theta (a^dag e - a e^dag), with cos^2(theta) = eta, then
+    projects the environments onto definite photon numbers (l0, l1).  G is
+    real antisymmetric, so iG is Hermitian with eigenpairs (lam, V) and
+    exp(G) = V diag(e^(-i lam)) V^H, whose real part is the unitary.
+    Returns {(l0, l1): (weight, amplitudes over n = l0..N-l1)}.
     """
-    from scipy.linalg import expm  # here alone: no other oracle needs scipy
     n = state.n_particles
     dim = n + 1
     a = _annihilation(dim)
     theta = math.acos(math.sqrt(eta))
     # joint beam-splitter unitary on (mode, env)
-    ad_e = np.kron(a.T, a)
-    a_ed = np.kron(a, a.T)
-    u_bs = expm(theta * (ad_e - a_ed))
+    lam, vec = np.linalg.eigh(1j * theta * (np.kron(a.T, a) - np.kron(a, a.T)))
+    u_bs = ((vec * np.exp(-1j * lam)) @ vec.conj().T).real
     # joint state on a0 (x) a1 (x) e0 (x) e1: start in env vacuum
     psi = np.zeros((dim, dim, dim, dim), dtype=complex)
     for k in range(dim):
@@ -254,7 +254,7 @@ def brute_loss_components(state: SymmetricPureState, eta: float):
     psi = full.reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3)
     out = {}
     for l0 in range(dim):
-        for l1 in range(dim):
+        for l1 in range(dim - l0):  # l0 + l1 <= N photons lost
             block = psi[:, :, l0, l1]
             weight = float(np.sum(np.abs(block) ** 2))
             if weight < 1e-300:

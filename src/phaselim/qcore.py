@@ -63,6 +63,7 @@ tests for mirror symmetry and folds each class at once (`_mirror_parts` and
 `_fold` take a leading batch axis).  Every other channel runs the dense
 step on `Channel.mirror_half`, which keeps each mirror pair of rows or
 blocks once at twice the weight, and `_fold` takes the even block of its A.
+On either path a channel that does not commute with J raises one ValueError.
 """
 
 from __future__ import annotations
@@ -328,15 +329,14 @@ class Channel:
     def parity_split(self) -> Optional[List["_SectorStack"]]:
         """The blocks of `size_classes`, by folded size, folded onto the
         arm-swap sectors for `_sector_qfi`, one stack per class
-        (`_SectorStack.fold`); None with rank-one rows, with a block off the
-        centre (2 start + d - 1 != N: loss with a prior) or with a class whose
-        stack is not mirror-symmetric (W != W[::-1, ::-1] beyond 1e-12)."""
+        (`_SectorStack.fold`, which raises `mirror_half`'s ValueError on a
+        stack that is not mirror-symmetric); None with rank-one rows or with
+        a block off the centre (2 start + d - 1 != N: loss with a prior)."""
         if len(self.amplitudes) or any(2 * blk.start + len(blk.m) - 1 != self.n
                                        for blk in self.blocks):
             return None
-        stacks = [_SectorStack.fold(self.n, group) for group in
-                  _size_classes(self.blocks, lambda b: len(b.m) - len(b.m) // 2)]
-        return None if any(st is None for st in stacks) else stacks
+        return [_SectorStack.fold(self.n, group) for group in
+                _size_classes(self.blocks, lambda b: len(b.m) - len(b.m) // 2)]
 
     @cached_property
     def mirror_half(self) -> "Channel":
@@ -742,9 +742,9 @@ class _SectorStack:
     k: np.ndarray
 
     @classmethod
-    def fold(cls, n: int, blocks: List[ChannelBlock]) -> Optional["_SectorStack"]:
-        """The folded stack of one class of centred blocks; None when the
-        stack is not mirror-symmetric (W != W[::-1, ::-1] beyond 1e-12)."""
+    def fold(cls, n: int, blocks: List[ChannelBlock]) -> "_SectorStack":
+        """The folded stack of one class of centred blocks; ValueError when
+        the stack is not mirror-symmetric (W != W[::-1, ::-1] beyond 1e-12)."""
         lo = min(blk.start for blk in blocks)
         width = n + 1 - 2 * lo
         q = width // 2
@@ -755,7 +755,7 @@ class _SectorStack:
             weight[b, window, window] = blk.weight
             m_full[b, window] = blk.m
         if np.max(np.abs(weight - weight[:, ::-1, ::-1])) > 1e-12:
-            return None
+            raise ValueError("a row or block differs from its mirror under n -> N - n")
         # a block's own coordinates among the first q: o = start - lo onwards
         rows = np.arange(len(blocks))
         o = np.array([blk.start for blk in blocks]) - lo

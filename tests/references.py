@@ -1,12 +1,14 @@
 """Test-side references: two that check the engine through the forward map
-`qcore.channel_output`, two block-by-block builds that the stacked channel
-build must reproduce bit for bit, the coupling blocks read from a transfer
-table that stores both m halves, and the per-noise dispatch that each noise
+`qcore.channel_output`, the loss oracle's beam-splitter dilation built with
+scipy's `expm`, two block-by-block builds that the stacked channel build
+must reproduce bit for bit, the coupling blocks read from a transfer table
+that stores both m halves, and the per-noise dispatch that each noise
 model's `channel` and `limit` must reproduce exactly."""
 
 import math
 
 import numpy as np
+from scipy.linalg import expm
 
 from phaselim import asymptotics, qcore
 from phaselim.angmom import (_flip_probabilities, allowed_twice_j, coupling_blocks,
@@ -48,6 +50,23 @@ def loss_qfi(state, eta):
     return total
 
 
+def expm_loss_components(state, eta):
+    """`oracles.brute_loss_components` with the beam-splitter unitary
+    U = expm(theta (a^dag e - a e^dag)), cos^2(theta) = eta, on each arm and
+    its vacuum environment: the unnormalized branch sqrt(w) psi of every loss
+    pattern (l0, l1), over n = l0..N-l1, where
+    psi[k0, k1, l0, l1] = sum_n c_n U[k0 l0, n 0] U[k1 l1, N-n 0]."""
+    n = state.n_particles
+    a = np.diag(np.sqrt(np.arange(1.0, n + 1)), 1)
+    theta = math.acos(math.sqrt(eta))
+    u = expm(theta * (np.kron(a.T, a) - np.kron(a, a.T)))
+    u = u.reshape((n + 1,) * 4)[:, :, :, 0]          # (k, l, n) from env vacuum
+    psi = np.einsum("n,kln,jmn->kjlm", state.amplitudes, u, u[:, :, ::-1])
+    ns = np.arange(n + 1)
+    return {(l0, l1): psi[ns[l0:n - l1 + 1] - l0, n - ns[l0:n - l1 + 1] - l1, l0, l1]
+            for l0 in range(n + 1) for l1 in range(n + 1 - l0)}
+
+
 def coupling_block(n, tj, eta):
     """The spin-j coupling matrix R^T diag(w) R of local dephasing, with the
     flip probabilities w of its own flip counts |n/2 - k| <= j computed for
@@ -84,17 +103,18 @@ def full_m_coupling_blocks(n, eta):
 
 
 def sector_stacks(channel):
-    """`Channel.parity_split` block by block: None for rank-one rows, a block
-    off the centre or a block with W != W[::-1, ::-1] beyond 1e-12; else per
-    size class (lo, m, span, plus, minus, k), each block folded alone onto
-    the arm-swap sectors and zero-extended at the front to the class's
-    widest window."""
+    """`Channel.parity_split` block by block: None for rank-one rows or a
+    block off the centre, ValueError for a block with W != W[::-1, ::-1]
+    beyond 1e-12; else per size class (lo, m, span, plus, minus, k), each
+    block folded alone onto the arm-swap sectors and zero-extended at the
+    front to the class's widest window."""
     n = channel.n
-    if len(channel.amplitudes) or not all(
-            2 * blk.start + len(blk.m) - 1 == n
-            and np.max(np.abs(blk.weight - blk.weight[::-1, ::-1])) <= 1e-12
-            for blk in channel.blocks):
+    if len(channel.amplitudes) or any(2 * blk.start + len(blk.m) - 1 != n
+                                      for blk in channel.blocks):
         return None
+    if any(np.max(np.abs(blk.weight - blk.weight[::-1, ::-1])) > 1e-12
+           for blk in channel.blocks):
+        raise ValueError("a block differs from its mirror under n -> N - n")
     half = math.sqrt(0.5)
     out = []
     for group in qcore._size_classes(channel.blocks, lambda b: len(b.m) - len(b.m) // 2):

@@ -522,17 +522,21 @@ class TestExitCodes:
         assert proc.stdout.strip() == "[]"
 
     def test_oracles_without_scipy(self):
-        # the benchmark and the tests import the oracles; only the loss
-        # dilation needs scipy (expm), and it imports it itself
+        # the package needs numpy alone: with scipy unimportable, the loss
+        # dilation (its unitary exponentiated with numpy), its comparison
+        # with the forward map and the whole selftest run
         code = ("import sys\n"
-                "from phaselim import oracles\n"
-                "state = oracles.random_state(4, seed=1)\n"
-                "assert oracles.brute_dephasing_qfi(state, 0.7) > 0.0\n"
-                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+                "sys.modules['scipy'] = None\n"
+                "from phaselim import cli, oracles\n"
+                "state = oracles.random_state(3, seed=1)\n"
+                "comps = oracles.brute_loss_components(state, 0.7).values()\n"
+                "assert abs(sum(w for w, _ in comps) - 1.0) < 1e-12\n"
+                "assert oracles.loss_mixture_error(state, 0.7) < 1e-12\n"
+                "sys.exit(cli.main(['selftest']))")
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "FAIL" not in proc.stdout
 
     def test_closed_stdout_exits_2_quietly(self):
         # ~1 MB of rows: the writer is still writing when the reader leaves

@@ -21,7 +21,8 @@ from phaselim.qcore import (Channel, CollectiveDephasing, LocalDephasing, Loss,
 from phaselim.qcore import (ChannelBlock, _channel_qfi, _fold,
                             _phase_shift, _unfold, _sector_coordinates)
 from phaselim.qfi_opt import maximize_qfi_over_states
-from references import block_sld, channel_ladder, loss_qfi, sector_stacks
+from references import (block_sld, channel_ladder, expm_loss_components, loss_qfi,
+                        sector_stacks)
 
 
 def plus_state() -> SymmetricPureState:
@@ -169,6 +170,20 @@ class TestApplyLoss:
 
     def test_noon_two_particles_against_dilation(self):
         assert oracles.loss_mixture_error(noon_state(2), 0.7) < 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.7, 1.0])
+    def test_dilation_matches_expm(self, n, eta):
+        # the oracle exponentiates the beam-splitter generator from the
+        # eigenpairs of iG; every branch sqrt(w) psi, over the union of the
+        # patterns, matches the same dilation built with scipy's expm
+        s = oracles.random_state(n, seed=3 * n + int(10 * eta))
+        got = {key: math.sqrt(w) * amps
+               for key, (w, amps) in oracles.brute_loss_components(s, eta).items()}
+        want = expm_loss_components(s, eta)
+        for key in set(got) | set(want):
+            diff = got.get(key, 0.0) - want.get(key, 0.0)
+            assert np.max(np.abs(diff), initial=0.0) <= 1e-13, key
 
     @pytest.mark.parametrize("n", [1, 4, 40])
     @pytest.mark.parametrize("eta", [0.0, 0.4, 0.9])
@@ -801,15 +816,17 @@ class TestArmSwapSymmetry:
         # at every size, down to one centred block of two entries (N = 1)
         for small_n in (1, 2):
             assert channel_blocks(LocalDephasing(0.7), small_n).parity_split
-        # one narrow centred block is folded; not symmetric, or mixed with
-        # rank-one rows: the full space
+        # one narrow centred block is folded; one that is not symmetric
+        # fails `mirror_half`'s test, with its ValueError; mixed with
+        # rank-one rows, a channel has no split
         small = min((b for b in channel.blocks if len(b.m) > 1), key=lambda b: len(b.m))
         assert len(Channel.dense(n, [small]).parity_split) == 1
         blk = max(channel.blocks, key=lambda b: len(b.m))
         assert Channel.dense(n, [blk]).parity_split is not None
         skewed = ChannelBlock(blk.key, blk.start, blk.m, blk.weight.copy())
         skewed.weight[0, 1] = skewed.weight[1, 0] = 0.5 * blk.weight[0, 1]
-        assert Channel.dense(n, [skewed]).parity_split is None
+        with pytest.raises(ValueError, match="mirror under"):
+            Channel.dense(n, [skewed]).parity_split
         rows = channel_blocks(NoiseFree(), n)
         mixed = Channel(n, [blk], rows.l0, rows.l1, rows.amplitudes)
         assert mixed.parity_split is None
@@ -838,7 +855,7 @@ class TestArmSwapSymmetry:
 
     def test_one_skewed_block_in_a_class(self):
         # the mirror test runs once per class, on its stack: one skewed block
-        # among several keeps the whole channel in the full space
+        # among several fails it, with `mirror_half`'s ValueError
         n = 64
         channel = channel_blocks(LocalDephasing(0.7), n)
         group = max(qcore._size_classes(channel.blocks,
@@ -850,8 +867,9 @@ class TestArmSwapSymmetry:
         assert np.max(np.abs(skewed.weight - skewed.weight[::-1, ::-1])) > 1e-12
         blocks = [skewed if b is blk else b for b in channel.blocks]
         assert Channel.dense(n, list(channel.blocks)).parity_split is not None
-        assert Channel.dense(n, blocks).parity_split is None
-        assert sector_stacks(Channel.dense(n, blocks)) is None
+        for split in (lambda ch: ch.parity_split, sector_stacks):
+            with pytest.raises(ValueError, match="mirror under"):
+                split(Channel.dense(n, blocks))
 
     @pytest.mark.parametrize("m", [0.0, 2.5])
     def test_one_entry_block_adds_nothing(self, m):
