@@ -18,7 +18,7 @@ from .angmom import (clebsch_gordan, coupling_matrix_entry, dephasing_weight,
 from .asymptotics import (AsymptoteSpec, BayesPi, CollectiveLimit,
                           DephasingLimit, GeneralUnitary, HeisenbergCR,
                           LossLimit, evaluate, group_size_threshold)
-from .bayes import (CovariantResult, FlatPrior, GaussianPrior, IndefiniteBound,
+from .bayes import (CovariantResult, GaussianPrior, IndefiniteBound,
                     ParticleNumberMixture, bayesian_cr_bound, covariant_cost,
                     covariant_m_matrix, gaussian_prior_cost,
                     gaussian_prior_solve, indefinite_bayes_bound, mixture_qfi)

@@ -15,7 +15,12 @@ closed-form limits describe.
 Gaussian prior of width delta0: the minimal quadratic cost obeys the duality
 cost = delta0 sqrt(1 - delta0^2 F(rho_bar)), where F(rho_bar) is the maximal
 QFI of the probe averaged over the prior, i.e. sent through extra collective
-dephasing of strength delta0^2 on top of the physical noise.
+dephasing of strength delta0^2 on top of the physical noise.  No state
+beats the van Trees bound 1/sqrt(F + 1/delta0^2) of `bayesian_cr_bound`,
+with F the state's QFI under the physical noise alone.
+
+Every cost here is exact for a single shot, one use of the probe; none is
+rescaled for repetitions.
 """
 
 from __future__ import annotations
@@ -35,9 +40,7 @@ from .qcore import NoiseModel, SymmetricPureState
 from .qfi_opt import IterationConfig, OptimizationTrace
 
 __all__ = [
-    "FlatPrior",
     "GaussianPrior",
-    "Prior",
     "CovariantResult",
     "ParticleNumberMixture",
     "IndefiniteBound",
@@ -54,11 +57,6 @@ logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class FlatPrior:
-    """Uniform prior over (-pi, pi]."""
-
-
-@dataclass(frozen=True)
 class GaussianPrior:
     """Zero-mean Gaussian prior of standard deviation delta0 (narrow regime)."""
 
@@ -72,9 +70,6 @@ class GaussianPrior:
                 f"Gaussian prior width delta0={self.delta0} is not narrow; "
                 "the quadratic-cost duality neglects tails beyond (-pi, pi]",
                 stacklevel=3)  # past the dataclass __init__, to its caller
-
-
-Prior = Union[FlatPrior, GaussianPrior]
 
 
 @dataclass
@@ -225,30 +220,18 @@ def gaussian_prior_cost(n: int, delta0: float, noise: NoiseModel,
     return gaussian_prior_solve(n, delta0, noise, cfg)[0]
 
 
-def bayesian_cr_bound(prior: Prior, qfi_value: float) -> float:
-    """Prior-aware Cramer-Rao lower bound 1/sqrt(F + I) on the Bayesian cost,
-    with I the prior's Fisher information (1/delta0^2 for a Gaussian).
+def bayesian_cr_bound(prior: GaussianPrior, qfi_value: float) -> float:
+    """Van Trees lower bound 1/sqrt(F + 1/delta0^2) on the single-shot
+    Gaussian-prior cost, 1/delta0^2 being the prior's Fisher information.
 
     `qfi_value` is the QFI of the encoded output state under the physical
-    noise (not of a prior-averaged state).  A flat prior on the circle has a
-    sharp boundary, so its information term is dropped with a diagnostic and
-    the plain 1/sqrt(F) is returned.
+    noise (not of a prior-averaged state).
     """
     if qfi_value < 0.0:
         raise ValueError("QFI must be nonnegative")
-    if isinstance(prior, GaussianPrior):
-        info = 1.0 / prior.delta0 ** 2
-    elif isinstance(prior, FlatPrior):
-        logger.info(
-            "flat prior does not vanish on the boundary; returning the "
-            "QFI-only bound without a prior-information term")
-        info = 0.0
-    else:
+    if not isinstance(prior, GaussianPrior):
         raise ValueError(f"unsupported prior: {prior!r}")
-    total = qfi_value + info
-    if total <= 0.0:
-        raise ValueError("F + I must be positive")
-    return 1.0 / math.sqrt(total)
+    return 1.0 / math.sqrt(qfi_value + 1.0 / prior.delta0 ** 2)
 
 
 # ---------------------------------------------------------------------------

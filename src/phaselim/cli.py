@@ -54,6 +54,11 @@ def _check_n_range(n_min: int, n_max: int, n_step: int) -> None:
 
 @dataclass
 class SweepConfig:
+    """One scan: the N grid, the noise model, the methods and the output.
+    Every row is single-shot: its Bayesian cost is exact for one use of the
+    probe, and its `cr_bound` is the bound for one copy.  A scan draws no
+    random numbers, so a config fixes every number (timings aside)."""
+
     n_min: int
     n_max: int
     noise: NoiseModel
@@ -61,8 +66,6 @@ class SweepConfig:
     n_step: int = 1
     grid: str = "linear"          # or "geometric"
     prior_width: Optional[float] = None
-    repetitions: int = 1
-    seed: int = 0                 # only recorded: scans draw no random numbers
     out: Optional[str] = None     # None/'-' means stdout
     fmt: str = "csv"
     timings: bool = True
@@ -80,8 +83,6 @@ class SweepConfig:
             raise ValueError("format must be 'csv' or 'json'")
         if "bayes-gauss" in self.methods and self.prior_width is None:
             raise ValueError("bayes-gauss requires --prior-width")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
         if self.prior_width is not None and not 0.0 < self.prior_width < math.inf:
             raise ValueError(
                 f"prior width {self.prior_width} must be finite and positive")
@@ -112,16 +113,6 @@ COLUMNS = tuple(f.name for f in fields(PrecisionRecord))
 CSV_HEADER = ",".join(COLUMNS)
 
 
-def _asymptote_for(noise: NoiseModel, kind: str,
-                   prior_width: Optional[float]) -> Optional[asymptotics.AsymptoteSpec]:
-    """The closed-form limit of a `kind` ('cr' or 'bayes') curve, as the noise
-    model names it (None at eta = 0, where no phase reaches the output); a
-    prior width, when given, applies to the Bayesian curve."""
-    if prior_width is not None and not prior_width > 0.0:  # inf means no prior
-        raise ValueError(f"prior width delta0={prior_width} must be positive")
-    return noise.limit(kind, prior_width)
-
-
 def _sweep_row(cfg: SweepConfig, n: int, method: str,
                warm: Dict[str, "qcore.SymmetricPureState"],
                prior: Optional[bayes.GaussianPrior]) -> PrecisionRecord:
@@ -141,7 +132,7 @@ def _sweep_row(cfg: SweepConfig, n: int, method: str,
     if method == "qfi-opt":
         trace = qfi_opt.qfi_iterate(n, cfg.noise, it_cfg)
         if trace.qfi > 0.0:  # no finite bound from F = 0 (eta = 0)
-            rec.cr_bound = qfi_opt.cr_bound(trace.qfi, cfg.repetitions)
+            rec.cr_bound = qfi_opt.cr_bound(trace.qfi)
     elif method == "bayes-flat":
         trace = None
         rec.bayes_cost = bayes.covariant_cost(n, cfg.noise).cost
@@ -155,14 +146,10 @@ def _sweep_row(cfg: SweepConfig, n: int, method: str,
         warm[method] = trace.final_state
         rec.qfi = trace.qfi
         rec.converged = trace.converged
-    spec = _asymptote_for(cfg.noise, "cr" if method == "qfi-opt" else "bayes",
-                          cfg.prior_width if method == "bayes-gauss" else None)
+    spec = cfg.noise.limit("cr" if method == "qfi-opt" else "bayes",
+                           cfg.prior_width if method == "bayes-gauss" else None)
     if spec is not None:
         rec.asymptote = asymptotics.evaluate(spec, n)
-    if cfg.repetitions > 1 and rec.bayes_cost is not None:
-        # i.i.d. repetition scaling; exact for the C-R column, the standard
-        # large-k behaviour for the Bayesian columns
-        rec.bayes_cost /= math.sqrt(cfg.repetitions)
     rec.wall_time_s = time.perf_counter() - t0 if cfg.timings else None
     return rec
 
@@ -311,7 +298,7 @@ def run_indefinite(mix: bayes.ParticleNumberMixture, delta0: float) -> dict:
         "mean_n": nbar,
         "delta0": delta0,
         "mixture_qfi": f_mix,
-        "cr_bound": 1.0 / math.sqrt(f_mix) if f_mix > 0 else None,
+        "cr_bound": qfi_opt.cr_bound(f_mix) if f_mix > 0 else None,
         "bayes_exact": bound.exact,
         "bayes_relaxed": bound.relaxed,
         "definite_mean_n_cost": bound.relaxed,
@@ -396,8 +383,6 @@ def _build_parser():
     scan.add_argument("--method", default="qfi-opt",
                       help="comma-separated subset of " + ",".join(METHODS))
     scan.add_argument("--prior-width", type=float, default=None)
-    scan.add_argument("--reps", type=int, default=1)
-    scan.add_argument("--seed", type=int, default=0)
     scan.add_argument("--no-timings", action="store_true",
                       help="blank the wall_time_s column for byte-stable output")
     _add_common_output(scan)
@@ -475,18 +460,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 n_min=args.n_min, n_max=args.n_max, n_step=args.n_step,
                 grid=args.grid, noise=_noise_from_args(args),
                 methods=tuple(m.strip() for m in args.method.split(",") if m.strip()),
-                prior_width=args.prior_width, repetitions=args.reps,
-                seed=args.seed, out=args.out, fmt=args.format,
+                prior_width=args.prior_width, out=args.out, fmt=args.format,
                 timings=not args.no_timings)
             _check_writable(cfg.out)
             records = run_sweep(cfg)
             numeric = [r for r in records
                        if r.qfi is not None or r.bayes_cost is not None]
             metadata = {
-                "command": "scan", "seed": cfg.seed, "noise": repr(cfg.noise),
+                "command": "scan", "noise": repr(cfg.noise),
                 "methods": list(cfg.methods), "n_min": cfg.n_min,
                 "n_max": cfg.n_max, "n_step": cfg.n_step, "grid": cfg.grid,
-                "prior_width": cfg.prior_width, "repetitions": cfg.repetitions,
+                "prior_width": cfg.prior_width,
             }
             _write_output(cfg.out, partial(emit, records, cfg.fmt), metadata)
             return 0 if numeric else 3
@@ -500,7 +484,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "asymptote":
             _check_n_range(args.n_min, args.n_max, args.n_step)
             noise = _noise_from_args(args)
-            spec = _asymptote_for(noise, args.kind, args.prior_width)
+            if args.prior_width is not None and not args.prior_width > 0.0:
+                # inf means no prior; NaN fails the comparison
+                raise ValueError(
+                    f"prior width delta0={args.prior_width} must be positive")
+            spec = noise.limit(args.kind, args.prior_width)
             if spec is None:
                 raise ValueError(f"{noise!r} carries no phase: eta must be in (0, 1]")
             records = [PrecisionRecord(n=n, method=f"asymptote:{args.kind}",

@@ -597,14 +597,12 @@ class _BlockStack:
     in-range amplitudes on its D - d pad coordinates.  `m` holds its
     generator eigenvalues (0 on pads), `span` m_max - m_min and `weight` W
     (0 on pad rows and columns), so a pad is an exact null direction of
-    sigma_b.  `target` holds the flat position in the (N + 1)^2 matrix A of
-    every entry of the stack (B D^2 of them), for one scatter-add."""
+    sigma_b."""
 
     index: np.ndarray
     m: np.ndarray
     span: np.ndarray
     weight: np.ndarray
-    target: np.ndarray
 
     @classmethod
     def build(cls, n: int, blocks: List[ChannelBlock]) -> "_BlockStack":
@@ -617,8 +615,7 @@ class _BlockStack:
         start = np.array([blk.start for blk in blocks])[:, None]
         span = np.array([blk.m[-1] - blk.m[0] for blk in blocks])
         index = np.minimum(start + np.arange(d), n)
-        target = (n + 1) * index[:, :, None] + index[:, None, :]
-        return cls(index, m, span, weight, target.ravel())
+        return cls(index, m, span, weight)
 
 
 def _channel_qfi(channel: Channel, c: np.ndarray,
@@ -656,7 +653,9 @@ def _channel_qfi(channel: Channel, c: np.ndarray,
             y = lmat @ _transpose(lmat)
             y -= 2.0 * (st.m[:, :, None] * lmat - lmat * st.m[:, None, :])
             y *= st.weight
-            np.add.at(a_flat, st.target, y.ravel())
+            # flat positions of the stack's B D^2 entries in the (N + 1)^2 A
+            target = a_out.shape[1] * st.index[:, :, None] + st.index[:, None, :]
+            np.add.at(a_flat, target.ravel(), y.ravel())
     return f + _rank_one_qfi(channel.damping, c, a_out)
 
 

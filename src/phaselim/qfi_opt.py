@@ -263,10 +263,8 @@ def qfi_iterate(n: int, noise: NoiseModel,
     return maximize_qfi_over_states(n, channel_blocks(noise, n), cfg)
 
 
-def cr_bound(qfi_value: float, repetitions: int = 1) -> float:
-    """Cramer-Rao phase uncertainty 1/sqrt(k F) for k independent repetitions."""
+def cr_bound(qfi_value: float) -> float:
+    """Single-shot Cramer-Rao phase uncertainty 1/sqrt(F)."""
     if qfi_value <= 0.0:
         raise ValueError("QFI must be positive")
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    return 1.0 / math.sqrt(repetitions * qfi_value)
+    return 1.0 / math.sqrt(qfi_value)

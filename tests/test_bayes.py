@@ -11,11 +11,11 @@ import pytest
 
 from phaselim import oracles, qfi_opt
 from phaselim.angmom import coupling_blocks
-from phaselim.bayes import (FlatPrior, GaussianPrior,
-                            ParticleNumberMixture, bayesian_cr_bound,
-                            covariant_cost, covariant_m_matrix,
-                            gaussian_prior_cost, gaussian_prior_solve,
-                            indefinite_bayes_bound, mixture_qfi)
+from phaselim.bayes import (GaussianPrior, ParticleNumberMixture,
+                            bayesian_cr_bound, covariant_cost,
+                            covariant_m_matrix, gaussian_prior_cost,
+                            gaussian_prior_solve, indefinite_bayes_bound,
+                            mixture_qfi)
 from phaselim.qcore import (CollectiveDephasing, LocalDephasing, Loss,
                             NoiseFree, resample_state, sine_profile_state,
                             _loss_table)
@@ -383,16 +383,9 @@ class TestBayesianCrBound:
         assert bayesian_cr_bound(GaussianPrior(0.5), 1e12) == pytest.approx(
             1e-6, rel=1e-3)
 
-    def test_flat_prior_drops_information_term(self, caplog):
-        import logging
-        with caplog.at_level(logging.INFO, logger="phaselim.bayes"):
-            got = bayesian_cr_bound(FlatPrior(), 9.0)
-        assert got == pytest.approx(1.0 / 3.0)
-        assert any("boundary" in rec.message for rec in caplog.records)
-
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            bayesian_cr_bound(FlatPrior(), 0.0)
+        with pytest.raises(ValueError, match="unsupported prior"):
+            bayesian_cr_bound(0.3, 1.0)  # a bare width is not a prior
         with pytest.raises(ValueError):
             bayesian_cr_bound(GaussianPrior(0.3), -1.0)
         for width in (0.0, math.nan, math.inf):

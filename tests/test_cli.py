@@ -90,6 +90,20 @@ class TestRunSweep:
             assert r.bayes_cost >= r.cr_bound - 1e-12
             assert r.bayes_cost <= 0.4 + 1e-12
 
+    @pytest.mark.parametrize("noise", [
+        LocalDephasing(0.7), Loss(0.7), CollectiveDephasing(0.02)], ids=repr)
+    def test_noisy_bayes_gauss_rows_respect_van_trees_bound(self, noise):
+        # every row is one shot: no cost falls below the single-shot bound
+        # 1/sqrt(F + 1/delta0^2) of its own state under the physical noise
+        cfg = SweepConfig(n_min=2, n_max=10, n_step=4, noise=noise,
+                          methods=("bayes-gauss",), prior_width=0.5,
+                          timings=False)
+        records = run_sweep(cfg)
+        assert [r.n for r in records] == [2, 6, 10]
+        for r in records:
+            assert r.bayes_cost is not None and r.cr_bound is not None
+            assert r.bayes_cost >= r.cr_bound - 1e-12
+
     def test_dephasing_rows_above_asymptote(self):
         cfg = SweepConfig(n_min=2, n_max=8, noise=LocalDephasing(0.7),
                           methods=("qfi-opt", "bayes-flat"), timings=False)
@@ -173,20 +187,8 @@ class TestRunSweep:
             assert rec.cr_bound == bayesian_cr_bound(
                 GaussianPrior(delta0), state_qfi(trace.final_state, noise))
 
-    def test_repetitions_scale_bounds(self):
-        _, base = small_sweep(n_max=3)
-        cfg = SweepConfig(n_min=1, n_max=3, noise=NoiseFree(),
-                          methods=("qfi-opt", "bayes-flat"), repetitions=4,
-                          timings=False)
-        reps = run_sweep(cfg)
-        for r0, r4 in zip(base, reps):
-            if r0.cr_bound is not None:
-                assert r4.cr_bound == pytest.approx(r0.cr_bound / 2.0)
-            if r0.bayes_cost is not None:
-                assert r4.bayes_cost == pytest.approx(r0.bayes_cost / 2.0)
 
-
-class TestAsymptoteFor:
+class TestNoiseLimit:
     @pytest.mark.parametrize("width", [None, 0.5, math.inf])
     @pytest.mark.parametrize("kind", ["cr", "bayes"])
     @pytest.mark.parametrize("noise", [
@@ -194,7 +196,7 @@ class TestAsymptoteFor:
         Loss(0.0), Loss(0.7), Loss(1.0), CollectiveDephasing(0.0),
         CollectiveDephasing(0.02)], ids=repr)
     def test_each_model_names_the_ladder_limit(self, noise, kind, width):
-        got = cli._asymptote_for(noise, kind, width)
+        got = noise.limit(kind, width)
         if noise in (LocalDephasing(0.0), Loss(0.0)):
             # no phase reaches the output: no limit, where the ladder raised
             assert got is None
@@ -202,9 +204,6 @@ class TestAsymptoteFor:
                 asymptote_ladder(noise, kind, width)
         else:
             assert got == asymptote_ladder(noise, kind, width)
-        for bad in (0.0, -0.5, math.nan):
-            with pytest.raises(ValueError, match="prior width"):
-                cli._asymptote_for(noise, kind, bad)
 
 
 class TestEmit:
@@ -259,19 +258,19 @@ class TestDeterminism:
     def test_identical_runs_are_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["scan", "--noise", "dephasing", "--eta", "0.7", "--n-max", "6",
-                "--method", "qfi-opt,bayes-flat", "--seed", "7",
-                "--no-timings", "--format", "csv"]
+                "--method", "qfi-opt,bayes-flat", "--no-timings",
+                "--format", "csv"]
         assert cli.main(args + ["--out", str(out1)]) == 0
         assert cli.main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_metadata_sidecar_records_seed(self, tmp_path):
+    def test_metadata_sidecar_records_the_configuration(self, tmp_path):
         out = tmp_path / "a.csv"
         assert cli.main(["scan", "--n-max", "3", "--method", "bayes-flat",
-                         "--seed", "13", "--no-timings",
-                         "--out", str(out)]) == 0
+                         "--no-timings", "--out", str(out)]) == 0
         meta = json.loads((tmp_path / "a.csv.meta.json").read_text())
-        assert meta["seed"] == 13
+        assert set(meta) == {"command", "noise", "methods", "n_min", "n_max",
+                             "n_step", "grid", "prior_width"}
         assert meta["methods"] == ["bayes-flat"]
 
 
@@ -370,6 +369,8 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("text,message", [
         ('{"noise": "dephasing", "bogus": 1}', "unknown config keys ['bogus']"),
+        # scan rows are single-shot and draw no random numbers
+        ('{"reps": 2}', "unknown config keys ['reps']"),
         ('{"noise": ', "not valid JSON"),
         ("[1, 2]", "expected a JSON object of flag values"),
         ('{"noise": "white", "n-max": 3}', "unknown noise 'white'")])
@@ -392,6 +393,11 @@ class TestExitCodes:
         assert cli.main(["scan", "--n-max", "4", "--noise", "dephasing"]) == 1
         assert "--noise dephasing requires --eta" in capsys.readouterr().err
         assert cli.main(["scan", "--n-max", "4", "--method", "bayes-gauss"]) == 1
+        # every row is one shot, and a scan draws no random numbers
+        for flag in (["--reps", "2"], ["--seed", "1"]):
+            assert cli.main(["scan", "--n-max", "3", *flag]) == 1
+            assert f"unrecognized arguments: {' '.join(flag)}" in \
+                capsys.readouterr().err
         # non-finite strengths and widths: NaN fails every sign test, and
         # unchecked it fails every row or prints NaN cells; inf prints
         # qfi = -inf
@@ -417,6 +423,19 @@ class TestExitCodes:
             assert cli.main(argv) == 1, argv
             err = capsys.readouterr().err
             assert err.startswith("configuration error") and message in err, argv
+
+    @pytest.mark.parametrize("noise", [
+        ["none"], ["dephasing", "--eta", "0.7"], ["loss", "--eta", "0.7"],
+        ["collective", "--gamma", "0.02"]], ids=lambda flags: flags[0])
+    def test_asymptote_rejects_bad_width_under_every_noise(self, noise,
+                                                           capsys):
+        for width, shown in (("0", "0.0"), ("-0.5", "-0.5"), ("nan", "nan")):
+            argv = ["asymptote", "--noise", *noise, "--prior-width", width,
+                    "--n-max", "2"]
+            assert cli.main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error"), argv
+            assert f"prior width delta0={shown} must be positive" in err, argv
 
     @pytest.mark.parametrize("width", ["0", "-0.5"])
     def test_nonpositive_prior_width_rejected(self, width, capsys):

@@ -380,19 +380,14 @@ class TestCollectiveDataProcessingBound:
 
 class TestCrBound:
     def test_heisenberg_value(self):
-        assert cr_bound(100.0, 1) == pytest.approx(0.1)
+        assert cr_bound(100.0) == pytest.approx(0.1)
 
     def test_standard_scaling(self):
-        assert cr_bound(25.0, 1) == pytest.approx(0.2)
-
-    def test_repetition_scaling(self):
-        assert cr_bound(7.3, 4) == pytest.approx(cr_bound(7.3, 1) / 2.0)
+        assert cr_bound(25.0) == pytest.approx(0.2)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            cr_bound(0.0, 1)
-        with pytest.raises(ValueError):
-            cr_bound(1.0, 0)
+            cr_bound(0.0)
 
 
 class TestEngineOnExplicitBlocks:
